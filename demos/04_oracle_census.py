@@ -4,13 +4,14 @@ A [6,8,8,1] network has 16 hidden neurons; with 2 to 4 drops allowed the
 space holds exactly 2,500 masks, small enough to brute-force.  We enumerate
 the global optimum, take a census of the space, compare annealing and the
 random walk against the truth, and run the single-neuron-drop baseline.
+The optimum and the census both come from one pricing pass over the space.
 
 Run with: python demos/04_oracle_census.py
 """
 
 from fairdrop import (MlpArchitecture, SearchConfig, SearchSpaceBounds, TrainConfig,
                       baseline_cost_params, run_search, split, synthesize_biased, train)
-from fairdrop.oracle import census, enumerate_best, single_neuron_baseline
+from fairdrop.oracle import price_space, single_neuron_baseline
 
 data = synthesize_biased(n_rows=1_500, n_features=6, bias_strength=0.8, seed=21)
 parts = split(data, seed=5)
@@ -23,11 +24,12 @@ bounds = SearchSpaceBounds(n_total=16, n_l=2, n_u=4)
 print(f"baseline validation EOD {params.eod_baseline:.2%}, F1 {params.f1_baseline:.3f}")
 print(f"space cardinality: {bounds.size()} masks\n")
 
-best_state, best_cost = enumerate_best(model, parts.validation, bounds, params)
+space = price_space(model, parts.validation, bounds, params)  # every mask, priced once
+best_state, best_cost = space.best()
 print(f"brute-force optimum: cost {best_cost:.4f}, "
       f"mask {best_state.key_hex()} drops {best_state.indices()}")
 
-counts = census(model, parts.validation, bounds, params)
+counts = space.census()
 print(f"census: {counts.best_count} best, {counts.good_count} good "
       f"(within {counts.good_margin} of optimum), {counts.bad_count} bad "
       f"(F1 below {counts.f1_floor:.3f})")

@@ -15,7 +15,7 @@ from .oracle import (DEFAULT_ENUMERATION_BUDGET, EnumerationBudgetError, StateCe
 from .prng import XorShift64Star
 from .search import (CostEvaluation, CostEvaluator, CostParams, DropoutState,
                      SearchConfig, SearchResult, SearchSpaceBounds, SearchSpaceError,
-                     TemperatureSchedule, TraceRecord, baseline_cost_params, cost,
+                     TemperatureSchedule, TraceRecord, baseline_cost_params,
                      estimate_initial_temperature, generate_neighbor, penalized_cost,
-                     random_state, run_search, update_temperature, valid_flip_positions,
-                     worst_case_t0, write_trace_csv)
+                     random_state, run_search, valid_flip_positions, worst_case_t0,
+                     write_trace_csv)

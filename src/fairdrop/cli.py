@@ -12,6 +12,7 @@ floor.
 from __future__ import annotations
 
 import argparse
+import copy
 import io
 import json
 import math
@@ -24,15 +25,40 @@ from . import __version__
 from .dataset import (DatasetSchema, SplitDataset, TabularDataset, load_csv, split,
                       synthesize_biased)
 from .ioutil import atomic_write_text
-from .metrics import accuracy, confusion, f1, fairness
+from .metrics import prediction_metrics
 from .model import (MlpArchitecture, MlpModel, TrainConfig, load_model, predict_batch,
                     save_model, train)
-from .oracle import (DEFAULT_ENUMERATION_BUDGET, EnumerationBudgetError, census,
-                     enumerate_best, per_state_cost_rows, single_neuron_baseline)
+from .oracle import (DEFAULT_ENUMERATION_BUDGET, EnumerationBudgetError, price_space,
+                     single_neuron_baseline)
 from .search import (SearchConfig, SearchSpaceBounds, baseline_cost_params, run_search,
                      write_trace_csv)
 
 DEFAULT_SEEDS = list(range(1, 11))
+# What an omitted config key resolves to (the README's example config); a key
+# absent from this table is rejected.  ``dataset`` keeps only the keys given:
+# either ``synth`` or ``csv`` + ``schema``.
+DEFAULT_CONFIG = {
+    "dataset": {
+        "synth": {"n_rows": 10_000, "n_features": 10, "bias_strength": 0.8, "seed": 7},
+        "csv": None,
+        "schema": None,
+    },
+    "model": {
+        "hidden_sizes": [16, 16],
+        "train": {"learning_rate": 0.3, "epochs": 30, "batch_size": 128,
+                  "train_dropout_prob": 0.1},
+    },
+    "search": {
+        "alg_type": "sa", "p": 3.0, "t": 0.98, "n_l": 2,
+        "n_u": None,  # None -> 25% of hidden neurons, at least n_l + 1
+        "max_iterations": None, "time_limit_s": None,  # both None -> 20,000 iterations
+        "t0_mode": "ben_ameur", "t0_value": None,
+        "target_acceptance": 0.75, "t0_sample_size": 100,
+    },
+    "oracle": {"budget": DEFAULT_ENUMERATION_BUDGET, "good_margin": 0.05},
+    "seeds": DEFAULT_SEEDS,
+    "output_dir": "out",
+}
 DEFAULT_SWEEP_P_VALUES = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
 CI_FORMULA = "mean +/- 1.96*sd/sqrt(n), sample sd (ddof=1)"
 
@@ -53,38 +79,32 @@ def load_config(path) -> dict:
         raise CliError(f"config file {path} is not valid JSON: {exc}") from exc
 
 
-def resolve_config(raw: dict, args) -> dict:
-    """Fill defaults and apply flag overrides (flags win)."""
-    cfg = {
-        "dataset": dict(raw.get("dataset", {})),
-        "model": dict(raw.get("model", {})),
-        "search": dict(raw.get("search", {})),
-        "oracle": dict(raw.get("oracle", {})),
-        "seeds": list(raw.get("seeds", DEFAULT_SEEDS)),
-        "output_dir": raw.get("output_dir", "out"),
-    }
-    model = cfg["model"]
-    model.setdefault("hidden_sizes", [16, 16])
-    tr = model.setdefault("train", {})
-    tr.setdefault("learning_rate", 0.05)
-    tr.setdefault("epochs", 30)
-    tr.setdefault("batch_size", 128)
-    tr.setdefault("train_dropout_prob", 0.1)
-    search = cfg["search"]
-    search.setdefault("alg_type", "sa")
-    search.setdefault("p", 3.0)
-    search.setdefault("t", 0.98)
-    search.setdefault("n_l", 2)
-    search.setdefault("n_u", None)  # None -> 25% of hidden neurons, at least n_l + 1
-    search.setdefault("t0_mode", "ben_ameur")
-    search.setdefault("t0_value", None)
-    search.setdefault("target_acceptance", 0.75)
-    search.setdefault("t0_sample_size", 100)
-    cfg["oracle"].setdefault("budget", DEFAULT_ENUMERATION_BUDGET)
-    cfg["oracle"].setdefault("good_margin", 0.05)
+def _with_defaults(raw, defaults: dict, path: str) -> dict:
+    """``raw`` with omitted keys filled from ``defaults``, nested sections
+    too; a key the table does not hold is an error naming its path."""
+    def name(key):
+        return f"{path}.{key}" if path else key
 
+    if not isinstance(raw, dict):
+        raise CliError(f"config {path or 'file'} must be a JSON object")
+    for key in raw:
+        if key not in defaults:
+            raise CliError(f"unknown config key {name(key)}")
+    cfg = {}
+    for key, default in defaults.items():
+        if path == "dataset" and key not in raw:
+            continue
+        cfg[key] = (_with_defaults(raw.get(key, {}), default, name(key))
+                    if isinstance(default, dict) else copy.deepcopy(raw.get(key, default)))
+    return cfg
+
+
+def resolve_config(raw: dict, args) -> dict:
+    """Fill defaults, reject unknown keys and apply flag overrides (flags win)."""
+    cfg = _with_defaults(raw, DEFAULT_CONFIG, "")
+    search = cfg["search"]
     if getattr(args, "seeds", None):
-        cfg["seeds"] = [int(s) for s in args.seeds.split(",")]
+        cfg["seeds"] = list(args.seeds)
     if getattr(args, "out", None):
         cfg["output_dir"] = args.out
     for flag, key in (("alg", "alg_type"), ("p", "p"), ("t", "t"),
@@ -95,7 +115,7 @@ def resolve_config(raw: dict, args) -> dict:
             search[key] = value
     # only after flag overrides: a stopping criterion must exist, and the
     # deterministic iteration cap is the default one
-    if search.get("max_iterations") is None and search.get("time_limit_s") is None:
+    if search["max_iterations"] is None and search["time_limit_s"] is None:
         search["max_iterations"] = 20_000
     if not cfg["seeds"]:
         raise CliError("seeds list must not be empty")
@@ -110,10 +130,8 @@ def build_dataset(cfg: dict) -> TabularDataset:
     ds = cfg["dataset"]
     if "synth" in ds:
         s = ds["synth"]
-        return synthesize_biased(int(s.get("n_rows", 10_000)),
-                                 int(s.get("n_features", 10)),
-                                 float(s.get("bias_strength", 0.5)),
-                                 int(s.get("seed", 1)))
+        return synthesize_biased(int(s["n_rows"]), int(s["n_features"]),
+                                 float(s["bias_strength"]), int(s["seed"]))
     if "csv" in ds:
         if "schema" not in ds:
             raise CliError("dataset.csv needs a companion dataset.schema path")
@@ -147,15 +165,13 @@ def write_json(path, payload: dict) -> None:
     atomic_write_text(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 
-def _split_metrics(model: MlpModel, data: TabularDataset, mask=None) -> dict:
-    preds = predict_batch(model, data, mask)
-    counts = confusion(preds, data.labels)
-    report = fairness(preds, data.labels, data.protected)
-    return {
-        "eod": "undefined" if report.eod is None else report.eod,
-        "f1": f1(counts),
-        "accuracy": accuracy(counts),
-    }
+def _split_reports(model: MlpModel, parts: SplitDataset, mask=None) -> dict:
+    """EOD / F1 / accuracy of the (masked) model on the validation and test splits."""
+    reports = {}
+    for name, data in (("validation", parts.validation), ("test", parts.test)):
+        preds = predict_batch(model, data, mask)
+        reports[name] = prediction_metrics(preds, data.labels, data.protected).to_dict()
+    return reports
 
 
 def mean_ci(values) -> dict:
@@ -221,11 +237,8 @@ def cmd_train(args) -> int:
         ))
         path = model_path(cfg, seed)
         save_model(model, path)
-        per_seed[str(seed)] = {
-            "model_file": os.path.basename(path),
-            "validation": _split_metrics(model, parts.validation),
-            "test": _split_metrics(model, parts.test),
-        }
+        per_seed[str(seed)] = {"model_file": os.path.basename(path),
+                               **_split_reports(model, parts)}
         v, t = per_seed[str(seed)]["validation"], per_seed[str(seed)]["test"]
         print(f"seed {seed}: val EOD {_pct(v['eod'])} F1 {v['f1']:.3f} acc {v['accuracy']:.3f} "
               f"| test EOD {_pct(t['eod'])} F1 {t['f1']:.3f} acc {t['accuracy']:.3f}")
@@ -274,14 +287,8 @@ def _repair_one(cfg: dict, data: TabularDataset, seed: int, p: float | None = No
             "initial_cost": result.initial_cost,
             "success": result.success,
             "evaluations": result.evaluations,
-            "baseline": {
-                "validation": _split_metrics(model, parts.validation),
-                "test": _split_metrics(model, parts.test),
-            },
-            "repaired": {
-                "validation": _split_metrics(model, parts.validation, result.best_state),
-                "test": _split_metrics(model, parts.test, result.best_state),
-            },
+            "baseline": _split_reports(model, parts),
+            "repaired": _split_reports(model, parts, result.best_state),
         },
     }
 
@@ -338,8 +345,7 @@ def cmd_repair(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = resolve_config(load_config(args.config), args)
-    p_values = ([float(v) for v in args.p_values.split(",")]
-                if args.p_values else list(DEFAULT_SWEEP_P_VALUES))
+    p_values = args.p_values or list(DEFAULT_SWEEP_P_VALUES)
     data = build_dataset(cfg)
     out = cfg["output_dir"]
     os.makedirs(out, exist_ok=True)
@@ -377,15 +383,14 @@ def cmd_oracle(args) -> int:
     s = cfg["search"]
     params = baseline_cost_params(model, parts.validation, p=float(s["p"]), t=float(s["t"]))
     config = search_config(cfg, seed, model.hidden_total, params)
-    budget = int(cfg["oracle"]["budget"])
     try:
-        best_state, best_cost = enumerate_best(model, parts.validation, config.bounds,
-                                               params, budget=budget)
-        counts = census(model, parts.validation, config.bounds, params,
-                        good_margin=float(cfg["oracle"]["good_margin"]), budget=budget)
+        space = price_space(model, parts.validation, config.bounds, params,
+                            budget=int(cfg["oracle"]["budget"]))
     except EnumerationBudgetError as exc:
         print(f"refusing to enumerate: {exc}", file=sys.stderr)
         return 1
+    best_state, best_cost = space.best()
+    counts = space.census(float(cfg["oracle"]["good_margin"]))
     baseline = single_neuron_baseline(model, parts.validation, parts.test, params)
     report = {
         "config": cfg,
@@ -405,8 +410,7 @@ def cmd_oracle(args) -> int:
     if args.dump_costs:
         buf = io.StringIO()
         buf.write("state_key_hex,cost,eod,f1\n")
-        for key, c, eod, f1_s in per_state_cost_rows(model, parts.validation,
-                                                     config.bounds, params, budget=budget):
+        for key, c, eod, f1_s in space.rows():
             eod_text = "undefined" if math.isnan(eod) else repr(eod)
             buf.write(f"{key},{c!r},{eod_text},{f1_s!r}\n")
         atomic_write_text(os.path.join(out, "oracle_costs.csv"), buf.getvalue())
@@ -422,6 +426,25 @@ def cmd_oracle(args) -> int:
 
 class UsageError(ValueError):
     pass
+
+
+def _flag_type(convert, ok, expected: str):
+    """argparse ``type=``: convert the text and check it, so a bad value is a
+    usage error before any work."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+            valid = ok(value)
+        except ValueError:
+            valid = False
+        if not valid:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return parse
+
+
+def _comma_list(convert):
+    return lambda text: [convert(v) for v in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -440,17 +463,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--seed", type=int, default=1)
     p_synth.set_defaults(func=cmd_synth)
 
+    count = _flag_type(int, lambda v: v >= 0, "an integer >= 0")
+    penalty = _flag_type(float, lambda v: v >= 0, "a number >= 0")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="experiment config JSON")
-    common.add_argument("--seeds", help="comma-separated seed list override")
+    common.add_argument("--seeds", type=_flag_type(_comma_list(int), lambda v: True,
+                                                   "comma-separated integers"),
+                        help="comma-separated seed list override")
     common.add_argument("--out", help="output directory override")
     common.add_argument("--alg", choices=["sa", "rw"], help="search algorithm override")
-    common.add_argument("--p", type=float, help="penalty multiplier override")
-    common.add_argument("--t", type=float, help="threshold multiplier override")
-    common.add_argument("--n-l", dest="n_l", type=int, help="minimum neurons to drop")
-    common.add_argument("--n-u", dest="n_u", type=int, help="maximum neurons to drop")
-    common.add_argument("--iterations", type=int, help="max_iterations override")
-    common.add_argument("--time-limit-s", dest="time_limit_s", type=float,
+    common.add_argument("--p", type=penalty, help="penalty multiplier override")
+    common.add_argument("--t", type=_flag_type(float, lambda v: 0.0 < v < 1.0,
+                                               "a number in (0, 1)"),
+                        help="threshold multiplier override")
+    common.add_argument("--n-l", dest="n_l", type=count, help="minimum neurons to drop")
+    common.add_argument("--n-u", dest="n_u", type=count, help="maximum neurons to drop")
+    common.add_argument("--iterations", type=count, help="max_iterations override")
+    common.add_argument("--time-limit-s", dest="time_limit_s",
+                        type=_flag_type(float, lambda v: v > 0, "a number > 0"),
                         help="wall-clock limit override (seconds)")
 
     p_train = sub.add_parser("train", parents=[common],
@@ -463,7 +493,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", parents=[common],
                              help="repeat repair across penalty multipliers")
-    p_sweep.add_argument("--p-values", help="comma-separated penalty multipliers")
+    p_sweep.add_argument("--p-values",
+                         type=_flag_type(_comma_list(float), lambda vs: min(vs) >= 0,
+                                         "comma-separated numbers >= 0"),
+                         help="comma-separated penalty multipliers")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_oracle = sub.add_parser("oracle", parents=[common],

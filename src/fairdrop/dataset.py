@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ioutil import atomic_write_text
 from .prng import XorShift64Star
 
 SPLIT_FRACTIONS = (0.60, 0.20, 0.20)
@@ -129,9 +130,7 @@ class DatasetSchema:
             return cls.from_dict(json.load(fh))
 
     def dump(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        atomic_write_text(path, json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
 @dataclass(frozen=True)

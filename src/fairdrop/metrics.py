@@ -10,6 +10,7 @@ metric depending on an undefined rate is itself ``None``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -139,3 +140,27 @@ def fairness(preds, labels, protected) -> FairnessReport:
     rates = GroupRates(tpr=(tpr[0], tpr[1]), fpr=(fpr[0], fpr[1]),
                        positive_rate=(pos_rate[0], pos_rate[1]))
     return FairnessReport(eod=eod, dp_diff=dp_diff, eo_diff=eo_diff, group_rates=rates)
+
+
+class PredictionMetrics(NamedTuple):
+    """EOD, F1 and accuracy of one prediction vector: what a mask is priced
+    and reported by."""
+
+    eod: float | None
+    f1: float
+    accuracy: float
+
+    def to_dict(self) -> dict:
+        """Report form; an undefined EOD reads "undefined"."""
+        return {
+            "eod": "undefined" if self.eod is None else self.eod,
+            "f1": self.f1,
+            "accuracy": self.accuracy,
+        }
+
+
+def prediction_metrics(preds, labels, protected) -> PredictionMetrics:
+    """The metrics search, oracle and reports share, from 0/1 predictions."""
+    counts = confusion(preds, labels)
+    return PredictionMetrics(eod=fairness(preds, labels, protected).eod,
+                             f1=f1(counts), accuracy=accuracy(counts))

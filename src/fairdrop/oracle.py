@@ -1,13 +1,13 @@
 """Exhaustive ground truth for bounded mask spaces at desk scale.
 
-Enumeration walks every mask with weight in [n_l, n_u], prices each one with
-the same cost evaluator the randomized searches use, and reports the global
-optimum.  On top of that sit the census (how many states are globally
-optimal, near-optimal, or below the F1 floor) and the single-neuron-drop
-baseline (the best mask of weight exactly 1, the strongest repair a
-one-neuron method could ever reach).
+Enumeration prices every mask with weight in [n_l, n_u] exactly once, with
+the cost the randomized searches use, into columns; the global optimum, the
+census (how many states are globally optimal, near-optimal, or below the F1
+floor) and the per-state cost dump are reductions over them.  The
+single-neuron-drop baseline is the best mask of weight exactly 1, the
+strongest repair a one-neuron method could ever reach.
 
-Everything here is order-independent: the optimum carries a deterministic
+Every reduction is order-independent: the optimum carries a deterministic
 tie-break (smallest canonical state key), and census counters are plain sums,
 so enumeration chunks may be processed in any order or concurrently and
 merged by min / addition.
@@ -23,7 +23,7 @@ from typing import Iterator
 import numpy as np
 
 from .dataset import TabularDataset
-from .metrics import accuracy, confusion, f1, fairness
+from .metrics import prediction_metrics
 from .model import MlpModel, predict_batch
 from .search import CostEvaluator, CostParams, DropoutState, SearchSpaceBounds
 
@@ -52,24 +52,6 @@ def _check_budget(bounds: SearchSpaceBounds, budget: int) -> int:
     if cardinality > budget:
         raise EnumerationBudgetError(cardinality, budget)
     return cardinality
-
-
-def enumerate_best(model: MlpModel, validation_data: TabularDataset,
-                   bounds: SearchSpaceBounds, params: CostParams,
-                   budget: int = DEFAULT_ENUMERATION_BUDGET
-                   ) -> tuple[DropoutState, float]:
-    """Global optimum over the bounded space; cost ties break to the smallest
-    canonical state key."""
-    _check_budget(bounds, budget)
-    evaluator = CostEvaluator(model, validation_data, params)
-    best_state = None
-    best_cost = math.inf
-    for state in iter_states(bounds):
-        c = evaluator.evaluate(state).cost
-        if best_state is None or c < best_cost or (c == best_cost and state.bits < best_state.bits):
-            best_state = state
-            best_cost = c
-    return best_state, best_cost
 
 
 @dataclass(frozen=True)
@@ -114,45 +96,84 @@ class StateCensus:
         }
 
 
+@dataclass(frozen=True, eq=False)
+class PricedSpace:
+    """Every state of a bounded space priced once, as columns in ``iter_states``
+    order: the state keys (bits), cost, EOD (NaN where undefined) and F1."""
+
+    n_total: int
+    f1_floor: float
+    keys: np.ndarray
+    cost: np.ndarray
+    eod: np.ndarray
+    f1: np.ndarray
+
+    def _state(self, bits: int) -> DropoutState:
+        return DropoutState(n=self.n_total, bits=bits, weight=bits.bit_count())
+
+    def best(self) -> tuple[DropoutState, float]:
+        """Global optimum; cost ties break to the smallest canonical state key."""
+        optimal = self.cost.min()
+        return self._state(int(self.keys[self.cost == optimal].min())), float(optimal)
+
+    def census(self, good_margin: float = 0.05) -> StateCensus:
+        """Classify every state against the global optimum."""
+        if good_margin < 0:
+            raise ValueError("good_margin must be >= 0")
+        optimal = float(self.cost.min())
+        bad = self.f1 < self.f1_floor
+        best = (self.cost == optimal) & ~bad
+        good = (self.cost <= optimal + good_margin) & ~best & ~bad
+        return StateCensus(best_count=int(best.sum()), good_count=int(good.sum()),
+                           bad_count=int(bad.sum()), total=len(self.cost), optimal_cost=optimal,
+                           good_margin=good_margin, f1_floor=self.f1_floor)
+
+    def rows(self) -> Iterator[tuple[str, float, float, float]]:
+        """(state_key_hex, cost, eod, f1) per state, as Python floats."""
+        for bits, c, eod, f1_s in zip(self.keys.tolist(), self.cost.tolist(),
+                                      self.eod.tolist(), self.f1.tolist()):
+            yield self._state(bits).key_hex(), c, eod, f1_s
+
+
+def price_space(model: MlpModel, validation_data: TabularDataset, bounds: SearchSpaceBounds,
+                params: CostParams, budget: int = DEFAULT_ENUMERATION_BUDGET) -> PricedSpace:
+    """Price every state in the bounded space exactly once, without the
+    evaluator's memo cache: no state comes back, so it would only hold memory."""
+    total = _check_budget(bounds, budget)
+    evaluator = CostEvaluator(model, validation_data, params)
+    keys = np.empty(total, dtype=np.uint64 if bounds.n_total <= 64 else object)
+    cost, eod, f1s = np.empty((3, total), dtype=np.float64)
+    for i, state in enumerate(iter_states(bounds)):
+        ev = evaluator.price(state)
+        keys[i] = state.bits
+        cost[i] = ev.cost
+        eod[i] = math.nan if ev.eod is None else ev.eod
+        f1s[i] = ev.f1
+    return PricedSpace(bounds.n_total, params.f1_floor, keys, cost, eod, f1s)
+
+
+def enumerate_best(model: MlpModel, validation_data: TabularDataset,
+                   bounds: SearchSpaceBounds, params: CostParams,
+                   budget: int = DEFAULT_ENUMERATION_BUDGET
+                   ) -> tuple[DropoutState, float]:
+    """Global optimum over the bounded space; cost ties break to the smallest
+    canonical state key."""
+    return price_space(model, validation_data, bounds, params, budget).best()
+
+
 def census(model: MlpModel, validation_data: TabularDataset, bounds: SearchSpaceBounds,
            params: CostParams, good_margin: float = 0.05,
            budget: int = DEFAULT_ENUMERATION_BUDGET) -> StateCensus:
     """Classify every state in the bounded space against the global optimum."""
-    if good_margin < 0:
-        raise ValueError("good_margin must be >= 0")
-    total = _check_budget(bounds, budget)
-    evaluator = CostEvaluator(model, validation_data, params)
-    costs = np.empty(total, dtype=np.float64)
-    f1s = np.empty(total, dtype=np.float64)
-    for i, state in enumerate(iter_states(bounds)):
-        ev = evaluator.evaluate(state)
-        costs[i] = ev.cost
-        f1s[i] = ev.f1
-    optimal = float(costs.min())
-    floor = params.f1_floor
-    bad = f1s < floor
-    best = (costs == optimal) & ~bad
-    good = (costs <= optimal + good_margin) & ~best & ~bad
-    return StateCensus(
-        best_count=int(best.sum()),
-        good_count=int(good.sum()),
-        bad_count=int(bad.sum()),
-        total=total,
-        optimal_cost=optimal,
-        good_margin=good_margin,
-        f1_floor=floor,
-    )
+    return price_space(model, validation_data, bounds, params, budget).census(good_margin)
 
 
-def _mask_metrics(model: MlpModel, data: TabularDataset, state: DropoutState) -> dict:
-    preds = predict_batch(model, data, state)
-    counts = confusion(preds, data.labels)
-    report = fairness(preds, data.labels, data.protected)
-    return {
-        "eod": "undefined" if report.eod is None else report.eod,
-        "f1": f1(counts),
-        "accuracy": accuracy(counts),
-    }
+def per_state_cost_rows(model: MlpModel, validation_data: TabularDataset,
+                        bounds: SearchSpaceBounds, params: CostParams,
+                        budget: int = DEFAULT_ENUMERATION_BUDGET
+                        ) -> Iterator[tuple[str, float, float, float]]:
+    """(state_key_hex, cost, eod, f1) for every state, for offline analysis."""
+    return price_space(model, validation_data, bounds, params, budget).rows()
 
 
 def single_neuron_baseline(model: MlpModel, validation_data: TabularDataset,
@@ -164,34 +185,18 @@ def single_neuron_baseline(model: MlpModel, validation_data: TabularDataset,
     """
     n = model.hidden_total
     evaluator = CostEvaluator(model, validation_data, params)
-    best_index = None
-    best_cost = math.inf
-    for i in range(n):
-        state = DropoutState.from_indices(n, (i,))
-        c = evaluator.evaluate(state).cost
-        if best_index is None or c < best_cost:
-            best_index = i
-            best_cost = c
+    costs = [evaluator.evaluate(DropoutState.from_indices(n, (i,))).cost for i in range(n)]
+    best_index = min(range(n), key=lambda i: costs[i])
     best_state = DropoutState.from_indices(n, (best_index,))
     layer, unit = model.neuron_order[best_index]
-    return {
+    report = {
         "neuron_index": best_index,
         "layer": layer,
         "unit": unit,
-        "cost": best_cost,
+        "cost": costs[best_index],
         "evaluations": evaluator.evaluations,
-        "validation": _mask_metrics(model, validation_data, best_state),
-        "test": _mask_metrics(model, test_data, best_state),
     }
-
-
-def per_state_cost_rows(model: MlpModel, validation_data: TabularDataset,
-                        bounds: SearchSpaceBounds, params: CostParams,
-                        budget: int = DEFAULT_ENUMERATION_BUDGET
-                        ) -> Iterator[tuple[str, float, float, float]]:
-    """(state_key_hex, cost, eod, f1) for every state, for offline analysis."""
-    _check_budget(bounds, budget)
-    evaluator = CostEvaluator(model, validation_data, params)
-    for state in iter_states(bounds):
-        ev = evaluator.evaluate(state)
-        yield state.key_hex(), ev.cost, (math.nan if ev.eod is None else ev.eod), ev.f1
+    for name, data in (("validation", validation_data), ("test", test_data)):
+        preds = predict_batch(model, data, best_state)
+        report[name] = prediction_metrics(preds, data.labels, data.protected).to_dict()
+    return report

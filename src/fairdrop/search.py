@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from .dataset import TabularDataset
 from .ioutil import atomic_write_text
-from .metrics import confusion, f1, fairness
+from .metrics import prediction_metrics
 from .model import MlpModel, predict_batch
 from .prng import XorShift64Star
 
@@ -165,11 +165,6 @@ class TemperatureSchedule:
         return self.t0 / math.log(2 + m)
 
 
-def update_temperature(schedule: TemperatureSchedule, m: int) -> float:
-    """Temperature at iteration m under the natural-log cooling schedule."""
-    return schedule.temperature(m)
-
-
 def penalized_cost(eod_s: float | None, f1_s: float, params: CostParams) -> float:
     """EOD plus the F1-floor penalty; undefined EOD prices as +inf."""
     if eod_s is None:
@@ -199,36 +194,31 @@ class CostEvaluator:
         self._cache: dict[int, CostEvaluation] = {}
         self.evaluations = 0
 
+    def price(self, state: DropoutState) -> CostEvaluation:
+        """Price one mask, bypassing the memo cache."""
+        m = prediction_metrics(predict_batch(self.model, self.data, state),
+                               self.data.labels, self.data.protected)
+        return CostEvaluation(cost=penalized_cost(m.eod, m.f1, self.params), eod=m.eod, f1=m.f1)
+
     def evaluate(self, state: DropoutState) -> CostEvaluation:
         hit = self._cache.get(state.bits)
         if hit is not None:
             return hit
-        preds = predict_batch(self.model, self.data, state)
-        f1_s = f1(confusion(preds, self.data.labels))
-        eod_s = fairness(preds, self.data.labels, self.data.protected).eod
-        result = CostEvaluation(cost=penalized_cost(eod_s, f1_s, self.params),
-                                eod=eod_s, f1=f1_s)
+        result = self.price(state)
         self._cache[state.bits] = result
         self.evaluations += 1
         return result
 
 
-def cost(model: MlpModel, validation_data: TabularDataset, state: DropoutState,
-         params: CostParams) -> float:
-    """One-shot cost of a single mask (searches use CostEvaluator for caching)."""
-    return CostEvaluator(model, validation_data, params).evaluate(state).cost
-
-
 def baseline_cost_params(model: MlpModel, validation_data: TabularDataset,
                          p: float, t: float) -> CostParams:
     """CostParams anchored to the unmasked model's validation EOD and F1."""
-    preds = predict_batch(model, validation_data)
-    f1_baseline = f1(confusion(preds, validation_data.labels))
-    eod = fairness(preds, validation_data.labels, validation_data.protected).eod
-    if eod is None:
+    m = prediction_metrics(predict_batch(model, validation_data),
+                           validation_data.labels, validation_data.protected)
+    if m.eod is None:
         raise ValueError("baseline EOD undefined: a protected group lacks "
                          "positive or negative labels in the validation split")
-    return CostParams(p=p, t=t, eod_baseline=eod, f1_baseline=f1_baseline)
+    return CostParams(p=p, t=t, eod_baseline=m.eod, f1_baseline=m.f1)
 
 
 def random_state(bounds: SearchSpaceBounds, rng: XorShift64Star) -> DropoutState:

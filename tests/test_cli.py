@@ -1,12 +1,17 @@
+import argparse
 import csv
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fairdrop.cli import main, mean_ci
+import fairdrop.cli
+import fairdrop.oracle
+import fairdrop.search
+from fairdrop.cli import default_n_u, main, mean_ci, resolve_config
 
 
 def run_cli(args):
@@ -184,6 +189,70 @@ class TestSweep:
         assert rows[0]["success"] == "0"
 
 
+def readme_example_config() -> dict:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Experiment config", 1)[1]
+    return json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+
+
+class TestConfig:
+    def test_readme_example_is_what_omitted_keys_resolve_to(self):
+        example = readme_example_config()
+        resolved = resolve_config({"dataset": {"synth": {}}}, argparse.Namespace())
+        # n_u follows the documented 25% rule rather than a fixed number
+        assert resolved["search"].pop("n_u") is None
+        assert example["search"].pop("n_u") == default_n_u(
+            resolved["search"]["n_l"], sum(resolved["model"]["hidden_sizes"]))
+        assert resolved == example
+
+    def test_fully_stated_config_echoes_unchanged(self, tmp_path):
+        cfg = readme_example_config()
+        cfg["dataset"]["synth"].update(n_rows=600, n_features=6)
+        cfg["model"] = {"hidden_sizes": [8], "train": {"learning_rate": 0.5, "epochs": 5,
+                                                       "batch_size": 64,
+                                                       "train_dropout_prob": 0.0}}
+        cfg["seeds"] = [1]
+        cfg["output_dir"] = str(tmp_path / "out")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cfg))
+        assert run_cli(["train", "--config", config]) == 0
+        report = json.loads((tmp_path / "out" / "train_report.json").read_text())
+        assert report["config"] == cfg
+
+    @pytest.mark.parametrize("section,override,name", [
+        ("search", {"max_iteration": 50}, "search.max_iteration"),
+        ("dataset", {"synth": {"n_row": 600}}, "dataset.synth.n_row"),
+        ("model", {"train": {"lr": 0.1}}, "model.train.lr"),
+        ("seed", 3, "seed"),
+    ])
+    def test_unknown_key_is_operational_error(self, tmp_path, capsys, section, override,
+                                              name):
+        config = tmp_path / "config.json"
+        write_config(config, **{section: override})
+        assert run_cli(["train", "--config", config]) == 1
+        assert f"unknown config key {name}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+class TestFlagValidation:
+    @pytest.mark.parametrize("argv", [
+        ["repair", "--t", "1.5"],
+        ["repair", "--t", "0"],
+        ["repair", "--p", "-1"],
+        ["repair", "--iterations", "-5"],
+        ["repair", "--time-limit-s", "0"],
+        ["repair", "--seeds", "1,x"],
+        ["repair", "--n-l", "-1"],
+        ["sweep", "--p-values", "0.5,-2"],
+    ], ids=" ".join)
+    def test_bad_value_is_usage_error_before_any_work(self, tmp_path, capsys, argv):
+        # the config does not exist: getting past parsing would exit 1
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv + ["--config", tmp_path / "absent.json"])
+        assert exc.value.code == 2
+        assert f"argument {argv[1]}" in capsys.readouterr().err
+
+
 class TestOracleCommand:
     def test_report_and_delta(self, trained):
         config, out = trained
@@ -200,6 +269,26 @@ class TestOracleCommand:
         with open(out / "oracle_costs.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == report["cardinality"]
+
+    def test_dump_costs_prices_each_state_once(self, trained, monkeypatch):
+        config, out = trained
+        original = fairdrop.search.predict_batch
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+        for module in (fairdrop.search, fairdrop.oracle, fairdrop.cli):
+            monkeypatch.setattr(module, "predict_batch", counting)
+        assert run_cli(["oracle", "--config", config, "--seed", "1", "--dump-costs"]) == 0
+        report = json.loads((out / "oracle_report.json").read_text())
+        cardinality, hidden_total = report["cardinality"], 8
+        # the space once, the single-neuron scan, the baseline and the two
+        # single-neuron reports
+        assert len(calls) <= cardinality + hidden_total + 3
+        dump = (out / "oracle_costs.csv").read_text()
+        assert "np.float64(" not in dump
+        assert len(dump.splitlines()) == cardinality + 1
 
     def test_budget_refusal_clean(self, tmp_path, capsys):
         config = tmp_path / "config.json"

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -59,6 +60,22 @@ class TestSchema:
         path = tmp_path / "schema.json"
         schema.dump(path)
         assert DatasetSchema.load(path) == schema
+
+    @pytest.mark.parametrize("failure", ["serialize", "rename"])
+    def test_failed_dump_leaves_existing_file_intact(self, tmp_path, monkeypatch, failure):
+        path = tmp_path / "schema.json"
+        make_schema().dump(path)
+        before = path.read_bytes()
+        if failure == "serialize":
+            monkeypatch.setattr(DatasetSchema, "to_dict", lambda self: {"bad": object()})
+        else:
+            def refuse(src, dst):
+                raise OSError("rename refused")
+            monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises((TypeError, OSError)):
+            make_schema(scaling="standard").dump(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["schema.json"]
 
     def test_protected_equal_label_rejected(self):
         with pytest.raises(SchemaError):

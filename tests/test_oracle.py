@@ -7,7 +7,7 @@ import pytest
 import fairdrop as fd
 from fairdrop.oracle import (DEFAULT_ENUMERATION_BUDGET, EnumerationBudgetError,
                              census, enumerate_best, iter_states, per_state_cost_rows,
-                             single_neuron_baseline)
+                             price_space, single_neuron_baseline)
 from fairdrop.prng import XorShift64Star
 from fairdrop.search import CostEvaluator, CostParams, SearchSpaceBounds
 
@@ -86,6 +86,24 @@ class TestEnumerateBest:
         state, _ = enumerate_best(model, data, b, params)
         assert state.bits == 1  # lowest-key weight-1 state
 
+    def test_tie_break_smallest_key_enumerated_later(self):
+        # Hidden units output a constant 1, so the model predicts all ones
+        # (cost 0) exactly when the dropped output weights sum to at most -1.5:
+        # for {2} (key 0b100, enumerated third), for {0, 1} (key 0b11, enumerated
+        # after every weight-1 state) and for their supersets.  Every other mask
+        # predicts all zeros and pays the F1 penalty.
+        arch = fd.MlpArchitecture((3, 4, 1))
+        model = fd.MlpModel(arch, [np.zeros((4, 3)), np.array([[-1.0, -1.0, -2.0, -0.1]])],
+                            [np.ones(4), np.array([2.6])])
+        data = tiny_data(seed=5, n=200)
+        params = CostParams(p=1.0, t=0.5, eod_baseline=0.2, f1_baseline=0.5)
+        b = bounds(4, 1, 2)
+        evaluator = CostEvaluator(model, data, params)
+        optimal = [s.bits for s in iter_states(b) if evaluator.evaluate(s).cost == 0.0]
+        assert optimal[0] == 0b100 and min(optimal) == 0b11
+        state, cost = enumerate_best(model, data, b, params)
+        assert (state.bits, cost) == (0b11, 0.0)
+
     def test_budget_refusal_without_enumerating(self):
         model = random_small_model(XorShift64Star(2), (3, 4, 1))
         data = tiny_data()
@@ -111,6 +129,47 @@ class TestEnumerateBest:
         state, cost = enumerate_best(model, parts.validation, bounds(16, 2, 4), params)
         assert state.key_hex() == PINNED_OPTIMAL_HEX
         assert cost == pytest.approx(PINNED_OPTIMAL_COST, abs=1e-12)
+
+
+class TestPriceSpace:
+    def test_columns_equal_evaluator_on_every_state(self, small_instance):
+        parts, model, params = small_instance
+        b = bounds(16, 2, 4)
+        space = price_space(model, parts.validation, b, params)
+        evaluator = CostEvaluator(model, parts.validation, params)
+        states = list(iter_states(b))
+        assert len(space.cost) == len(states) == 2500
+        assert space.keys.tolist() == [s.bits for s in states]
+        for i, state in enumerate(states):
+            ev = evaluator.evaluate(state)
+            assert space.cost[i] == ev.cost
+            assert space.f1[i] == ev.f1
+            if ev.eod is None:
+                assert math.isnan(space.eod[i])
+            else:
+                assert space.eod[i] == ev.eod
+
+    def test_keys_wider_than_64_bits(self):
+        model = random_small_model(XorShift64Star(41), (3, 40, 30, 1))
+        data = tiny_data(seed=42)
+        params = fd.baseline_cost_params(model, data, p=3.0, t=0.98)
+        b = bounds(70, 1, 1)
+        space = price_space(model, data, b, params)
+        evaluator = CostEvaluator(model, data, params)
+        states = list(iter_states(b))
+        assert [row[0] for row in space.rows()] == [s.key_hex() for s in states]
+        state, cost = space.best()
+        assert cost == min(evaluator.evaluate(s).cost for s in states)
+        assert evaluator.evaluate(state).cost == cost
+
+    def test_reductions_match_the_wrappers(self, small_instance):
+        parts, model, params = small_instance
+        b = bounds(16, 2, 3)
+        space = price_space(model, parts.validation, b, params)
+        assert space.best() == enumerate_best(model, parts.validation, b, params)
+        assert space.census(0.05) == census(model, parts.validation, b, params)
+        assert list(space.rows()) == list(per_state_cost_rows(model, parts.validation, b,
+                                                              params))
 
 
 class TestCensus:
@@ -195,3 +254,5 @@ class TestPerStateCostDump:
         for key, c, eod, f1_s in rows:
             assert c >= eod or math.isnan(eod)
             assert 0.0 <= f1_s <= 1.0
+            assert type(c) is type(eod) is type(f1_s) is float
+            assert "np." not in f"{c!r}{eod!r}{f1_s!r}"

@@ -91,7 +91,8 @@ class TestCostFunction:
 
     def test_empty_mask_cost_is_baseline_eod(self, small_instance):
         parts, model, params = small_instance
-        c = fd.cost(model, parts.validation, DropoutState.empty(model.hidden_total), params)
+        evaluator = CostEvaluator(model, parts.validation, params)
+        c = evaluator.evaluate(DropoutState.empty(model.hidden_total)).cost
         assert c == pytest.approx(params.eod_baseline, abs=1e-12)
 
     def test_cost_lower_bound_is_eod(self, small_instance):
@@ -127,11 +128,11 @@ class TestCostFunction:
 class TestTemperature:
     def test_first_iteration(self):
         sched = TemperatureSchedule(2.0)
-        assert fd.update_temperature(sched, 0) == pytest.approx(2.0 / math.log(2), abs=1e-12)
+        assert sched.temperature(0) == pytest.approx(2.0 / math.log(2), abs=1e-12)
 
     def test_m5(self):
         sched = TemperatureSchedule(1.0)
-        assert fd.update_temperature(sched, 5) == pytest.approx(1.0 / math.log(7), abs=1e-12)
+        assert sched.temperature(5) == pytest.approx(1.0 / math.log(7), abs=1e-12)
 
     def test_strictly_decreasing(self):
         sched = TemperatureSchedule(3.7)
