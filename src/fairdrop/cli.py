@@ -22,8 +22,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .dataset import (DatasetSchema, SplitDataset, TabularDataset, load_csv, split,
-                      synthesize_biased)
+from .dataset import (MIN_SYNTH_FEATURES, MIN_SYNTH_ROWS, DatasetSchema, SplitDataset,
+                      TabularDataset, load_csv, split, synthesize_biased)
 from .ioutil import atomic_write_text
 from .metrics import prediction_metrics
 from .model import (MlpArchitecture, MlpModel, TrainConfig, load_model, predict_batch,
@@ -79,17 +79,42 @@ def load_config(path) -> dict:
         raise CliError(f"config file {path} is not valid JSON: {exc}") from exc
 
 
+# The value type of each key whose default is None; a None value stays allowed.
+_NULLABLE_TYPES = {"dataset.csv": str, "dataset.schema": str, "search.n_u": int,
+                   "search.max_iterations": int, "search.time_limit_s": float,
+                   "search.t0_value": float}
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string",
+               list: "a list of integers"}
+
+
+def _has_type(value, kind) -> bool:
+    if isinstance(value, bool):
+        return False
+    if kind is float:
+        return isinstance(value, (int, float))
+    if kind is list:
+        return isinstance(value, list) and all(_has_type(v, int) for v in value)
+    return isinstance(value, kind)
+
+
 def _with_defaults(raw, defaults: dict, path: str) -> dict:
     """``raw`` with omitted keys filled from ``defaults``, nested sections
-    too; a key the table does not hold is an error naming its path."""
+    too; a key the table does not hold, or a value of another type than its
+    default's, is an error naming its path."""
     def name(key):
         return f"{path}.{key}" if path else key
 
     if not isinstance(raw, dict):
         raise CliError(f"config {path or 'file'} must be a JSON object")
-    for key in raw:
+    for key, value in raw.items():
         if key not in defaults:
             raise CliError(f"unknown config key {name(key)}")
+        default = defaults[key]
+        if isinstance(default, dict) or (default is None and value is None):
+            continue
+        kind = _NULLABLE_TYPES[name(key)] if default is None else type(default)
+        if not _has_type(value, kind):
+            raise CliError(f"config {name(key)} must be {_TYPE_NAMES[kind]}, got {value!r}")
     cfg = {}
     for key, default in defaults.items():
         if path == "dataset" and key not in raw:
@@ -186,8 +211,6 @@ def mean_ci(values) -> dict:
 # ---------------------------------------------------------------- commands
 
 def cmd_synth(args) -> int:
-    if not 0.0 <= args.bias_strength <= 1.0:
-        raise UsageError("--bias-strength must lie in [0, 1]")
     data = synthesize_biased(args.n_rows, args.n_features, args.bias_strength, args.seed)
     os.makedirs(args.out, exist_ok=True)
     buf = io.StringIO()
@@ -424,10 +447,6 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _flag_type(convert, ok, expected: str):
     """argparse ``type=``: convert the text and check it, so a bad value is a
     usage error before any work."""
@@ -457,9 +476,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="generate a synthetic biased dataset")
     p_synth.add_argument("--out", default="out", help="output directory")
-    p_synth.add_argument("--n-rows", type=int, default=10_000)
-    p_synth.add_argument("--n-features", type=int, default=10)
-    p_synth.add_argument("--bias-strength", type=float, default=0.5)
+    p_synth.add_argument("--n-rows", default=10_000,
+                         type=_flag_type(int, lambda v: v >= MIN_SYNTH_ROWS,
+                                         f"an integer >= {MIN_SYNTH_ROWS}"))
+    p_synth.add_argument("--n-features", default=10,
+                         type=_flag_type(int, lambda v: v >= MIN_SYNTH_FEATURES,
+                                         f"an integer >= {MIN_SYNTH_FEATURES}"))
+    p_synth.add_argument("--bias-strength", default=0.5,
+                         type=_flag_type(float, lambda v: 0.0 <= v <= 1.0,
+                                         "a number in [0, 1]"))
     p_synth.add_argument("--seed", type=int, default=1)
     p_synth.set_defaults(func=cmd_synth)
 
@@ -515,8 +540,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        parser.error(str(exc))
     except (CliError, OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

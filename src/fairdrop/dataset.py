@@ -297,6 +297,10 @@ def split(data: TabularDataset, seed: int) -> SplitDataset:
     )
 
 
+MIN_SYNTH_ROWS = 100
+MIN_SYNTH_FEATURES = 2
+
+
 def synthesize_biased(n_rows: int, n_features: int, bias_strength: float,
                       seed: int) -> TabularDataset:
     """Generate a biased binary-classification dataset, deterministic in seed.
@@ -312,10 +316,10 @@ def synthesize_biased(n_rows: int, n_features: int, bias_strength: float,
     Draw order (pinned): the feature matrix row-major, then the protected
     noise vector, then the label noise vector.
     """
-    if n_rows < 100:
-        raise ValueError(f"n_rows must be at least 100, got {n_rows}")
-    if n_features < 2:
-        raise ValueError(f"n_features must be at least 2, got {n_features}")
+    if n_rows < MIN_SYNTH_ROWS:
+        raise ValueError(f"n_rows must be at least {MIN_SYNTH_ROWS}, got {n_rows}")
+    if n_features < MIN_SYNTH_FEATURES:
+        raise ValueError(f"n_features must be at least {MIN_SYNTH_FEATURES}, got {n_features}")
     if not 0.0 <= bias_strength <= 1.0:
         raise ValueError(f"bias_strength must lie in [0, 1], got {bias_strength}")
     rng = XorShift64Star(seed)

@@ -5,6 +5,11 @@ same code serves the validation phase (driving the search) and the test phase
 (reporting).  Group-conditional rates with a zero denominator are *undefined*
 and surface as ``None``; they are never silently replaced with 0, and any
 metric depending on an undefined rate is itself ``None``.
+
+``confusion``, ``fairness``, ``f1`` and ``accuracy`` are the plain reference
+implementations.  ``prediction_metrics``, the EOD/F1/accuracy triple that
+search, oracle and reports share, reads all three off the eight counts of
+(group, label, prediction) cells, which one ``bincount`` yields.
 """
 
 from __future__ import annotations
@@ -159,8 +164,35 @@ class PredictionMetrics(NamedTuple):
         }
 
 
+def group_label_key(labels, protected) -> np.ndarray:
+    """``4 * protected + 2 * label`` per row, both checked to be 0/1 vectors of
+    one length.  Adding a row's 0/1 prediction gives its cell in
+    ``cell_metrics``'s eight counts."""
+    y = _as_binary("labels", labels)
+    a = _as_binary("protected", protected)
+    if len(y) != len(a):
+        raise ValueError(f"length mismatch: labels={len(y)}, protected={len(a)}")
+    return 4 * a + 2 * y
+
+
+def cell_metrics(cells) -> PredictionMetrics:
+    """EOD, F1 and accuracy from ``np.bincount(key + preds, minlength=8)``
+    with ``key`` from ``group_label_key``: cell 4*g + 2*y + p counts the rows
+    of group g with label y predicted p.  Same formulas as ``confusion``,
+    ``fairness``, ``f1`` and ``accuracy``, so the values are identical."""
+    c = np.asarray(cells).tolist()
+    counts = ConfusionCounts(tp=c[3] + c[7], tn=c[0] + c[4], fp=c[1] + c[5], fn=c[2] + c[6])
+    tpr = [_rate(c[base + 3], c[base + 2] + c[base + 3]) for base in (0, 4)]
+    fpr = [_rate(c[base + 1], c[base] + c[base + 1]) for base in (0, 4)]
+    eod = (None if None in tpr or None in fpr
+           else max(abs(tpr[0] - tpr[1]), abs(fpr[0] - fpr[1])))
+    return PredictionMetrics(eod=eod, f1=f1(counts), accuracy=accuracy(counts))
+
+
 def prediction_metrics(preds, labels, protected) -> PredictionMetrics:
     """The metrics search, oracle and reports share, from 0/1 predictions."""
-    counts = confusion(preds, labels)
-    return PredictionMetrics(eod=fairness(preds, labels, protected).eod,
-                             f1=f1(counts), accuracy=accuracy(counts))
+    p = _as_binary("preds", preds)
+    key = group_label_key(labels, protected)
+    if len(p) != len(key):
+        raise ValueError(f"length mismatch: preds={len(p)}, labels={len(key)}")
+    return cell_metrics(np.bincount(key + p, minlength=8))

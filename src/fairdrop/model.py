@@ -7,6 +7,9 @@ post-activation output of every masked hidden neuron to exactly zero before
 it feeds the next layer, which is arithmetically identical to zeroing the
 neuron's outgoing weights.  The zeroing is done by assignment, not
 multiplication, so a masked neuron's activation is never consulted at all.
+Every forward pass (training's validation scoring, search, reports) runs
+through ``MaskedForward``, which is built once per batch of rows and then
+runs any number of masks over them.
 
 Hidden neurons carry a fixed total order (the ``neuron_order`` bijection)
 that maps mask bit positions to (layer, unit) pairs; the order is set at
@@ -133,24 +136,84 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+# A logit at or above -_SIGMOID_HALF_WINDOW may still round to probability
+# 0.5 (it does down to about -4.4e-17); below it the probability is < 0.5 by
+# far more than the sigmoid's rounding error.
+_SIGMOID_HALF_WINDOW = 1e-12
+
+
+class MaskedForward:
+    """The masked forward pass over one fixed batch of feature rows.
+
+    Built once per batch (a 1-D ``features`` is one row): it checks the
+    batch's shape, computes the mask-independent first hidden layer
+    ``relu(X @ W0.T + b0)`` and preallocates one activation buffer per
+    hidden layer plus the logit and prediction buffers.  Each call then only
+    copies the cached first layer, zeroes the dropped units by assignment
+    and runs the later layers into the buffers with the same float
+    operations in the same order as a freshly allocated pass, so its results
+    are bit-identical to one.  The arrays a call returns are those buffers:
+    the next call overwrites them.
+    """
+
+    def __init__(self, model: MlpModel, features: np.ndarray):
+        X = np.atleast_2d(np.asarray(features, dtype=np.float64))
+        if X.ndim != 2 or X.shape[1] != model.architecture.input_size:
+            raise ShapeError(f"expected {model.architecture.input_size} input features, "
+                             f"got {X.shape[-1]}")
+        self.model = model
+        n = X.shape[0]
+        first = X @ model.weights[0].T
+        np.add(first, model.biases[0], out=first)
+        np.maximum(first, 0.0, out=first)
+        self._first = first
+        self._acts = [np.empty((n, size)) for size in model.architecture.hidden_sizes]
+        self._z = np.empty((n, 1))
+        self._preds = np.empty(n, dtype=bool)
+        self._near = np.empty(n, dtype=bool)
+
+    def logits(self, mask=None) -> np.ndarray:
+        """Output-unit logits (pre-sigmoid), one per row, under ``mask``."""
+        model = self.model
+        dropped = model.masked_units_per_layer(mask)
+        A = self._first
+        if dropped[0]:
+            A = self._acts[0]
+            np.copyto(A, self._first)
+            A[:, dropped[0]] = 0.0
+        for i in range(1, len(dropped)):
+            out = self._acts[i]
+            np.matmul(A, model.weights[i].T, out=out)
+            np.add(out, model.biases[i], out=out)
+            np.maximum(out, 0.0, out=out)
+            if dropped[i]:
+                out[:, dropped[i]] = 0.0
+            A = out
+        np.matmul(A, model.weights[-1].T, out=self._z)
+        np.add(self._z, model.biases[-1], out=self._z)
+        return self._z.reshape(-1)
+
+    def predict(self, mask=None) -> np.ndarray:
+        """Boolean predictions ``sigmoid(z) >= 0.5`` under ``mask``.
+
+        Every logit z >= 0 predicts 1; only logits in the narrow window below
+        0 where the probability can still round to 0.5 go through the
+        sigmoid itself.
+        """
+        z = self.logits(mask)
+        preds = np.greater_equal(z, 0.0, out=self._preds)
+        near = np.greater_equal(z, -_SIGMOID_HALF_WINDOW, out=self._near)
+        if np.count_nonzero(near) != np.count_nonzero(preds):
+            near &= ~preds
+            preds[near] = _sigmoid(z[near]) >= 0.5
+        return preds
+
+
 def predict_proba(model: MlpModel, features: np.ndarray, mask=None) -> np.ndarray:
     """Probabilities in [0, 1] for a batch of feature rows under a dropout mask."""
     X = np.asarray(features, dtype=np.float64)
-    single = X.ndim == 1
-    if single:
-        X = X.reshape(1, -1)
-    if X.shape[1] != model.architecture.input_size:
-        raise ShapeError(f"expected {model.architecture.input_size} input features, "
-                         f"got {X.shape[1]}")
-    dropped = model.masked_units_per_layer(mask)
-    A = X
-    for i, units in enumerate(dropped):
-        A = np.maximum(A @ model.weights[i].T + model.biases[i], 0.0)
-        if units:
-            A[:, units] = 0.0
-    z = (A @ model.weights[-1].T + model.biases[-1]).ravel()
-    proba = _sigmoid(z)
-    return proba[0] if single else proba
+    proba = _sigmoid(MaskedForward(model, X).logits(mask))
+    return proba[0] if X.ndim == 1 else proba
 
 
 def forward(model: MlpModel, x, mask=None) -> float:
@@ -161,8 +224,7 @@ def forward(model: MlpModel, x, mask=None) -> float:
 def predict_batch(model: MlpModel, data, mask=None) -> np.ndarray:
     """0/1 predictions (threshold 0.5) for a TabularDataset or feature matrix."""
     features = data.features if isinstance(data, TabularDataset) else data
-    proba = np.atleast_1d(predict_proba(model, features, mask))
-    return (proba >= 0.5).astype(np.int64)
+    return MaskedForward(model, features).predict(mask).astype(np.int64)
 
 
 @dataclass(frozen=True)

@@ -27,10 +27,12 @@ import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .dataset import TabularDataset
 from .ioutil import atomic_write_text
-from .metrics import prediction_metrics
-from .model import MlpModel, predict_batch
+from .metrics import cell_metrics, group_label_key, prediction_metrics
+from .model import MaskedForward, MlpModel, predict_batch
 from .prng import XorShift64Star
 
 TRACE_COLUMNS = ("iteration", "elapsed_ms", "temperature", "candidate_cost",
@@ -184,20 +186,27 @@ class CostEvaluator:
 
     Cost evaluation runs a full validation forward pass and dominates search
     runtime, while walks revisit states constantly; the cache is scoped to
-    one evaluator (one run), never shared.
+    one evaluator (one run), never shared.  Everything that does not depend
+    on the mask is done once, when the evaluator is built: the labels and
+    protected bits are checked and folded into one cell key per row, and the
+    forward pass caches its first hidden layer and its buffers
+    (``MaskedForward``).  A price is then one masked pass, one ``bincount``
+    of eight cells and the cost formula.
     """
 
     def __init__(self, model: MlpModel, validation_data: TabularDataset, params: CostParams):
         self.model = model
-        self.data = validation_data
         self.params = params
+        self._forward = MaskedForward(model, validation_data.features)
+        self._key = group_label_key(validation_data.labels, validation_data.protected)
+        self._cell = np.empty_like(self._key)
         self._cache: dict[int, CostEvaluation] = {}
         self.evaluations = 0
 
     def price(self, state: DropoutState) -> CostEvaluation:
         """Price one mask, bypassing the memo cache."""
-        m = prediction_metrics(predict_batch(self.model, self.data, state),
-                               self.data.labels, self.data.protected)
+        np.add(self._key, self._forward.predict(state), out=self._cell)
+        m = cell_metrics(np.bincount(self._cell, minlength=8))
         return CostEvaluation(cost=penalized_cost(m.eod, m.f1, self.params), eod=m.eod, f1=m.f1)
 
     def evaluate(self, state: DropoutState) -> CostEvaluation:
@@ -297,11 +306,16 @@ def _fit_temperature(deltas: list[float], target: float, tol: float = 1e-4) -> f
 
 
 def _sample_positive_transitions(evaluator: CostEvaluator, bounds: SearchSpaceBounds,
-                                 rng: XorShift64Star, sample_size: int) -> list[float]:
+                                 rng: XorShift64Star, sample_size: int,
+                                 deadline: float | None = None) -> list[float]:
+    """Up to ``sample_size`` positive cost deltas of random transitions; draws
+    stop early once ``time.perf_counter()`` passes ``deadline``."""
     deltas: list[float] = []
     max_draws = max(100, 10 * sample_size)
     for _ in range(max_draws):
         if len(deltas) >= sample_size:
+            break
+        if deadline is not None and time.perf_counter() > deadline:
             break
         s = random_state(bounds, rng)
         s_next = generate_neighbor(s, bounds, rng)
@@ -331,12 +345,14 @@ def estimate_initial_temperature(model: MlpModel, validation_data: TabularDatase
 
 
 def _estimate_t0(evaluator: CostEvaluator, bounds: SearchSpaceBounds, rng: XorShift64Star,
-                 target_acceptance: float, sample_size: int) -> float:
-    deltas = _sample_positive_transitions(evaluator, bounds, rng, sample_size)
+                 target_acceptance: float, sample_size: int,
+                 deadline: float | None = None) -> float:
+    deltas = _sample_positive_transitions(evaluator, bounds, rng, sample_size, deadline)
     if not deltas:
         t0 = worst_case_t0(evaluator.params, bounds)
         warnings.warn("no cost-increasing transition found while estimating the "
-                      f"initial temperature; using the worst-case bound {t0}",
+                      "initial temperature within its draw and time budget; "
+                      f"using the worst-case bound {t0}",
                       stacklevel=2)
         return t0
     return _fit_temperature(deltas, target_acceptance)
@@ -346,8 +362,10 @@ def _estimate_t0(evaluator: CostEvaluator, bounds: SearchSpaceBounds, rng: XorSh
 class SearchConfig:
     """Knobs for one search run; at least one stopping criterion is required.
 
-    ``time_limit_s`` stops on wall clock (checked before each iteration);
-    ``max_iterations`` gives platform-independent, fully deterministic runs.
+    ``time_limit_s`` is a wall-clock budget for the whole run, T0 estimation
+    included: estimation stops drawing once it is spent, and the loop checks
+    it before each iteration.  ``max_iterations`` gives platform-independent,
+    fully deterministic runs.
     """
 
     alg_type: str
@@ -382,9 +400,9 @@ class TraceRecord:
     and the running best cost after the update.
 
     ``hamming_weight`` and ``state_key_hex`` describe the candidate.
-    ``elapsed_ms`` is wall-clock from loop entry when a time limit governs
-    the run and 0.0 otherwise, so iteration-bounded runs trace identically
-    across executions.
+    ``elapsed_ms`` is wall-clock from the start of the run (before T0
+    estimation) when a time limit governs the run and 0.0 otherwise, so
+    iteration-bounded runs trace identically across executions.
     """
 
     iteration: int
@@ -430,6 +448,9 @@ def run_search(model: MlpModel, validation_data: TabularDataset,
     if bounds.n_total != model.hidden_total:
         raise SearchSpaceError(f"bounds cover {bounds.n_total} neurons, "
                                f"model has {model.hidden_total}")
+    timed = config.time_limit_s is not None
+    start = time.perf_counter()
+    deadline = start + config.time_limit_s if timed else None
     rng = XorShift64Star(config.seed)
     evaluator = CostEvaluator(model, validation_data, params)
 
@@ -446,11 +467,9 @@ def run_search(model: MlpModel, validation_data: TabularDataset,
         t0 = worst_case_t0(params, bounds)
     else:
         t0 = _estimate_t0(evaluator, bounds, rng, config.target_acceptance,
-                          config.t0_sample_size)
+                          config.t0_sample_size, deadline)
     schedule = TemperatureSchedule(t0)
 
-    timed = config.time_limit_s is not None
-    start = time.perf_counter()
     trace: list[TraceRecord] = []
     m = 0
     while True:

@@ -1,5 +1,6 @@
 import re
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -52,3 +53,18 @@ def random_small_model(rng: fd.XorShift64Star, sizes) -> fd.MlpModel:
         weights.append(2.0 * w - 1.0)
         biases.append(2.0 * rng.uniform_block(sizes[i + 1]) - 1.0)
     return fd.MlpModel(arch, weights, biases)
+
+
+def reference_logits(model: fd.MlpModel, features, mask=None) -> np.ndarray:
+    """Logits from a plain forward pass: fresh arrays per layer and the
+    dropped units zeroed by assignment."""
+    A = np.asarray(features, dtype=np.float64)
+    for i, units in enumerate(model.masked_units_per_layer(mask)):
+        A = np.maximum(A @ model.weights[i].T + model.biases[i], 0.0)
+        A[:, units] = 0.0
+    return (A @ model.weights[-1].T + model.biases[-1]).ravel()
+
+
+def reference_predictions(model: fd.MlpModel, features, mask=None) -> np.ndarray:
+    """0/1 predictions ``sigmoid(z) >= 0.5`` of ``reference_logits``."""
+    return (fd.model._sigmoid(reference_logits(model, features, mask)) >= 0.5).astype(np.int64)

@@ -233,6 +233,38 @@ class TestConfig:
         assert f"unknown config key {name}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("section,override,message", [
+        ("seeds", 5, "config seeds must be a list of integers, got 5"),
+        ("search", {"p": "x"}, "config search.p must be a number, got 'x'"),
+        ("model", {"hidden_sizes": [8, 2.5]}, "config model.hidden_sizes must be a list"),
+        ("search", {"max_iterations": 1.5}, "config search.max_iterations must be an integer"),
+        ("dataset", {"synth": {"n_rows": True}}, "config dataset.synth.n_rows must be an integer"),
+    ])
+    def test_wrong_value_type_is_operational_error(self, tmp_path, capsys, section, override,
+                                                   message):
+        config = tmp_path / "config.json"
+        write_config(config, **{section: override})
+        assert run_cli(["train", "--config", config]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_null_allowed_where_the_default_is_null(self):
+        cfg = resolve_config({"dataset": {"synth": {}},
+                              "search": {"n_u": None, "t0_value": None, "time_limit_s": 2}},
+                             argparse.Namespace())
+        assert cfg["search"]["time_limit_s"] == 2 and cfg["search"]["n_u"] is None
+
+    def test_every_null_default_has_a_value_type(self):
+        def null_keys(table, path=""):
+            for key, default in table.items():
+                name = f"{path}.{key}" if path else key
+                if isinstance(default, dict):
+                    yield from null_keys(default, name)
+                elif default is None:
+                    yield name
+        assert sorted(null_keys(fairdrop.cli.DEFAULT_CONFIG)) == sorted(
+            fairdrop.cli._NULLABLE_TYPES)
+
 
 class TestFlagValidation:
     @pytest.mark.parametrize("argv", [
@@ -244,13 +276,20 @@ class TestFlagValidation:
         ["repair", "--seeds", "1,x"],
         ["repair", "--n-l", "-1"],
         ["sweep", "--p-values", "0.5,-2"],
+        ["synth", "--n-rows", "50"],
+        ["synth", "--n-features", "0"],
+        ["synth", "--bias-strength", "1.5"],
     ], ids=" ".join)
     def test_bad_value_is_usage_error_before_any_work(self, tmp_path, capsys, argv):
-        # the config does not exist: getting past parsing would exit 1
+        # getting past parsing would exit 1 (the config does not exist) or,
+        # for synth, write to out/
+        work = (["--out", tmp_path / "out"] if argv[0] == "synth"
+                else ["--config", tmp_path / "absent.json"])
         with pytest.raises(SystemExit) as exc:
-            run_cli(argv + ["--config", tmp_path / "absent.json"])
+            run_cli(argv + work)
         assert exc.value.code == 2
         assert f"argument {argv[1]}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestOracleCommand:

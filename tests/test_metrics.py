@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fairdrop.metrics import (ConfusionCounts, accuracy, confusion, f1, fairness)
+from fairdrop.metrics import (ConfusionCounts, accuracy, confusion, f1, fairness,
+                              prediction_metrics)
 
 
 class TestConfusion:
@@ -207,3 +208,26 @@ class TestFairnessProperties:
                 vals.append(num / den)
             gaps.append(abs(vals[0] - vals[1]))
         assert flipped.eod == pytest.approx(max(gaps), abs=1e-12)
+
+
+class TestPredictionMetrics:
+    @given(prediction_triples())
+    def test_equals_reference_metrics(self, triple):
+        # the eight-cell count path against the counting reference, exactly,
+        # including groups that are empty or lack a label class
+        preds, labels, prot = triple
+        counts = confusion(preds, labels)
+        assert prediction_metrics(preds, labels, prot) == (
+            fairness(preds, labels, prot).eod, f1(counts), accuracy(counts))
+
+    @pytest.mark.parametrize("preds,labels,prot", [
+        ([1, 0], [1, 0], [0, 2]),
+        ([1, 0], [1, -1], [0, 1]),
+        ([1, 2], [1, 0], [0, 1]),
+        ([1, 0], [1, 0, 1], [0, 1]),
+        ([1, 0], [1, 0], [0, 1, 1]),
+        ([], [], []),
+    ])
+    def test_rejects_what_the_reference_rejects(self, preds, labels, prot):
+        with pytest.raises(ValueError):
+            prediction_metrics(preds, labels, prot)

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 import fairdrop as fd
-from fairdrop.model import (MlpArchitecture, ModelFormatError, ShapeError, TrainingError,
-                            default_neuron_order, initialize_model)
+from fairdrop.model import (MaskedForward, MlpArchitecture, ModelFormatError, ShapeError,
+                            TrainingError, _sigmoid, default_neuron_order, initialize_model)
 from fairdrop.prng import XorShift64Star
 from fairdrop.search import DropoutState
 
-from conftest import random_small_model
+from conftest import random_small_model, reference_logits, reference_predictions
 
 
 def hand_model():
@@ -126,6 +126,47 @@ class TestPredictBatch:
         X = 2.0 * XorShift64Star(8).uniform_block(20).reshape(10, 2) - 1.0
         assert np.array_equal(fd.predict_batch(model, X),
                               fd.predict_batch(model, X, DropoutState.empty(6)))
+
+
+class TestThreshold:
+    # logits just above, at and below the cutoff where sigmoid(z) rounds to 0.5
+    LOGITS = [-1.0, -1e-12, -1e-15, -5e-17, -4.5e-17, -4.4e-17, -4e-17, -3e-17, -1e-17,
+              -5e-324, -0.0, 0.0, 5e-324, 1e-17, 1e-12, 1.0]
+
+    @staticmethod
+    def logit_model(output_bias):
+        """[1,1,1]: z = output_bias - relu(x), so the rows' x set the logits."""
+        return fd.MlpModel(MlpArchitecture((1, 1, 1)), [np.ones((1, 1)), -np.ones((1, 1))],
+                           [np.zeros(1), np.array([output_bias])])
+
+    @pytest.mark.parametrize("z", LOGITS)
+    def test_prediction_is_sigmoid_at_least_half(self, z):
+        expected = int(_sigmoid(np.array([z]))[0] >= 0.5)
+        assert fd.predict_batch(self.logit_model(z), np.zeros((1, 1))).tolist() == [expected]
+
+    def test_cutoff_lies_inside_the_sigmoid_window(self):
+        z = np.concatenate([-np.logspace(-20, -11, 400), np.linspace(-1e-16, 0.0, 101)])
+        preds = fd.predict_batch(self.logit_model(0.0), -z.reshape(-1, 1))
+        assert preds.tolist() == (_sigmoid(z) >= 0.5).astype(int).tolist()
+        # some negative logits predict 1: the threshold is not z >= 0
+        assert preds[z < 0].any() and not preds[z < -1e-16].any()
+
+
+class TestMaskedForward:
+    def test_reused_buffers_equal_fresh_passes(self):
+        rng = XorShift64Star(12)
+        model = random_small_model(rng, (4, 5, 3, 4, 1))
+        X = 2.0 * rng.uniform_block(40 * 4).reshape(40, 4) - 1.0
+        kernel = MaskedForward(model, X)
+        n = model.hidden_total
+        for _ in range(60):
+            mask = DropoutState.from_indices(n, rng.sample_indices(n, rng.randint(0, n)))
+            assert np.array_equal(kernel.logits(mask), reference_logits(model, X, mask))
+            assert np.array_equal(kernel.predict(mask), reference_predictions(model, X, mask))
+
+    def test_feature_width_checked(self):
+        with pytest.raises(ShapeError):
+            MaskedForward(hand_model(), np.zeros((3, 5)))
 
 
 def separable_split(n=600, seed=9):

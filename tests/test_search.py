@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 from collections import Counter, deque
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import fairdrop as fd
+from fairdrop.metrics import confusion, f1, fairness
 from fairdrop.oracle import enumerate_best, iter_states
 from fairdrop.prng import XorShift64Star
 from fairdrop.search import (CostEvaluator, CostParams, DropoutState, SearchConfig,
@@ -13,7 +15,7 @@ from fairdrop.search import (CostEvaluator, CostParams, DropoutState, SearchConf
                              _fit_temperature, _mean_acceptance, penalized_cost,
                              trace_csv_text, valid_flip_positions)
 
-from conftest import random_small_model
+from conftest import random_small_model, reference_predictions
 
 PARAMS = CostParams(p=3.0, t=0.98, eod_baseline=0.10, f1_baseline=0.68)
 
@@ -123,6 +125,52 @@ class TestCostFunction:
             CostParams(p=1.0, t=1.0, eod_baseline=0.1, f1_baseline=0.5)
         with pytest.raises(ValueError):
             CostParams(p=1.0, t=0.9, eod_baseline=1.1, f1_baseline=0.5)
+
+
+class TestCostEvaluatorExactness:
+    """The evaluator's cached, buffered path against the reference metrics."""
+
+    @staticmethod
+    def reference_price(model, data, state, params):
+        preds = reference_predictions(model, data.features, state)
+        eod = fairness(preds, data.labels, data.protected).eod
+        f1_s = f1(confusion(preds, data.labels))
+        return penalized_cost(eod, f1_s, params), eod, f1_s
+
+    def test_random_masks_equal_reference(self, small_instance):
+        parts, model, params = small_instance
+        evaluator = CostEvaluator(model, parts.validation, params)
+        rng = XorShift64Star(17)
+        b = bounds(model.hidden_total, 0, model.hidden_total)
+        for _ in range(300):
+            state = fd.random_state(b, rng)
+            assert tuple(evaluator.price(state)) == self.reference_price(
+                model, parts.validation, state, params), state.key_hex()
+
+    def test_undefined_eod_prices_infinite(self, small_instance):
+        parts, model, params = small_instance
+        v = parts.validation
+        # group 1 keeps no positive label: its TPR, hence EOD, is undefined
+        labels = np.where(v.protected == 1, 0, v.labels)
+        data = fd.TabularDataset(v.features, labels, v.protected, v.feature_names)
+        evaluator = CostEvaluator(model, data, params)
+        rng = XorShift64Star(5)
+        b = bounds(model.hidden_total, 0, 6)
+        for _ in range(50):
+            state = fd.random_state(b, rng)
+            ev = evaluator.price(state)
+            assert ev.cost == math.inf and ev.eod is None
+            assert tuple(ev) == self.reference_price(model, data, state, params)
+
+    @pytest.mark.parametrize("column", ["labels", "protected"])
+    def test_non_binary_vectors_rejected_at_construction(self, small_instance, column):
+        parts, model, params = small_instance
+        v = parts.validation
+        bad = {"labels": v.labels.copy(), "protected": v.protected.copy()}
+        bad[column][3] = 2
+        data = fd.TabularDataset(v.features, bad["labels"], bad["protected"], v.feature_names)
+        with pytest.raises(ValueError, match=f"{column} must contain only 0 and 1"):
+            CostEvaluator(model, data, params)
 
 
 class TestTemperature:
@@ -385,6 +433,24 @@ class TestRunSearch:
         res = fd.run_search(model, parts.validation, config)
         assert len(res.trace) > 0
         assert res.trace[-1].elapsed_ms <= 2_000  # generous: loop exits after limit
+
+    def test_time_limit_covers_temperature_estimation(self, small_instance, monkeypatch):
+        parts, model, params = small_instance
+        original = CostEvaluator.price
+
+        def slow_price(self, state):
+            time.sleep(0.002)
+            return original(self, state)
+        monkeypatch.setattr(CostEvaluator, "price", slow_price)
+        # unbounded, fitting T0 would price hundreds of masks: over a second
+        limit = 0.3
+        config = SearchConfig(alg_type="sa", bounds=bounds(model.hidden_total, 2, 5),
+                              cost_params=params, seed=2, time_limit_s=limit)
+        start = time.perf_counter()
+        res = fd.run_search(model, parts.validation, config)
+        assert time.perf_counter() - start < limit + 0.25
+        assert all(r.elapsed_ms <= limit * 1000.0 for r in res.trace)
+        assert math.isfinite(res.best_cost)
 
     def test_bounds_must_match_model(self, small_instance):
         parts, model, params = small_instance
