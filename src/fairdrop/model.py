@@ -2,12 +2,15 @@
 
 The model is a stack of hidden layers (affine map followed by ReLU) ending in
 a single sigmoid output unit; the predicted label is 1 when the probability
-reaches 0.5.  Inference-time dropout is realized by forcing the
-post-activation output of every masked hidden neuron to exactly zero before
-it feeds the next layer, which is arithmetically identical to zeroing the
-neuron's outgoing weights.  The zeroing is done by assignment, not
-multiplication, so a masked neuron's activation is never consulted at all.
-Every forward pass (training's validation scoring, search, reports) runs
+reaches 0.5.  Inference-time dropout forces the output of every masked
+hidden neuron to zero before it feeds the next layer, so a masked neuron's
+activation never reaches the output, even when it is NaN or infinite.  The
+forward pass does this by zeroing the neuron's outgoing weights in a scratch
+copy: a finite activation then adds ``a * 0`` instead of ``0 * w``, so only
+the sign of a zero can differ, and neither a probability nor a prediction
+can.  A pass whose logits hold a NaN is run again with the activations
+themselves zeroed, which is how a non-finite masked activation shows.  Every
+forward pass (training's validation scoring, search, reports) runs
 through ``MaskedForward``, which is built once per batch of rows and then
 runs any number of masks over them.
 
@@ -147,13 +150,13 @@ class MaskedForward:
 
     Built once per batch (a 1-D ``features`` is one row): it checks the
     batch's shape, computes the mask-independent first hidden layer
-    ``relu(X @ W0.T + b0)`` and preallocates one activation buffer per
-    hidden layer plus the logit and prediction buffers.  Each call then only
-    copies the cached first layer, zeroes the dropped units by assignment
-    and runs the later layers into the buffers with the same float
-    operations in the same order as a freshly allocated pass, so its results
-    are bit-identical to one.  The arrays a call returns are those buffers:
-    the next call overwrites them.
+    ``relu(X @ W0.T + b0)`` and preallocates one output buffer per later
+    layer, one weight buffer per later layer and the prediction buffers.
+    Each call then zeroes the dropped units' columns in copies of the
+    weights they feed and runs the later layers into the buffers, so its
+    logits equal those of a fresh pass that zeroes the dropped activations
+    (up to the sign of a zero).  The arrays a call returns are those
+    buffers: the next call overwrites them.
     """
 
     def __init__(self, model: MlpModel, features: np.ndarray):
@@ -167,31 +170,47 @@ class MaskedForward:
         np.add(first, model.biases[0], out=first)
         np.maximum(first, 0.0, out=first)
         self._first = first
-        self._acts = [np.empty((n, size)) for size in model.architecture.hidden_sizes]
-        self._z = np.empty((n, 1))
+        # Outputs of every layer after the first hidden one; the last holds
+        # the logits.  Each layer reads its input units through a copy of its
+        # weights whose columns for the dropped units are zero.
+        self._outs = [np.empty((n, size)) for size in model.architecture.layer_sizes[2:]]
+        self._masked_weights = [np.empty_like(w) for w in model.weights[1:]]
         self._preds = np.empty(n, dtype=bool)
         self._near = np.empty(n, dtype=bool)
 
     def logits(self, mask=None) -> np.ndarray:
         """Output-unit logits (pre-sigmoid), one per row, under ``mask``."""
+        dropped = self.model.masked_units_per_layer(mask)
+        z = self._run(dropped, fold=True)
+        if np.isnan(z).any():
+            # A NaN or infinite activation of a dropped unit times its zeroed
+            # weight is NaN (numpy warns of inf * 0): zero the activations
+            # themselves instead.
+            z = self._run(dropped, fold=False)
+        return z
+
+    def _run(self, dropped: list[list[int]], fold: bool) -> np.ndarray:
+        """Logits with the dropped units zeroed in the weights they feed
+        (``fold``) or, by assignment, in their activations."""
         model = self.model
-        dropped = model.masked_units_per_layer(mask)
         A = self._first
-        if dropped[0]:
-            A = self._acts[0]
-            np.copyto(A, self._first)
-            A[:, dropped[0]] = 0.0
-        for i in range(1, len(dropped)):
-            out = self._acts[i]
-            np.matmul(A, model.weights[i].T, out=out)
-            np.add(out, model.biases[i], out=out)
-            np.maximum(out, 0.0, out=out)
-            if dropped[i]:
-                out[:, dropped[i]] = 0.0
+        last = len(self._outs) - 1
+        for i, out in enumerate(self._outs):
+            W = model.weights[i + 1]
+            if dropped[i] and fold:
+                W = self._masked_weights[i]
+                np.copyto(W, model.weights[i + 1])
+                W[:, dropped[i]] = 0.0
+            elif dropped[i]:
+                if A is self._first:
+                    A = A.copy()
+                A[:, dropped[i]] = 0.0
+            np.matmul(A, W.T, out=out)
+            np.add(out, model.biases[i + 1], out=out)
+            if i < last:
+                np.maximum(out, 0.0, out=out)
             A = out
-        np.matmul(A, model.weights[-1].T, out=self._z)
-        np.add(self._z, model.biases[-1], out=self._z)
-        return self._z.reshape(-1)
+        return A.reshape(-1)
 
     def predict(self, mask=None) -> np.ndarray:
         """Boolean predictions ``sigmoid(z) >= 0.5`` under ``mask``.

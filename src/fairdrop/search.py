@@ -244,14 +244,32 @@ def valid_flip_positions(state: DropoutState, bounds: SearchSpaceBounds) -> list
             if (can_lower if state.bits >> i & 1 else can_raise)]
 
 
+def _nth_set_bit(bits: int, r: int) -> int:
+    """Position of the r-th (from 0) lowest set bit of ``bits``."""
+    for _ in range(r):
+        bits &= bits - 1
+    return (bits & -bits).bit_length() - 1
+
+
 def generate_neighbor(state: DropoutState, bounds: SearchSpaceBounds,
                       rng: XorShift64Star) -> DropoutState:
-    """Uniform draw over the in-bounds Hamming-distance-1 neighbors."""
-    flips = valid_flip_positions(state, bounds)
-    if not flips:
-        raise SearchSpaceError(f"state of weight {state.weight} has no neighbors "
-                               f"within bounds ({bounds.n_l}, {bounds.n_u})")
-    return state.flip(flips[rng.randrange(len(flips))])
+    """Uniform draw over the in-bounds Hamming-distance-1 neighbors.
+
+    One ``randrange`` over ``valid_flip_positions(state, bounds)``, without
+    building the list: every position when the weight can both rise and
+    fall, else the set bits (only lowering) or the unset bits (only raising).
+    """
+    can_raise = state.weight + 1 <= bounds.n_u
+    can_lower = state.weight - 1 >= bounds.n_l
+    if can_raise and can_lower:
+        return state.flip(rng.randrange(state.n))
+    if can_lower:
+        return state.flip(_nth_set_bit(state.bits, rng.randrange(state.weight)))
+    if can_raise:
+        unset = ~state.bits & ((1 << state.n) - 1)
+        return state.flip(_nth_set_bit(unset, rng.randrange(state.n - state.weight)))
+    raise SearchSpaceError(f"state of weight {state.weight} has no neighbors "
+                           f"within bounds ({bounds.n_l}, {bounds.n_u})")
 
 
 def worst_case_t0(params: CostParams, bounds: SearchSpaceBounds) -> float:

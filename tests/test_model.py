@@ -164,6 +164,31 @@ class TestMaskedForward:
             assert np.array_equal(kernel.logits(mask), reference_logits(model, X, mask))
             assert np.array_equal(kernel.predict(mask), reference_predictions(model, X, mask))
 
+    @pytest.mark.parametrize("poison", [np.nan, np.inf])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+    def test_non_finite_dropped_unit_never_reaches_the_output(self, poison):
+        # Dropping folds into the next layer's weights, where inf * 0 and
+        # nan * 0 are NaN; a dropped unit must still count as exactly zero.
+        rng = XorShift64Star(14)
+        model = random_small_model(rng, (3, 4, 5, 3, 1))
+        X = 2.0 * rng.uniform_block(30 * 3).reshape(30, 3) - 1.0
+        n = model.hidden_total
+        for bit, (layer, unit) in enumerate(model.neuron_order):
+            biases = [b.copy() for b in model.biases]
+            biases[layer][unit] = poison
+            poisoned = fd.MlpModel(model.architecture, model.weights, biases)
+            kernel = MaskedForward(poisoned, X)
+            for _ in range(5):
+                others = [i for i in rng.sample_indices(n, rng.randint(0, 4)) if i != bit]
+                mask = DropoutState.from_indices(n, sorted(others + [bit]))
+                z = kernel.logits(mask)
+                assert np.isfinite(z).all()
+                assert np.array_equal(z, reference_logits(model, X, mask))
+                unmasked = DropoutState.from_indices(n, others)
+                z = kernel.logits(unmasked)
+                assert not np.isfinite(z).all()
+                assert np.array_equal(z, reference_logits(poisoned, X, unmasked), equal_nan=True)
+
     def test_feature_width_checked(self):
         with pytest.raises(ShapeError):
             MaskedForward(hand_model(), np.zeros((3, 5)))

@@ -302,6 +302,33 @@ class TestGenerateNeighbor:
         with pytest.raises(SearchSpaceError):
             fd.generate_neighbor(DropoutState.from_indices(4, (0, 1)), b, XorShift64Star(1))
 
+    def test_draw_picks_the_same_position_as_the_list(self):
+        # generate_neighbor makes one randrange(len(flips)) draw and flips
+        # flips[r], without building the list; a stub rng returns each r.
+        class FixedDraw:
+            def __init__(self, r):
+                self.r = r
+                self.bound = None
+
+            def randrange(self, n):
+                self.bound = n
+                return self.r
+
+        rng = XorShift64Star(15)
+        for _ in range(300):
+            n = rng.randint(1, 70)
+            lo = rng.randint(0, n)
+            b = bounds(n, lo, rng.randint(lo, n))
+            s = DropoutState.from_indices(n, rng.sample_indices(n, rng.randint(0, n)))
+            flips = valid_flip_positions(s, b)
+            if not flips:
+                with pytest.raises(SearchSpaceError):
+                    fd.generate_neighbor(s, b, FixedDraw(0))
+            for r, position in enumerate(flips):
+                draw = FixedDraw(r)
+                assert fd.generate_neighbor(s, b, draw) == s.flip(position)
+                assert draw.bound == len(flips)
+
     def test_neighbors_are_hamming_distance_one(self):
         b = bounds(10, 2, 5)
         rng = XorShift64Star(5)
