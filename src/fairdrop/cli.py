@@ -30,8 +30,8 @@ from .model import (MlpArchitecture, MlpModel, TrainConfig, load_model, predict_
                     save_model, train)
 from .oracle import (DEFAULT_ENUMERATION_BUDGET, EnumerationBudgetError, price_space,
                      single_neuron_baseline)
-from .search import (SearchConfig, SearchSpaceBounds, baseline_cost_params, run_search,
-                     write_trace_csv)
+from .search import (SearchConfig, SearchResult, SearchSpaceBounds, baseline_cost_params,
+                     run_search, write_trace_csv)
 
 DEFAULT_SEEDS = list(range(1, 11))
 # What an omitted config key resolves to (the README's example config); a key
@@ -283,7 +283,9 @@ def _load_instance(cfg: dict, data: TabularDataset, seed: int) -> tuple[SplitDat
     return parts, load_model(path)
 
 
-def _repair_one(cfg: dict, data: TabularDataset, seed: int, p: float | None = None) -> dict:
+def _repair_one(cfg: dict, data: TabularDataset, seed: int,
+                p: float | None = None) -> tuple[SearchResult, dict]:
+    """One seed's search: its result and its report record."""
     parts, model = _load_instance(cfg, data, seed)
     s = cfg["search"]
     params = baseline_cost_params(model, parts.validation,
@@ -291,28 +293,21 @@ def _repair_one(cfg: dict, data: TabularDataset, seed: int, p: float | None = No
     config = search_config(cfg, seed, model.hidden_total, params)
     result = run_search(model, parts.validation, config)
     dropped = model.masked_units_per_layer(result.best_state)
-    return {
+    return result, {
         "seed": seed,
-        "result": result,
-        "model": model,
-        "parts": parts,
-        "params": params,
-        "record": {
-            "seed": seed,
-            "alg_type": config.alg_type,
-            "p": params.p,
-            "t": params.t,
-            "bounds": {"n_l": config.bounds.n_l, "n_u": config.bounds.n_u},
-            "t0": result.t0,
-            "best_state_hex": result.best_state.key_hex(),
-            "dropped_per_layer": dropped,
-            "best_cost": result.best_cost,
-            "initial_cost": result.initial_cost,
-            "success": result.success,
-            "evaluations": result.evaluations,
-            "baseline": _split_reports(model, parts),
-            "repaired": _split_reports(model, parts, result.best_state),
-        },
+        "alg_type": config.alg_type,
+        "p": params.p,
+        "t": params.t,
+        "bounds": {"n_l": config.bounds.n_l, "n_u": config.bounds.n_u},
+        "t0": result.t0,
+        "best_state_hex": result.best_state.key_hex(),
+        "dropped_per_layer": dropped,
+        "best_cost": result.best_cost,
+        "initial_cost": result.initial_cost,
+        "success": result.success,
+        "evaluations": result.evaluations,
+        "baseline": _split_reports(model, parts),
+        "repaired": _split_reports(model, parts, result.best_state),
     }
 
 
@@ -324,10 +319,9 @@ def cmd_repair(args) -> int:
     alg = cfg["search"]["alg_type"]
     records = []
     for seed in cfg["seeds"]:
-        run = _repair_one(cfg, data, seed)
+        result, record = _repair_one(cfg, data, seed)
         trace_file = os.path.join(out, f"trace_seed{seed}_{alg}.csv")
-        write_trace_csv(trace_file, run["result"].trace)
-        record = dict(run["record"])
+        write_trace_csv(trace_file, result.trace)
         record["trace_file"] = os.path.basename(trace_file)
         write_json(os.path.join(out, f"repair_seed{seed}_{alg}.json"),
                    {"config": cfg, "run": record})
@@ -375,8 +369,7 @@ def cmd_sweep(args) -> int:
     rows = ["p,seed,validation_eod,test_eod,success"]
     for p in p_values:
         for seed in cfg["seeds"]:
-            run = _repair_one(cfg, data, seed, p=p)
-            rec = run["record"]
+            _, rec = _repair_one(cfg, data, seed, p=p)
             val_eod = rec["repaired"]["validation"]["eod"]
             test_eod = rec["repaired"]["test"]["eod"]
             rows.append(",".join((
@@ -396,8 +389,23 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _sa_best_cost(path) -> float:
+    """``best_cost`` of a repair result file, top level or under ``run``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise CliError(f"--sa-result {path} is not valid JSON: {exc}") from exc
+    run = doc.get("run", doc) if isinstance(doc, dict) else None
+    cost = run.get("best_cost") if isinstance(run, dict) else None
+    if isinstance(cost, bool) or not isinstance(cost, (int, float)):
+        raise CliError(f"--sa-result {path} is not a repair result: no numeric best_cost")
+    return cost
+
+
 def cmd_oracle(args) -> int:
     cfg = resolve_config(load_config(args.config), args)
+    sa_cost = _sa_best_cost(args.sa_result) if args.sa_result else None
     data = build_dataset(cfg)
     out = cfg["output_dir"]
     os.makedirs(out, exist_ok=True)
@@ -424,10 +432,7 @@ def cmd_oracle(args) -> int:
         "census": counts.to_dict(),
         "single_neuron_baseline": baseline,
     }
-    if args.sa_result:
-        with open(args.sa_result, encoding="utf-8") as fh:
-            sa_doc = json.load(fh)
-        sa_cost = sa_doc["run"]["best_cost"] if "run" in sa_doc else sa_doc["best_cost"]
+    if sa_cost is not None:
         report["sa_best_cost"] = sa_cost
         report["eod_delta"] = sa_cost - best_cost
     if args.dump_costs:

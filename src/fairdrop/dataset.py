@@ -23,7 +23,6 @@ import numpy as np
 from .ioutil import atomic_write_text
 from .prng import XorShift64Star
 
-SPLIT_FRACTIONS = (0.60, 0.20, 0.20)
 SCALING_MODES = ("min_max", "standard")
 
 
@@ -174,7 +173,6 @@ class SplitDataset:
     train_indices: tuple[int, ...]
     validation_indices: tuple[int, ...]
     test_indices: tuple[int, ...]
-    fractions: tuple[float, float, float] = SPLIT_FRACTIONS
 
 
 def _map_column(values: list[str], mapping: dict[str, int], column: str) -> np.ndarray:

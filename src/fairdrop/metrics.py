@@ -53,21 +53,6 @@ class FairnessReport:
     eo_diff: float | None
     group_rates: GroupRates
 
-    def to_flat_dict(self) -> dict:
-        """Flat metric-name -> value mapping; undefined values as "undefined"."""
-        def enc(v):
-            return "undefined" if v is None else v
-        g = self.group_rates
-        return {
-            "eod": enc(self.eod),
-            "dp_diff": enc(self.dp_diff),
-            "eo_diff": enc(self.eo_diff),
-            "tpr_0": enc(g.tpr[0]), "tpr_1": enc(g.tpr[1]),
-            "fpr_0": enc(g.fpr[0]), "fpr_1": enc(g.fpr[1]),
-            "positive_rate_0": enc(g.positive_rate[0]),
-            "positive_rate_1": enc(g.positive_rate[1]),
-        }
-
 
 def _as_binary(name: str, values) -> np.ndarray:
     arr = np.asarray(values)

@@ -228,18 +228,6 @@ class MaskedForward:
         return preds
 
 
-def predict_proba(model: MlpModel, features: np.ndarray, mask=None) -> np.ndarray:
-    """Probabilities in [0, 1] for a batch of feature rows under a dropout mask."""
-    X = np.asarray(features, dtype=np.float64)
-    proba = _sigmoid(MaskedForward(model, X).logits(mask))
-    return proba[0] if X.ndim == 1 else proba
-
-
-def forward(model: MlpModel, x, mask=None) -> float:
-    """Probability of the favorable outcome for one feature vector."""
-    return float(predict_proba(model, np.asarray(x, dtype=np.float64), mask))
-
-
 def predict_batch(model: MlpModel, data, mask=None) -> np.ndarray:
     """0/1 predictions (threshold 0.5) for a TabularDataset or feature matrix."""
     features = data.features if isinstance(data, TabularDataset) else data
@@ -303,8 +291,7 @@ def train(data: SplitDataset, arch: MlpArchitecture, cfg: TrainConfig) -> MlpMod
     drop = cfg.train_dropout_prob
 
     best_f1 = -1.0
-    best_weights = None
-    best_biases = None
+    best = None
 
     with np.errstate(over="ignore", invalid="ignore"):
         for _epoch in range(cfg.epochs):
@@ -364,10 +351,9 @@ def train(data: SplitDataset, arch: MlpArchitecture, cfg: TrainConfig) -> MlpMod
             val_f1 = f1(confusion(preds, data.validation.labels))
             if val_f1 > best_f1:
                 best_f1 = val_f1
-                best_weights = [w.copy() for w in weights]
-                best_biases = [b.copy() for b in biases]
+                best = snapshot
 
-    return MlpModel(arch, best_weights, best_biases)
+    return best
 
 
 def save_model(model: MlpModel, path) -> None:

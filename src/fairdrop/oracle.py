@@ -109,7 +109,7 @@ class PricedSpace:
     f1: np.ndarray
 
     def _state(self, bits: int) -> DropoutState:
-        return DropoutState(n=self.n_total, bits=bits, weight=bits.bit_count())
+        return DropoutState(n=self.n_total, bits=bits)
 
     def best(self) -> tuple[DropoutState, float]:
         """Global optimum; cost ties break to the smallest canonical state key."""

@@ -74,32 +74,31 @@ class SearchSpaceBounds:
         """Number of states, sum of C(n_total, k) for k in [n_l, n_u]."""
         return sum(math.comb(self.n_total, k) for k in range(self.n_l, self.n_u + 1))
 
-    def contains_weight(self, weight: int) -> bool:
-        return self.n_l <= weight <= self.n_u
-
 
 @dataclass(frozen=True)
 class DropoutState:
     """Bit-vector over hidden neurons; bit i set means neuron i is dropped.
 
     Bits are packed into an arbitrary-width integer (bit i of ``bits`` is
-    neuron i), with the Hamming weight cached.  ``key_hex`` is the canonical
-    lowercase zero-padded hex form used for memoization and trace output.
+    neuron i).  ``key_hex`` is the canonical lowercase zero-padded hex form
+    used for memoization and trace output.
     """
 
     n: int
     bits: int
-    weight: int
 
     def __post_init__(self):
         if not 0 <= self.bits < (1 << self.n):
             raise ValueError(f"bits out of range for {self.n} neurons")
-        if self.weight != self.bits.bit_count():
-            raise ValueError("cached weight does not match popcount")
+
+    @property
+    def weight(self) -> int:
+        """Hamming weight: the number of dropped neurons."""
+        return self.bits.bit_count()
 
     @classmethod
     def empty(cls, n: int) -> "DropoutState":
-        return cls(n=n, bits=0, weight=0)
+        return cls(n=n, bits=0)
 
     @classmethod
     def from_indices(cls, n: int, indices) -> "DropoutState":
@@ -110,14 +109,10 @@ class DropoutState:
             if bits >> i & 1:
                 raise ValueError(f"duplicate neuron index {i}")
             bits |= 1 << i
-        return cls(n=n, bits=bits, weight=bits.bit_count())
-
-    def bit(self, i: int) -> int:
-        return self.bits >> i & 1
+        return cls(n=n, bits=bits)
 
     def flip(self, i: int) -> "DropoutState":
-        bits = self.bits ^ (1 << i)
-        return DropoutState(n=self.n, bits=bits, weight=bits.bit_count())
+        return DropoutState(n=self.n, bits=self.bits ^ (1 << i))
 
     def indices(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.n) if self.bits >> i & 1)
@@ -343,28 +338,16 @@ def _sample_positive_transitions(evaluator: CostEvaluator, bounds: SearchSpaceBo
     return deltas
 
 
-def estimate_initial_temperature(model: MlpModel, validation_data: TabularDataset,
-                                 params: CostParams, bounds: SearchSpaceBounds,
-                                 rng: XorShift64Star, target_acceptance: float = 0.75,
-                                 sample_size: int = 100) -> float:
-    """Back-compute T0 so sampled uphill moves are accepted at the target rate.
-
-    Samples random (state, neighbor) pairs with a cost increase and fits T so
-    the mean of exp(-dE/T) over the sample equals ``target_acceptance`` to
-    within 1e-4.  If no cost-increasing pair turns up within the draw budget,
-    returns the worst-case bound instead (with a warning).
-    """
-    if not 0.0 < target_acceptance < 1.0:
-        raise ValueError("target_acceptance must lie in (0, 1)")
-    if sample_size < 1:
-        raise ValueError("sample_size must be >= 1")
-    evaluator = CostEvaluator(model, validation_data, params)
-    return _estimate_t0(evaluator, bounds, rng, target_acceptance, sample_size)
-
-
 def _estimate_t0(evaluator: CostEvaluator, bounds: SearchSpaceBounds, rng: XorShift64Star,
                  target_acceptance: float, sample_size: int,
                  deadline: float | None = None) -> float:
+    """Back-compute T0 so sampled uphill moves are accepted at the target rate.
+
+    Fits T so the mean of exp(-dE/T) over the sampled cost increases equals
+    ``target_acceptance`` to within 1e-4.  If no cost-increasing pair turns
+    up within the draw and time budget, returns the worst-case bound instead
+    (with a warning).
+    """
     deltas = _sample_positive_transitions(evaluator, bounds, rng, sample_size, deadline)
     if not deltas:
         t0 = worst_case_t0(evaluator.params, bounds)
@@ -410,6 +393,10 @@ class SearchConfig:
             raise ValueError(f"t0_mode must be one of {T0_MODES}, got {self.t0_mode!r}")
         if self.t0_mode == "explicit" and (self.t0_value is None or self.t0_value <= 0):
             raise ValueError("explicit t0_mode needs a positive t0_value")
+        if not 0.0 < self.target_acceptance < 1.0:
+            raise ValueError("target_acceptance must lie in (0, 1)")
+        if self.t0_sample_size < 1:
+            raise ValueError("t0_sample_size must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -445,7 +432,6 @@ class SearchResult:
     t0: float
     initial_state: DropoutState
     initial_cost: float
-    config: SearchConfig
 
 
 def run_search(model: MlpModel, validation_data: TabularDataset,
@@ -541,7 +527,6 @@ def run_search(model: MlpModel, validation_data: TabularDataset,
         t0=t0,
         initial_state=initial,
         initial_cost=initial_cost,
-        config=config,
     )
 
 

@@ -248,6 +248,26 @@ class TestConfig:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["repair", "sweep", "oracle"])
+    @pytest.mark.parametrize("setting,value,message", [
+        ("target_acceptance", 1.0, "target_acceptance must lie in (0, 1)"),
+        ("target_acceptance", 1.5, "target_acceptance must lie in (0, 1)"),
+        ("target_acceptance", 0.0, "target_acceptance must lie in (0, 1)"),
+        ("target_acceptance", -0.5, "target_acceptance must lie in (0, 1)"),
+        ("t0_sample_size", 0, "t0_sample_size must be >= 1"),
+        ("t0_sample_size", -3, "t0_sample_size must be >= 1"),
+    ])
+    def test_bad_t0_setting_is_operational_error(self, trained, capsys, command, setting,
+                                                 value, message):
+        config, out = trained
+        cfg = json.loads(config.read_text())
+        cfg["search"][setting] = value
+        config.write_text(json.dumps(cfg))
+        written = sorted(os.listdir(out))
+        assert run_cli([command, "--config", config]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert sorted(os.listdir(out)) == written
+
     def test_null_allowed_where_the_default_is_null(self):
         cfg = resolve_config({"dataset": {"synth": {}},
                               "search": {"n_u": None, "t0_value": None, "time_limit_s": 2}},
@@ -328,6 +348,21 @@ class TestOracleCommand:
         dump = (out / "oracle_costs.csv").read_text()
         assert "np.float64(" not in dump
         assert len(dump.splitlines()) == cardinality + 1
+
+    @pytest.mark.parametrize("text", ["{}", "[1]", '{"run": {"best_cost": "x"}}', "{not json"])
+    def test_sa_result_without_best_cost_fails_before_enumerating(self, trained, capsys,
+                                                                  monkeypatch, text):
+        config, out = trained
+        sa_result = out.parent / "not_a_result.json"
+        sa_result.write_text(text)
+        enumerated = []
+        monkeypatch.setattr(fairdrop.cli, "price_space", lambda *a, **k: enumerated.append(1))
+        assert run_cli(["oracle", "--config", config, "--seed", "1",
+                        "--sa-result", sa_result]) == 1
+        err = capsys.readouterr().err
+        assert f"error: --sa-result {sa_result} is not" in err
+        assert enumerated == []
+        assert not (out / "oracle_report.json").exists()
 
     def test_budget_refusal_clean(self, tmp_path, capsys):
         config = tmp_path / "config.json"

@@ -140,12 +140,6 @@ class TestFairness:
         with pytest.raises(ValueError):
             fairness([1, 0], [1, 0], [0])
 
-    def test_flat_dict_serialization(self):
-        report = fairness([1, 0], [1, 0], [0, 0])
-        flat = report.to_flat_dict()
-        assert flat["eod"] == "undefined"
-        assert flat["tpr_0"] == 1.0
-
 
 binary = st.integers(min_value=0, max_value=1)
 

@@ -13,6 +13,12 @@ from fairdrop.search import DropoutState
 from conftest import random_small_model, reference_logits, reference_predictions
 
 
+def proba(model, features, mask=None) -> np.ndarray:
+    """Probabilities ``sigmoid(logits)`` of a batch of rows (a 1-D ``features``
+    is one row) under ``mask``."""
+    return _sigmoid(MaskedForward(model, features).logits(mask))
+
+
 def hand_model():
     """[2,2,1] with identity hidden weights and summing output."""
     arch = MlpArchitecture((2, 2, 1))
@@ -44,13 +50,13 @@ class TestForward:
         x = (1.0, 2.0)
         mask = DropoutState.from_indices(2, (0,))
         # hidden = relu((1,2)) -> (1,2); drop neuron 0 -> (0,2); output z=2
-        assert fd.forward(model, x, mask) == pytest.approx(0.8807970779778823, abs=1e-12)
-        assert fd.forward(model, x) == pytest.approx(1 / (1 + math.exp(-3.0)), abs=1e-12)
+        assert proba(model, x, mask)[0] == pytest.approx(0.8807970779778823, abs=1e-12)
+        assert proba(model, x)[0] == pytest.approx(1 / (1 + math.exp(-3.0)), abs=1e-12)
 
     def test_empty_mask_identical_to_none(self):
         model = random_small_model(XorShift64Star(1), (3, 4, 4, 1))
         x = np.array([0.3, -0.7, 1.5])
-        assert fd.forward(model, x, DropoutState.empty(8)) == fd.forward(model, x)
+        assert proba(model, x, DropoutState.empty(8))[0] == proba(model, x)[0]
 
     def test_all_ones_mask_gives_sigmoid_of_output_bias(self):
         rng = XorShift64Star(2)
@@ -58,21 +64,21 @@ class TestForward:
         full = DropoutState.from_indices(5, range(5))
         x = np.array([1.0, 2.0, 3.0])
         expected = 1 / (1 + math.exp(-model.biases[-1][0]))
-        assert fd.forward(model, x, full) == pytest.approx(expected, abs=1e-15)
+        assert proba(model, x, full)[0] == pytest.approx(expected, abs=1e-15)
 
     def test_zero_weights_give_exactly_half(self):
         arch = MlpArchitecture((4, 3, 1))
         model = fd.MlpModel(arch, [np.zeros((3, 4)), np.zeros((1, 3))],
                             [np.zeros(3), np.zeros(1)])
-        assert fd.forward(model, [1.0, -2.0, 3.0, 0.5]) == 0.5
+        assert proba(model, [1.0, -2.0, 3.0, 0.5])[0] == 0.5
 
     def test_input_length_checked(self):
         with pytest.raises(ShapeError):
-            fd.forward(hand_model(), [1.0, 2.0, 3.0])
+            proba(hand_model(), [1.0, 2.0, 3.0])
 
     def test_mask_length_checked(self):
         with pytest.raises(ShapeError):
-            fd.forward(hand_model(), [1.0, 2.0], DropoutState.empty(5))
+            proba(hand_model(), [1.0, 2.0], DropoutState.empty(5))
 
     def test_mask_equals_outgoing_weight_surgery(self):
         # dropping a neuron == zeroing its outgoing weight column
@@ -89,8 +95,8 @@ class TestForward:
                     weights[layer + 1][:, u] = 0.0
             surgically = fd.MlpModel(model.architecture, weights, model.biases)
             X = 2.0 * rng.uniform_block(15).reshape(5, 3) - 1.0
-            masked_out = fd.predict_proba(model, X, mask)
-            surgery_out = fd.predict_proba(surgically, X)
+            masked_out = proba(model, X, mask)
+            surgery_out = proba(surgically, X)
             assert np.array_equal(masked_out, surgery_out)
 
     def test_masked_neuron_never_consulted(self):
@@ -102,7 +108,7 @@ class TestForward:
         biases[0][2] = np.nan
         poisoned = fd.MlpModel(model.architecture, weights, biases)
         mask = DropoutState.from_indices(8, (2,))
-        out = fd.predict_proba(poisoned, np.array([[0.1, 0.2, 0.3]]), mask)
+        out = proba(poisoned, np.array([[0.1, 0.2, 0.3]]), mask)
         assert np.isfinite(out).all()
 
 
@@ -114,7 +120,7 @@ class TestPredictBatch:
                                  ("a", "b", "c"))
         batch = fd.predict_batch(model, data)
         assert batch.shape == (1,)
-        assert batch[0] == int(fd.forward(model, x) >= 0.5)
+        assert batch[0] == int(proba(model, x)[0] >= 0.5)
 
     def test_batch_shape(self):
         model = random_small_model(XorShift64Star(5), (2, 3, 1))
@@ -298,7 +304,7 @@ class TestSerialization:
         loaded = fd.load_model(path)
         assert loaded.neuron_order == model.neuron_order
         probe = parts.test.features
-        assert np.array_equal(fd.predict_proba(loaded, probe), fd.predict_proba(model, probe))
+        assert np.array_equal(proba(loaded, probe), proba(model, probe))
         for wa, wb in zip(loaded.weights, model.weights):
             assert np.array_equal(wa, wb)
 
@@ -347,5 +353,5 @@ class TestSerialization:
         path = tmp_path / "hand.json"
         path.write_text(json.dumps(doc))
         model = fd.load_model(path)
-        assert fd.forward(model, (1.0, 2.0)) == pytest.approx(1 / (1 + math.exp(-3.0)),
-                                                              abs=1e-15)
+        assert proba(model, (1.0, 2.0))[0] == pytest.approx(1 / (1 + math.exp(-3.0)),
+                                                            abs=1e-15)

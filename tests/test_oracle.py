@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -9,21 +8,15 @@ from fairdrop.oracle import (DEFAULT_ENUMERATION_BUDGET, EnumerationBudgetError,
                              census, enumerate_best, iter_states, per_state_cost_rows,
                              price_space, single_neuron_baseline)
 from fairdrop.prng import XorShift64Star
-from fairdrop.search import CostEvaluator, CostParams, SearchSpaceBounds
+from fairdrop.search import CostEvaluator, CostParams
 
-from conftest import random_small_model
+from conftest import bounds, random_small_model
 
 # Pinned after the first enumeration of the session fixture ([6,8,8,1] model,
 # bounds (2,4), 2500 states); regression values for the full pipeline.
 PINNED_OPTIMAL_HEX = "00e1"
 PINNED_OPTIMAL_COST = 0.03455964325529537
 PINNED_CENSUS = (1, 37, 1908)  # best, good, bad
-
-
-def bounds(n, lo, hi):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return SearchSpaceBounds(n_total=n, n_l=lo, n_u=hi)
 
 
 def tiny_data(seed=12, n=300):

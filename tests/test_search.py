@@ -1,6 +1,5 @@
 import math
 import time
-import warnings
 from collections import Counter, deque
 
 import numpy as np
@@ -12,18 +11,13 @@ from fairdrop.oracle import enumerate_best, iter_states
 from fairdrop.prng import XorShift64Star
 from fairdrop.search import (CostEvaluator, CostParams, DropoutState, SearchConfig,
                              SearchSpaceBounds, SearchSpaceError, TemperatureSchedule,
-                             _fit_temperature, _mean_acceptance, penalized_cost,
-                             trace_csv_text, valid_flip_positions)
+                             _estimate_t0, _fit_temperature, _mean_acceptance,
+                             generate_neighbor, penalized_cost, random_state,
+                             trace_csv_text, valid_flip_positions, worst_case_t0)
 
-from conftest import random_small_model, reference_predictions
+from conftest import bounds, random_small_model, reference_predictions
 
 PARAMS = CostParams(p=3.0, t=0.98, eod_baseline=0.10, f1_baseline=0.68)
-
-
-def bounds(n, lo, hi):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return SearchSpaceBounds(n_total=n, n_l=lo, n_u=hi)
 
 
 class TestBounds:
@@ -49,7 +43,7 @@ class TestDropoutState:
         s = DropoutState.from_indices(8, (1, 5))
         assert s.weight == 2
         assert s.indices() == (1, 5)
-        assert s.bit(1) == 1 and s.bit(0) == 0
+        assert s.bits >> 1 & 1 == 1 and s.bits >> 0 & 1 == 0
 
     def test_flip(self):
         s = DropoutState.empty(4).flip(2)
@@ -64,10 +58,6 @@ class TestDropoutState:
         assert DropoutState.from_indices(16, (0,)).key_hex() == "0001"
         assert DropoutState.from_indices(16, range(16)).key_hex() == "ffff"
         assert DropoutState.empty(5).key_hex() == "00"
-
-    def test_cached_weight_checked(self):
-        with pytest.raises(ValueError):
-            DropoutState(n=4, bits=3, weight=1)
 
 
 class TestCostFunction:
@@ -103,7 +93,7 @@ class TestCostFunction:
         rng = XorShift64Star(3)
         b = bounds(model.hidden_total, 2, 5)
         for _ in range(50):
-            ev = evaluator.evaluate(fd.random_state(b, rng))
+            ev = evaluator.evaluate(random_state(b, rng))
             assert ev.cost >= ev.eod
             penalized = ev.f1 < params.t * params.f1_baseline
             assert ev.cost == pytest.approx(
@@ -143,7 +133,7 @@ class TestCostEvaluatorExactness:
         rng = XorShift64Star(17)
         b = bounds(model.hidden_total, 0, model.hidden_total)
         for _ in range(300):
-            state = fd.random_state(b, rng)
+            state = random_state(b, rng)
             assert tuple(evaluator.price(state)) == self.reference_price(
                 model, parts.validation, state, params), state.key_hex()
 
@@ -157,7 +147,7 @@ class TestCostEvaluatorExactness:
         rng = XorShift64Star(5)
         b = bounds(model.hidden_total, 0, 6)
         for _ in range(50):
-            state = fd.random_state(b, rng)
+            state = random_state(b, rng)
             ev = evaluator.price(state)
             assert ev.cost == math.inf and ev.eod is None
             assert tuple(ev) == self.reference_price(model, data, state, params)
@@ -195,19 +185,19 @@ class TestTemperature:
 class TestWorstCaseT0:
     def test_direct_formula(self):
         params = CostParams(p=3.0, t=0.98, eod_baseline=0.10, f1_baseline=0.68)
-        assert fd.worst_case_t0(params, bounds(32, 2, 20)) == pytest.approx(23.4, abs=1e-12)
+        assert worst_case_t0(params, bounds(32, 2, 20)) == pytest.approx(23.4, abs=1e-12)
 
     def test_zero_penalty(self):
         params = CostParams(p=0.0, t=0.98, eod_baseline=0.10, f1_baseline=0.68)
-        assert fd.worst_case_t0(params, bounds(32, 2, 20)) == 18.0
+        assert worst_case_t0(params, bounds(32, 2, 20)) == 18.0
 
     def test_zero_baseline_eod(self):
         params = CostParams(p=3.0, t=0.98, eod_baseline=0.0, f1_baseline=0.68)
-        assert fd.worst_case_t0(params, bounds(32, 2, 20)) == 18.0
+        assert worst_case_t0(params, bounds(32, 2, 20)) == 18.0
 
     def test_degenerate_bounds_rejected(self):
         with pytest.raises(SearchSpaceError):
-            fd.worst_case_t0(PARAMS, bounds(8, 3, 3))
+            worst_case_t0(PARAMS, bounds(8, 3, 3))
 
 
 class TestTemperatureFit:
@@ -229,16 +219,19 @@ class TestTemperatureFit:
     def test_estimator_on_real_instance(self, small_instance):
         parts, model, params = small_instance
         b = bounds(model.hidden_total, 2, 5)
-        t = fd.estimate_initial_temperature(model, parts.validation, params, b,
-                                            XorShift64Star(4), 0.75, sample_size=40)
+        evaluator = CostEvaluator(model, parts.validation, params)
+        t = _estimate_t0(evaluator, b, XorShift64Star(4), 0.75, sample_size=40)
         assert t > 0
 
-    def test_estimator_argument_validation(self, small_instance):
-        parts, model, params = small_instance
-        b = bounds(model.hidden_total, 2, 5)
-        with pytest.raises(ValueError):
-            fd.estimate_initial_temperature(model, parts.validation, params, b,
-                                            XorShift64Star(1), 1.5)
+    def test_estimator_argument_validation(self):
+        # SearchConfig checks the estimator's settings for every run
+        for setting, value in (("target_acceptance", 1.0), ("target_acceptance", 1.5),
+                               ("target_acceptance", 0.0), ("target_acceptance", -0.5),
+                               ("target_acceptance", math.nan), ("t0_sample_size", 0),
+                               ("t0_sample_size", -3)):
+            with pytest.raises(ValueError, match=setting):
+                SearchConfig(alg_type="sa", bounds=bounds(8, 1, 3), cost_params=PARAMS,
+                             seed=1, max_iterations=5, **{setting: value})
 
     def test_flat_landscape_falls_back_with_warning(self):
         # all-zero model: every mask predicts identically, no uphill moves exist
@@ -252,9 +245,9 @@ class TestTemperatureFit:
         data = fd.TabularDataset(X, y, prot, ("a", "b"))
         params = fd.baseline_cost_params(model, data, p=3.0, t=0.98)
         with pytest.warns(UserWarning, match="worst-case"):
-            t = fd.estimate_initial_temperature(model, data, params, bounds(4, 1, 3),
-                                                XorShift64Star(6), 0.75, sample_size=10)
-        assert t == fd.worst_case_t0(params, bounds(4, 1, 3))
+            t = _estimate_t0(CostEvaluator(model, data, params), bounds(4, 1, 3),
+                             XorShift64Star(6), 0.75, sample_size=10)
+        assert t == worst_case_t0(params, bounds(4, 1, 3))
 
 
 class TestRandomState:
@@ -262,17 +255,17 @@ class TestRandomState:
         rng = XorShift64Star(1)
         b = bounds(8, 3, 3)
         for _ in range(50):
-            assert fd.random_state(b, rng).weight == 3
+            assert random_state(b, rng).weight == 3
 
     def test_weight_within_bounds(self):
         rng = XorShift64Star(2)
         b = bounds(16, 2, 4)
-        assert all(2 <= fd.random_state(b, rng).weight <= 4 for _ in range(10_000))
+        assert all(2 <= random_state(b, rng).weight <= 4 for _ in range(10_000))
 
     def test_weight_distribution_roughly_uniform(self):
         rng = XorShift64Star(3)
         b = bounds(16, 2, 4)
-        counts = Counter(fd.random_state(b, rng).weight for _ in range(10_000))
+        counts = Counter(random_state(b, rng).weight for _ in range(10_000))
         for k in (2, 3, 4):
             assert abs(counts[k] - 10_000 / 3) < 250  # ~5 sigma of Bin(10000, 1/3)
 
@@ -283,7 +276,7 @@ class TestGenerateNeighbor:
         s = DropoutState.from_indices(4, (0, 1))
         assert valid_flip_positions(s, b) == [0, 1]
         rng = XorShift64Star(4)
-        hits = Counter(fd.generate_neighbor(s, b, rng).bits for _ in range(1000))
+        hits = Counter(generate_neighbor(s, b, rng).bits for _ in range(1000))
         assert set(hits) == {s.flip(0).bits, s.flip(1).bits}
         assert all(abs(c - 500) < 80 for c in hits.values())
 
@@ -300,7 +293,7 @@ class TestGenerateNeighbor:
     def test_no_neighbor_raises(self):
         b = bounds(4, 2, 2)
         with pytest.raises(SearchSpaceError):
-            fd.generate_neighbor(DropoutState.from_indices(4, (0, 1)), b, XorShift64Star(1))
+            generate_neighbor(DropoutState.from_indices(4, (0, 1)), b, XorShift64Star(1))
 
     def test_draw_picks_the_same_position_as_the_list(self):
         # generate_neighbor makes one randrange(len(flips)) draw and flips
@@ -323,20 +316,20 @@ class TestGenerateNeighbor:
             flips = valid_flip_positions(s, b)
             if not flips:
                 with pytest.raises(SearchSpaceError):
-                    fd.generate_neighbor(s, b, FixedDraw(0))
+                    generate_neighbor(s, b, FixedDraw(0))
             for r, position in enumerate(flips):
                 draw = FixedDraw(r)
-                assert fd.generate_neighbor(s, b, draw) == s.flip(position)
+                assert generate_neighbor(s, b, draw) == s.flip(position)
                 assert draw.bound == len(flips)
 
     def test_neighbors_are_hamming_distance_one(self):
         b = bounds(10, 2, 5)
         rng = XorShift64Star(5)
-        s = fd.random_state(b, rng)
+        s = random_state(b, rng)
         for _ in range(200):
-            t = fd.generate_neighbor(s, b, rng)
+            t = generate_neighbor(s, b, rng)
             assert (s.bits ^ t.bits).bit_count() == 1
-            assert b.contains_weight(t.weight)
+            assert b.n_l <= t.weight <= b.n_u
             s = t
 
 
@@ -451,7 +444,7 @@ class TestRunSearch:
     def test_worst_case_t0_mode(self, small_instance):
         parts, model, params = small_instance
         res = run(model, parts.validation, params, "sa", 1, 10, t0_mode="worst_case")
-        assert res.t0 == fd.worst_case_t0(params, bounds(model.hidden_total, 2, 4))
+        assert res.t0 == worst_case_t0(params, bounds(model.hidden_total, 2, 4))
 
     def test_time_limit_mode_terminates(self, small_instance):
         parts, model, params = small_instance
