@@ -389,8 +389,9 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _sa_best_cost(path) -> float:
-    """``best_cost`` of a repair result file, top level or under ``run``."""
+def _sa_run(path) -> dict:
+    """The run record of a repair result file (top level or under ``run``),
+    which must hold a numeric ``best_cost``."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -400,12 +401,23 @@ def _sa_best_cost(path) -> float:
     cost = run.get("best_cost") if isinstance(run, dict) else None
     if isinstance(cost, bool) or not isinstance(cost, (int, float)):
         raise CliError(f"--sa-result {path} is not a repair result: no numeric best_cost")
-    return cost
+    return run
+
+
+def _check_sa_run(run: dict, path, seed: int, params, bounds) -> None:
+    """A repair result is comparable only with the space it searched: each of
+    its seed, p, t and weight window that it records must be the oracle's."""
+    instance = {"seed": seed, "p": params.p, "t": params.t,
+                "bounds": {"n_l": bounds.n_l, "n_u": bounds.n_u}}
+    for field, value in instance.items():
+        if field in run and run[field] != value:
+            raise CliError(f"--sa-result {path} does not match the enumerated instance: "
+                           f"its {field} is {run[field]!r}, the oracle's is {value!r}")
 
 
 def cmd_oracle(args) -> int:
     cfg = resolve_config(load_config(args.config), args)
-    sa_cost = _sa_best_cost(args.sa_result) if args.sa_result else None
+    sa_run = _sa_run(args.sa_result) if args.sa_result else None
     data = build_dataset(cfg)
     out = cfg["output_dir"]
     os.makedirs(out, exist_ok=True)
@@ -414,6 +426,8 @@ def cmd_oracle(args) -> int:
     s = cfg["search"]
     params = baseline_cost_params(model, parts.validation, p=float(s["p"]), t=float(s["t"]))
     config = search_config(cfg, seed, model.hidden_total, params)
+    if sa_run is not None:
+        _check_sa_run(sa_run, args.sa_result, seed, params, config.bounds)
     try:
         space = price_space(model, parts.validation, config.bounds, params,
                             budget=int(cfg["oracle"]["budget"]))
@@ -432,9 +446,9 @@ def cmd_oracle(args) -> int:
         "census": counts.to_dict(),
         "single_neuron_baseline": baseline,
     }
-    if sa_cost is not None:
-        report["sa_best_cost"] = sa_cost
-        report["eod_delta"] = sa_cost - best_cost
+    if sa_run is not None:
+        report["sa_best_cost"] = sa_run["best_cost"]
+        report["eod_delta"] = sa_run["best_cost"] - best_cost
     if args.dump_costs:
         buf = io.StringIO()
         buf.write("state_key_hex,cost,eod,f1\n")

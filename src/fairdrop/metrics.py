@@ -174,6 +174,40 @@ def cell_metrics(cells) -> PredictionMetrics:
     return PredictionMetrics(eod=eod, f1=f1(counts), accuracy=accuracy(counts))
 
 
+def cell_counts(key: np.ndarray, preds: np.ndarray) -> np.ndarray:
+    """``cell_metrics``'s eight counts for each row of a (masks, rows) block
+    of predictions, from one ``bincount``: mask b's cells sit at ``8 * b``."""
+    masks = preds.shape[0]
+    offsets = key + 8 * np.arange(masks)[:, None]
+    return np.bincount((offsets + preds).ravel(), minlength=8 * masks).reshape(masks, 8)
+
+
+def cell_costs(cells: np.ndarray, f1_floor: float,
+               penalty: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cost, EOD, F1) columns for a (masks, 8) block of cell counts.
+
+    EOD is NaN where ``cell_metrics`` reads ``None`` and the cost is then
+    ``inf``; otherwise the cost is EOD plus ``penalty`` when F1 falls below
+    ``f1_floor``.  Counts convert to float64 exactly and each value comes
+    from the same correctly rounded operations as in ``cell_metrics``, so
+    the columns equal its values.  A zero denominator is raised to 1: its
+    numerator is 0 too, which gives F1 its 0.0 and a rate that is then
+    marked undefined.
+    """
+    c = cells.T.astype(np.float64)
+    positives, negatives = c[2::4] + c[3::4], c[0::4] + c[1::4]
+    tpr = c[3::4] / np.maximum(positives, 1.0)
+    fpr = c[1::4] / np.maximum(negatives, 1.0)
+    eod = np.maximum(np.abs(tpr[0] - tpr[1]), np.abs(fpr[0] - fpr[1]))
+    undefined = (positives.min(axis=0) == 0) | (negatives.min(axis=0) == 0)
+    eod[undefined] = np.nan
+    tp = c[3] + c[7]
+    f1s = 2.0 * tp / np.maximum(2.0 * tp + (c[1] + c[5]) + (c[2] + c[6]), 1.0)
+    cost = eod + np.where(f1s < f1_floor, penalty, 0.0)
+    cost[undefined] = np.inf
+    return cost, eod, f1s
+
+
 def prediction_metrics(preds, labels, protected) -> PredictionMetrics:
     """The metrics search, oracle and reports share, from 0/1 predictions."""
     p = _as_binary("preds", preds)

@@ -12,7 +12,9 @@ can.  A pass whose logits hold a NaN is run again with the activations
 themselves zeroed, which is how a non-finite masked activation shows.  Every
 forward pass (training's validation scoring, search, reports) runs
 through ``MaskedForward``, which is built once per batch of rows and then
-runs any number of masks over them.
+runs any number of masks over them, one at a time or, for enumeration,
+many per matmul behind a certified error bound that sends any prediction
+it cannot vouch for back to the one-mask pass.
 
 Hidden neurons carry a fixed total order (the ``neuron_order`` bijection)
 that maps mask bit positions to (layer, unit) pairs; the order is set at
@@ -22,6 +24,7 @@ save/load.  All arithmetic is float64.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -144,6 +147,13 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 # far more than the sigmoid's rounding error.
 _SIGMOID_HALF_WINDOW = 1e-12
 
+# Unit roundoff of float64, for the dot-product error bound.
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+# The batched pass prices as many masks at once as keep about this many
+# float64 values in one layer's stacked outputs (masks x units x rows).
+_BATCH_ELEMENTS = 1 << 17
+
 
 class MaskedForward:
     """The masked forward pass over one fixed batch of feature rows.
@@ -156,7 +166,8 @@ class MaskedForward:
     weights they feed and runs the later layers into the buffers, so its
     logits equal those of a fresh pass that zeroes the dropped activations
     (up to the sign of a zero).  The arrays a call returns are those
-    buffers: the next call overwrites them.
+    buffers: the next call overwrites them.  ``predict_many`` runs up to
+    ``batch_size`` masks at once and gives the same predictions.
     """
 
     def __init__(self, model: MlpModel, features: np.ndarray):
@@ -177,10 +188,18 @@ class MaskedForward:
         self._masked_weights = [np.empty_like(w) for w in model.weights[1:]]
         self._preds = np.empty(n, dtype=bool)
         self._near = np.empty(n, dtype=bool)
+        # Mask bit positions of each hidden layer's units, in unit order.
+        position = {pair: bit for bit, pair in enumerate(model.neuron_order)}
+        self._bits = [np.array([position[layer, unit] for unit in range(size)])
+                      for layer, size in enumerate(model.architecture.hidden_sizes)]
+        widest = max(model.architecture.layer_sizes[2:])
+        self.batch_size = max(1, _BATCH_ELEMENTS // (n * widest))
 
     def logits(self, mask=None) -> np.ndarray:
         """Output-unit logits (pre-sigmoid), one per row, under ``mask``."""
-        dropped = self.model.masked_units_per_layer(mask)
+        return self._logits(self.model.masked_units_per_layer(mask))
+
+    def _logits(self, dropped: list[list[int]]) -> np.ndarray:
         z = self._run(dropped, fold=True)
         if np.isnan(z).any():
             # A NaN or infinite activation of a dropped unit times its zeroed
@@ -219,13 +238,108 @@ class MaskedForward:
         0 where the probability can still round to 0.5 go through the
         sigmoid itself.
         """
-        z = self.logits(mask)
+        return self._threshold(self.logits(mask))
+
+    def _threshold(self, z: np.ndarray) -> np.ndarray:
         preds = np.greater_equal(z, 0.0, out=self._preds)
         near = np.greater_equal(z, -_SIGMOID_HALF_WINDOW, out=self._near)
         if np.count_nonzero(near) != np.count_nonzero(preds):
             near &= ~preds
             preds[near] = _sigmoid(z[near]) >= 0.5
         return preds
+
+    @functools.cached_property
+    def _slack(self) -> np.ndarray | None:
+        """Per row, how far apart two logits computed for one mask in any
+        summation order can lie, plus the sigmoid window; None when the
+        bound is not finite.
+
+        Every layer after the cached first one is a dot product of length k
+        plus a bias, so each of its computed values lies within
+        ``gamma(k + 1) * (|W| @ |a| + |b|)`` of the value from the computed
+        inputs (Higham, *Accuracy and Stability of Numerical Algorithms*,
+        2nd ed., section 3.1).  ``bound`` bounds every masked activation,
+        because a mask only zeroes terms; ``err`` carries each layer's
+        error through the next ``|W|``.  Two computations (the batched one
+        and ``_run``) each lie within ``err`` of the real logit.  The
+        rounding of the bound itself, and any underflow, is far below the
+        1e-12 window.
+        """
+        model = self.model
+        bound = np.abs(self._first)
+        err = np.zeros_like(bound)
+        for W, b in zip(model.weights[1:], model.biases[1:]):
+            absW, absb = np.abs(W.T), np.abs(b)
+            k = W.shape[1] + 1
+            gamma = k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
+            err = gamma * ((bound + err) @ absW + absb) + err @ absW
+            bound = bound @ absW + absb
+        slack = 2.0 * err[:, 0] + _SIGMOID_HALF_WINDOW
+        return slack if np.isfinite(slack).all() else None
+
+    @functools.cached_property
+    def _batch_buffers(self) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+        """Buffers of the batched pass, each layer's input carrying a last
+        row of ones so that its bias rides in the matmul as one more term:
+        the first layer as (units + 1, rows), and for each later layer
+        ``batch_size`` copies of its weights with the bias as last column,
+        and its outputs as (masks, units + 1, rows)."""
+        B, n = self.batch_size, self._first.shape[0]
+        first = np.ones((self._first.shape[1] + 1, n))
+        first[:-1] = self._first.T
+        weights, outs = [], []
+        for W, b in zip(self.model.weights[1:], self.model.biases[1:]):
+            stack = np.empty((B, W.shape[0], W.shape[1] + 1))
+            stack[:, :, -1] = b
+            weights.append(stack)
+            outs.append(np.ones((B, W.shape[0] + 1, n)))
+        return first, weights, outs
+
+    def predict_many(self, keep: np.ndarray) -> np.ndarray:
+        """Predictions (masks, rows) for up to ``batch_size`` masks, equal to
+        ``predict`` on each of them.
+
+        ``keep`` has one row per mask and one column per mask bit: 1.0
+        keeps that neuron, 0.0 drops it.  Each mask is folded into a stacked
+        copy of every later layer's weights, and all masks run through one
+        matmul per layer.  That sums in another order than ``_run``, so a
+        row is trusted only when its logit lies farther from 0 than
+        ``_slack``; a mask with any row within it, or any NaN, goes through
+        ``predict`` itself, as does every mask when the bound is not finite.
+        """
+        B = keep.shape[0]
+        if B > self.batch_size:
+            raise ShapeError(f"{B} masks exceed the batch size {self.batch_size}")
+        slack = self._slack
+        if slack is None:
+            preds = np.empty((B, self._first.shape[0]), dtype=bool)
+            unsafe = range(B)
+        else:
+            z = self._batch_logits(keep)
+            preds = z >= 0.0
+            unsafe = np.flatnonzero(~(np.abs(z) > slack).all(axis=1))
+        for m in unsafe:
+            preds[m] = self._predict_keep(keep[m])
+        return preds
+
+    def _batch_logits(self, keep: np.ndarray) -> np.ndarray:
+        """Logits (masks, rows) of the batched pass, in its buffers."""
+        B = keep.shape[0]
+        H, weight_stacks, out_stacks = self._batch_buffers
+        last = len(out_stacks) - 1
+        for i, (W, Wf, out) in enumerate(zip(self.model.weights[1:], weight_stacks, out_stacks)):
+            Wf, out = Wf[:B], out[:B]
+            np.multiply(W, keep[:, None, self._bits[i]], out=Wf[:, :, :-1])
+            np.matmul(Wf, H, out=out[:, :-1])
+            if i < last:
+                np.maximum(out, 0.0, out=out)
+            H = out
+        return H[:, 0]
+
+    def _predict_keep(self, keep_row: np.ndarray) -> np.ndarray:
+        """``predict`` for the mask given as one row of keep factors."""
+        dropped = [np.flatnonzero(keep_row[bits] == 0.0).tolist() for bits in self._bits]
+        return self._threshold(self._logits(dropped))
 
 
 def predict_batch(model: MlpModel, data, mask=None) -> np.ndarray:
@@ -297,6 +411,10 @@ def train(data: SplitDataset, arch: MlpArchitecture, cfg: TrainConfig) -> MlpMod
         for _epoch in range(cfg.epochs):
             order = list(range(n))
             rng.shuffle(order)
+            # The epoch's dropout uniforms, batch by batch and layer by layer
+            # within a batch: the order the draws would take one at a time.
+            uniforms = rng.uniform_block(n * arch.hidden_total) if drop > 0.0 else None
+            used = 0
             for start in range(0, n, cfg.batch_size):
                 batch = order[start:start + cfg.batch_size]
                 X = X_all[batch]
@@ -311,7 +429,8 @@ def train(data: SplitDataset, arch: MlpArchitecture, cfg: TrainConfig) -> MlpMod
                     Z = A @ weights[i].T + biases[i]
                     A = np.maximum(Z, 0.0)
                     if drop > 0.0:
-                        u = rng.uniform_block(B * A.shape[1]).reshape(B, A.shape[1])
+                        u = uniforms[used:used + A.size].reshape(A.shape)
+                        used += A.size
                         keep = (u >= drop).astype(np.float64) / (1.0 - drop)
                         A = A * keep
                         keeps.append(keep)

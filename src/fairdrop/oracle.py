@@ -1,9 +1,10 @@
 """Exhaustive ground truth for bounded mask spaces at desk scale.
 
 Enumeration prices every mask with weight in [n_l, n_u] exactly once, with
-the cost the randomized searches use, into columns; the global optimum, the
-census (how many states are globally optimal, near-optimal, or below the F1
-floor) and the per-state cost dump are reductions over them.  The
+the cost the randomized searches use (many masks per batched pass, each
+priced exactly as one search evaluation would), into columns; the global
+optimum, the census (how many states are globally optimal, near-optimal, or
+below the F1 floor) and the per-state cost dump are reductions over them.  The
 single-neuron-drop baseline is the best mask of weight exactly 1, the
 strongest repair a one-neuron method could ever reach.
 
@@ -16,7 +17,6 @@ merged by min / addition.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -130,26 +130,43 @@ class PricedSpace:
 
     def rows(self) -> Iterator[tuple[str, float, float, float]]:
         """(state_key_hex, cost, eod, f1) per state, as Python floats."""
+        width = f"0{max(1, (self.n_total + 3) // 4)}x"
         for bits, c, eod, f1_s in zip(self.keys.tolist(), self.cost.tolist(),
                                       self.eod.tolist(), self.f1.tolist()):
-            yield self._state(bits).key_hex(), c, eod, f1_s
+            yield format(bits, width), c, eod, f1_s
 
 
 def price_space(model: MlpModel, validation_data: TabularDataset, bounds: SearchSpaceBounds,
                 params: CostParams, budget: int = DEFAULT_ENUMERATION_BUDGET) -> PricedSpace:
     """Price every state in the bounded space exactly once, without the
-    evaluator's memo cache: no state comes back, so it would only hold memory."""
+    evaluator's memo cache: no state comes back, so it would only hold memory.
+
+    States stream from ``itertools.combinations`` in ``iter_states`` order,
+    one batch of ``CostEvaluator.price_many`` at a time, so no more than one
+    batch of masks is ever held beside the columns.
+    """
     total = _check_budget(bounds, budget)
     evaluator = CostEvaluator(model, validation_data, params)
-    keys = np.empty(total, dtype=np.uint64 if bounds.n_total <= 64 else object)
+    n = bounds.n_total
+    keys = np.empty(total, dtype=np.uint64 if n <= 64 else object)
     cost, eod, f1s = np.empty((3, total), dtype=np.float64)
-    for i, state in enumerate(iter_states(bounds)):
-        ev = evaluator.price(state)
-        keys[i] = state.bits
-        cost[i] = ev.cost
-        eod[i] = math.nan if ev.eod is None else ev.eod
-        f1s[i] = ev.f1
-    return PricedSpace(bounds.n_total, params.f1_floor, keys, cost, eod, f1s)
+    start = 0
+    for k in range(bounds.n_l, bounds.n_u + 1):
+        combos = itertools.combinations(range(n), k)
+        while chunk := list(itertools.islice(combos, evaluator.batch_size)):
+            dropped = np.fromiter(itertools.chain.from_iterable(chunk), np.intp,
+                                  len(chunk) * k).reshape(len(chunk), k)
+            keep = np.ones((len(chunk), n))
+            keep[np.arange(len(chunk))[:, None], dropped] = 0.0
+            stop = start + len(chunk)
+            cost[start:stop], eod[start:stop], f1s[start:stop] = evaluator.price_many(keep)
+            if n <= 64:
+                keys[start:stop] = np.bitwise_or.reduce(
+                    np.uint64(1) << dropped.astype(np.uint64), axis=1)
+            else:
+                keys[start:stop] = [sum(1 << i for i in combo) for combo in chunk]
+            start = stop
+    return PricedSpace(n, params.f1_floor, keys, cost, eod, f1s)
 
 
 def enumerate_best(model: MlpModel, validation_data: TabularDataset,
@@ -184,17 +201,16 @@ def single_neuron_baseline(model: MlpModel, validation_data: TabularDataset,
     space with bounds (1, 1)); ties break to the lowest neuron index.
     """
     n = model.hidden_total
-    evaluator = CostEvaluator(model, validation_data, params)
-    costs = [evaluator.evaluate(DropoutState.from_indices(n, (i,))).cost for i in range(n)]
-    best_index = min(range(n), key=lambda i: costs[i])
+    costs = CostEvaluator(model, validation_data, params).price_many(1.0 - np.eye(n))[0]
+    best_index = int(np.argmin(costs))
     best_state = DropoutState.from_indices(n, (best_index,))
     layer, unit = model.neuron_order[best_index]
     report = {
         "neuron_index": best_index,
         "layer": layer,
         "unit": unit,
-        "cost": costs[best_index],
-        "evaluations": evaluator.evaluations,
+        "cost": float(costs[best_index]),
+        "evaluations": len(costs),
     }
     for name, data in (("validation", validation_data), ("test", test_data)):
         preds = predict_batch(model, data, best_state)

@@ -364,6 +364,26 @@ class TestOracleCommand:
         assert enumerated == []
         assert not (out / "oracle_report.json").exists()
 
+    @pytest.mark.parametrize("flags, field", [
+        (["--n-l", 1, "--n-u", 3], "bounds"),
+        (["--seed", 2], "seed"),
+        (["--p", 2.0], "p"),
+        (["--t", 0.9], "t"),
+    ], ids=["bounds", "seed", "p", "t"])
+    def test_sa_result_from_another_instance_fails_before_enumerating(
+            self, trained, capsys, monkeypatch, flags, field):
+        config, out = trained
+        assert run_cli(["repair", "--config", config, "--seeds", "1",
+                        "--n-l", 2, "--n-u", 8]) in (0, 3)
+        enumerated = []
+        monkeypatch.setattr(fairdrop.cli, "price_space", lambda *a, **k: enumerated.append(1))
+        argv = ["oracle", "--config", config, "--n-l", 2, "--n-u", 8, "--seed", 1]
+        assert run_cli(argv + flags + ["--sa-result", out / "repair_seed1_sa.json"]) == 1
+        err = capsys.readouterr().err
+        assert f"does not match the enumerated instance: its {field} is" in err
+        assert enumerated == []
+        assert not (out / "oracle_report.json").exists()
+
     def test_budget_refusal_clean(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         write_config(config, oracle={"budget": 5}, seeds=[1])

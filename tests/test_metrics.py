@@ -1,9 +1,13 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fairdrop.metrics import (ConfusionCounts, accuracy, confusion, f1, fairness,
-                              prediction_metrics)
+from fairdrop.metrics import (ConfusionCounts, accuracy, cell_costs, cell_counts, cell_metrics,
+                              confusion, f1, fairness, prediction_metrics)
+from fairdrop.search import CostParams, penalized_cost
 
 
 class TestConfusion:
@@ -225,3 +229,44 @@ class TestPredictionMetrics:
     def test_rejects_what_the_reference_rejects(self, preds, labels, prot):
         with pytest.raises(ValueError):
             prediction_metrics(preds, labels, prot)
+
+
+def assert_cell_costs_equal_reference(cells, params):
+    cost, eod, f1s = cell_costs(np.asarray(cells), params.f1_floor,
+                                params.p * params.eod_baseline)
+    for row, c, e, f in zip(cells, cost.tolist(), eod.tolist(), f1s.tolist()):
+        m = cell_metrics(row)
+        assert f == m.f1
+        assert c == penalized_cost(m.eod, m.f1, params)
+        assert math.isnan(e) if m.eod is None else e == m.eod
+
+
+PARAMS = [CostParams(p=3.0, t=0.98, eod_baseline=0.2, f1_baseline=0.6),
+          CostParams(p=0.0, t=0.5, eod_baseline=0.0, f1_baseline=0.0),
+          CostParams(p=1.5, t=0.75, eod_baseline=1.0, f1_baseline=1.0)]
+
+
+class TestCellCosts:
+    @pytest.mark.parametrize("params", PARAMS)
+    def test_equals_cell_metrics_on_every_zero_pattern(self, params):
+        # each of the eight cells empty or not: every way a rate's or F1's
+        # denominator can be zero (all eight empty is no rows at all)
+        patterns = np.array(list(itertools.product((0, 1), repeat=8))[1:])
+        counts = np.random.default_rng(3).integers(1, 40, size=patterns.shape)
+        assert_cell_costs_equal_reference(patterns * counts, params)
+
+    @given(st.lists(st.lists(st.integers(0, 6), min_size=8, max_size=8).filter(any),
+                    min_size=1, max_size=30),
+           st.sampled_from(PARAMS))
+    def test_equals_cell_metrics_on_drawn_counts(self, cells, params):
+        # small counts: many ties with the F1 floor and between group rates
+        assert_cell_costs_equal_reference(cells, params)
+
+    @given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=1, max_size=40),
+           st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+    def test_one_bincount_equals_a_bincount_per_mask(self, rows, masks, seed):
+        labels, protected = np.array(rows).T
+        key = 4 * protected + 2 * labels
+        preds = np.random.default_rng(seed).integers(0, 2, size=(masks, len(rows))) == 1
+        expected = [np.bincount(key + p, minlength=8) for p in preds]
+        assert np.array_equal(cell_counts(key, preds), expected)

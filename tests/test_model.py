@@ -1,12 +1,16 @@
+import hashlib
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import fairdrop as fd
-from fairdrop.model import (MaskedForward, MlpArchitecture, ModelFormatError, ShapeError,
-                            TrainingError, _sigmoid, default_neuron_order, initialize_model)
+from fairdrop.model import (_SIGMOID_HALF_WINDOW, MaskedForward, MlpArchitecture,
+                            ModelFormatError, ShapeError, TrainingError, _sigmoid,
+                            default_neuron_order, initialize_model)
 from fairdrop.prng import XorShift64Star
 from fairdrop.search import DropoutState
 
@@ -200,6 +204,148 @@ class TestMaskedForward:
             MaskedForward(hand_model(), np.zeros((3, 5)))
 
 
+def keep_rows(masks, n) -> np.ndarray:
+    """``predict_many``'s keep factors: one row per mask, 0.0 on dropped bits."""
+    keep = np.ones((len(masks), n))
+    for row, mask in zip(keep, masks):
+        row[list(mask.indices())] = 0.0
+    return keep
+
+
+def exact_predictions(kernel, masks) -> np.ndarray:
+    return np.array([kernel.predict(mask).copy() for mask in masks])
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """How many masks ``predict_many`` re-ran through the exact pass."""
+    calls = []
+    exact = MaskedForward._predict_keep
+
+    def counted(self, keep_row):
+        calls.append(1)
+        return exact(self, keep_row)
+    monkeypatch.setattr(MaskedForward, "_predict_keep", counted)
+    return calls
+
+
+def random_masks(rng, n, count):
+    return [DropoutState.from_indices(n, rng.sample_indices(n, rng.randint(0, n)))
+            for _ in range(count)]
+
+
+class TestPredictMany:
+    def test_equals_exact_predictions_on_random_masks(self, fallbacks):
+        rng = XorShift64Star(31)
+        base = random_small_model(rng, (3, 4, 5, 3, 1))
+        order = list(base.neuron_order)
+        rng.shuffle(order)
+        model = fd.MlpModel(base.architecture, base.weights, base.biases, neuron_order=order)
+        X = 2.0 * rng.uniform_block(50 * 3).reshape(50, 3) - 1.0
+        kernel = MaskedForward(model, X)
+        n = model.hidden_total
+        for count in (1, 7, kernel.batch_size):
+            masks = random_masks(rng, n, count)
+            assert np.array_equal(kernel.predict_many(keep_rows(masks, n)),
+                                  exact_predictions(kernel, masks))
+        assert fallbacks == []  # every mask was certified, none re-run
+
+    @given(st.lists(st.integers(1, 5), min_size=2, max_size=4), st.integers(1, 12),
+           st.integers(1, 2 ** 32))
+    def test_equals_exact_predictions_on_drawn_models(self, sizes, rows, seed):
+        rng = XorShift64Star(seed)
+        model = random_small_model(rng, (*sizes, 1))
+        X = 2.0 * rng.uniform_block(rows * sizes[0]).reshape(rows, sizes[0]) - 1.0
+        kernel = MaskedForward(model, X)
+        n = model.hidden_total
+        masks = random_masks(rng, n, min(kernel.batch_size, 40))
+        assert np.array_equal(kernel.predict_many(keep_rows(masks, n)),
+                              exact_predictions(kernel, masks))
+
+    def test_batch_size_shrinks_as_rows_grow(self):
+        model = random_small_model(XorShift64Star(3), (2, 6, 9, 4, 1))
+        sizes = [MaskedForward(model, np.zeros((rows, 2))).batch_size
+                 for rows in (1, 300, 2000, 10 ** 6)]
+        assert sizes == sorted(sizes, reverse=True) and sizes[-1] == 1 < sizes[1]
+        kernel = MaskedForward(model, np.zeros((300, 2)))
+        with pytest.raises(ShapeError):
+            kernel.predict_many(np.ones((kernel.batch_size + 1, model.hidden_total)))
+
+    @pytest.mark.parametrize("z", [-1e-17, -1e-13, -_SIGMOID_HALF_WINDOW])
+    def test_logit_inside_the_slack_takes_the_exact_pass(self, fallbacks, z):
+        # -1e-17 rounds to probability 0.5 and predicts 1, which z >= 0 would
+        # miss; the others predict 0 either way but still lie inside the slack
+        model = TestThreshold.logit_model(0.0)
+        kernel = MaskedForward(model, np.array([[-z], [3.0]]))
+        preds = kernel.predict_many(np.ones((1, 1)))
+        assert preds.tolist() == [kernel.predict().tolist()] == [[z == -1e-17, False]]
+        assert fallbacks == [1]
+
+    @pytest.mark.parametrize("poison", [np.nan, np.inf])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+    def test_non_finite_bound_takes_the_exact_pass(self, fallbacks, poison):
+        rng = XorShift64Star(14)
+        model = random_small_model(rng, (3, 4, 5, 3, 1))
+        X = 2.0 * rng.uniform_block(30 * 3).reshape(30, 3) - 1.0
+        n = model.hidden_total
+        for bit, (layer, unit) in enumerate(model.neuron_order):
+            biases = [b.copy() for b in model.biases]
+            biases[layer][unit] = poison
+            kernel = MaskedForward(fd.MlpModel(model.architecture, model.weights, biases), X)
+            assert kernel._slack is None
+            masks = [DropoutState.from_indices(n, (bit,)), DropoutState.from_indices(n, ()),
+                     DropoutState.from_indices(n, ((bit + 1) % n,))]
+            assert np.array_equal(kernel.predict_many(keep_rows(masks, n)),
+                                  exact_predictions(kernel, masks))
+        assert len(fallbacks) == 3 * n
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+    def test_nan_logits_take_the_exact_pass(self, fallbacks):
+        # a finite slack forced onto a model with a NaN unit: the batched
+        # logits hold NaN whether the unit is dropped (NaN * 0) or not
+        rng = XorShift64Star(15)
+        model = random_small_model(rng, (3, 4, 5, 3, 1))
+        X = 2.0 * rng.uniform_block(30 * 3).reshape(30, 3) - 1.0
+        n = model.hidden_total
+        biases = [b.copy() for b in model.biases]
+        biases[1][2] = np.nan
+        kernel = MaskedForward(fd.MlpModel(model.architecture, model.weights, biases), X)
+        kernel._slack = np.full(30, _SIGMOID_HALF_WINDOW)
+        bit = model.neuron_order.index((1, 2))
+        masks = [DropoutState.from_indices(n, (bit,)), DropoutState.from_indices(n, (bit, 0)),
+                 DropoutState.from_indices(n, (0,))]
+        preds = kernel.predict_many(keep_rows(masks, n))
+        assert np.array_equal(preds, exact_predictions(kernel, masks))
+        assert preds[0].any()  # the dropped NaN unit does not blank the mask
+        assert len(fallbacks) == 3
+
+    def test_bound_holds_against_exact_logits(self):
+        # Rational arithmetic from the cached first layer gives each mask's
+        # real logit; both the batched and the exact pass lie within half
+        # the slack, less the sigmoid window, of it.
+        rng = XorShift64Star(51)
+        model = random_small_model(rng, (2, 3, 4, 3, 1))
+        X = 4.0 * rng.uniform_block(6 * 2).reshape(6, 2) - 2.0
+        kernel = MaskedForward(model, X)
+        n = model.hidden_total
+        err = [Fraction(e) for e in (kernel._slack - _SIGMOID_HALF_WINDOW) / 2.0]
+        masks = [DropoutState(n, bits) for bits in range(0, 1 << n, 37)]
+        batched = kernel._batch_logits(keep_rows(masks, n)).copy()
+        for mask, fast in zip(masks, batched):
+            dropped = model.masked_units_per_layer(mask)
+            A = [[Fraction(a) * (u not in dropped[0]) for u, a in enumerate(row)]
+                 for row in kernel._first.tolist()]
+            for i, (W, b) in enumerate(zip(model.weights[1:], model.biases[1:])):
+                Z = [[sum((Fraction(w) * a for w, a in zip(w_row, row)), Fraction(bias))
+                      for w_row, bias in zip(W.tolist(), b.tolist())] for row in A]
+                if i + 2 < len(model.weights):
+                    A = [[max(z, Fraction(0)) * (u not in dropped[i + 1])
+                          for u, z in enumerate(row)] for row in Z]
+            real = [row[0] for row in Z]
+            for z in (fast, kernel.logits(mask)):
+                assert all(abs(Fraction(v) - r) <= e for v, r, e in zip(z.tolist(), real, err))
+
+
 def separable_split(n=600, seed=9):
     rng = XorShift64Star(seed)
     X = rng.uniform_block(n * 2).reshape(n, 2)
@@ -236,6 +382,28 @@ class TestTrain:
         b = fd.train(parts, MlpArchitecture((2, 6, 1)),
                      fd.TrainConfig(learning_rate=0.3, epochs=3, batch_size=32, seed=2))
         assert any(not np.array_equal(wa, wb) for wa, wb in zip(a.weights, b.weights))
+
+    @pytest.mark.parametrize("sizes, rows, data_seed, split_seed, cfg, digest", [
+        ((6, 8, 8, 1), 1500, 21, 5,
+         fd.TrainConfig(learning_rate=0.3, epochs=25, batch_size=64, train_dropout_prob=0.1,
+                        seed=4),
+         "1820a297dc0a96318cafb87bae741b015dfba11b8b8b62f6c31278f2f8f4d764"),
+        ((5, 7, 4, 3, 1), 600, 3, 2,
+         fd.TrainConfig(learning_rate=0.2, epochs=6, batch_size=50, train_dropout_prob=0.3,
+                        seed=9),
+         "3c0b45a1b34791c08a90c1a2ee0552ada7e5bb5b0ad080003dd13e07d955a6d9"),
+    ], ids=["census", "three-hidden-layers"])
+    def test_dropout_training_is_pinned(self, sizes, rows, data_seed, split_seed, cfg, digest):
+        # SHA-256 of the weights and biases, pinned when every batch drew its
+        # own dropout uniforms: one draw per epoch must give the same stream.
+        # The training splits (900 and 360 rows) end in a short batch.
+        data = fd.synthesize_biased(rows, sizes[0], 0.8, seed=data_seed)
+        model = fd.train(fd.split(data, split_seed), MlpArchitecture(sizes), cfg)
+        h = hashlib.sha256()
+        for w, b in zip(model.weights, model.biases):
+            h.update(w.tobytes())
+            h.update(b.tobytes())
+        assert h.hexdigest() == digest
 
     def test_full_batch_is_one_step_per_epoch(self):
         # one epoch of full-batch SGD == one manually computed gradient step

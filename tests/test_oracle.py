@@ -155,6 +155,20 @@ class TestPriceSpace:
         assert cost == min(evaluator.evaluate(s).cost for s in states)
         assert evaluator.evaluate(state).cost == cost
 
+    def test_two_bit_keys_wider_than_64_bits(self):
+        model = random_small_model(XorShift64Star(43), (3, 40, 30, 1))
+        data = tiny_data(seed=44)
+        params = fd.baseline_cost_params(model, data, p=3.0, t=0.98)
+        b = bounds(70, 0, 2)
+        space = price_space(model, data, b, params)
+        evaluator = CostEvaluator(model, data, params)
+        states = list(iter_states(b))
+        assert space.keys.tolist() == [s.bits for s in states]
+        assert [row[0] for row in space.rows()] == [s.key_hex() for s in states]
+        for i in range(0, len(states), 23):
+            ev = evaluator.evaluate(states[i])
+            assert (space.cost[i], space.f1[i]) == (ev.cost, ev.f1)
+
     def test_reductions_match_the_wrappers(self, small_instance):
         parts, model, params = small_instance
         b = bounds(16, 2, 3)
