@@ -144,6 +144,8 @@ def resolve_config(raw: dict, args) -> dict:
         search["max_iterations"] = 20_000
     if not cfg["seeds"]:
         raise CliError("seeds list must not be empty")
+    if len(set(cfg["seeds"])) != len(cfg["seeds"]):
+        raise CliError(f"seeds list must not repeat a seed, got {cfg['seeds']}")
     return cfg
 
 
@@ -511,8 +513,9 @@ def build_parser() -> argparse.ArgumentParser:
     penalty = _flag_type(float, lambda v: v >= 0, "a number >= 0")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="experiment config JSON")
-    common.add_argument("--seeds", type=_flag_type(_comma_list(int), lambda v: True,
-                                                   "comma-separated integers"),
+    common.add_argument("--seeds", type=_flag_type(_comma_list(int),
+                                                   lambda v: len(set(v)) == len(v),
+                                                   "comma-separated distinct integers"),
                         help="comma-separated seed list override")
     common.add_argument("--out", help="output directory override")
     common.add_argument("--alg", choices=["sa", "rw"], help="search algorithm override")

@@ -4,17 +4,13 @@ The model is a stack of hidden layers (affine map followed by ReLU) ending in
 a single sigmoid output unit; the predicted label is 1 when the probability
 reaches 0.5.  Inference-time dropout forces the output of every masked
 hidden neuron to zero before it feeds the next layer, so a masked neuron's
-activation never reaches the output, even when it is NaN or infinite.  The
-forward pass does this by zeroing the neuron's outgoing weights in a scratch
-copy: a finite activation then adds ``a * 0`` instead of ``0 * w``, so only
-the sign of a zero can differ, and neither a probability nor a prediction
-can.  A pass whose logits hold a NaN is run again with the activations
-themselves zeroed, which is how a non-finite masked activation shows.  Every
-forward pass (training's validation scoring, search, reports) runs
-through ``MaskedForward``, which is built once per batch of rows and then
-runs any number of masks over them, one at a time or, for enumeration,
-many per matmul behind a certified error bound that sends any prediction
-it cannot vouch for back to the one-mask pass.
+activation never reaches the output, even when it is NaN or infinite.  Every
+forward pass runs through ``MaskedForward``, which is built once per batch of
+rows, caches the first hidden layer and has two passes: the exact one, which
+zeroes the dropped activations by assignment, for training's validation
+scoring and reports; and a batched one, which prices one mask or many per
+matmul for search and enumeration behind a certified error bound that sends
+any prediction it cannot vouch for to the exact pass.
 
 Hidden neurons carry a fixed total order (the ``neuron_order`` bijection)
 that maps mask bit positions to (layer, unit) pairs; the order is set at
@@ -159,15 +155,14 @@ class MaskedForward:
     """The masked forward pass over one fixed batch of feature rows.
 
     Built once per batch (a 1-D ``features`` is one row): it checks the
-    batch's shape, computes the mask-independent first hidden layer
-    ``relu(X @ W0.T + b0)`` and preallocates one output buffer per later
-    layer, one weight buffer per later layer and the prediction buffers.
-    Each call then zeroes the dropped units' columns in copies of the
-    weights they feed and runs the later layers into the buffers, so its
-    logits equal those of a fresh pass that zeroes the dropped activations
-    (up to the sign of a zero).  The arrays a call returns are those
-    buffers: the next call overwrites them.  ``predict_many`` runs up to
-    ``batch_size`` masks at once and gives the same predictions.
+    batch's shape and computes the mask-independent first hidden layer
+    ``relu(X @ W0.T + b0)``.  Masks then run over that layer in one of two
+    passes.  ``logits`` and ``predict`` run the exact pass for one mask:
+    every later layer on fresh arrays, with the dropped units' activations
+    zeroed by assignment.  ``predict_many`` runs up to ``batch_size`` masks
+    through one matmul per layer and gives the same predictions, behind a
+    certified error bound that sends every mask it cannot vouch for through
+    the exact pass.
     """
 
     def __init__(self, model: MlpModel, features: np.ndarray):
@@ -181,72 +176,51 @@ class MaskedForward:
         np.add(first, model.biases[0], out=first)
         np.maximum(first, 0.0, out=first)
         self._first = first
-        # Outputs of every layer after the first hidden one; the last holds
-        # the logits.  Each layer reads its input units through a copy of its
-        # weights whose columns for the dropped units are zero.
-        self._outs = [np.empty((n, size)) for size in model.architecture.layer_sizes[2:]]
-        self._masked_weights = [np.empty_like(w) for w in model.weights[1:]]
-        self._preds = np.empty(n, dtype=bool)
-        self._near = np.empty(n, dtype=bool)
         # Mask bit positions of each hidden layer's units, in unit order.
         position = {pair: bit for bit, pair in enumerate(model.neuron_order)}
         self._bits = [np.array([position[layer, unit] for unit in range(size)])
                       for layer, size in enumerate(model.architecture.hidden_sizes)]
         widest = max(model.architecture.layer_sizes[2:])
         self.batch_size = max(1, _BATCH_ELEMENTS // (n * widest))
+        self._buffers = None
+
+    def keep(self, mask) -> np.ndarray:
+        """Keep factors of ``mask``, one per mask bit: 1.0 keeps that neuron,
+        0.0 drops it; all 1.0 when ``mask`` is None."""
+        n = self.model.hidden_total
+        if mask is None:
+            return np.ones(n)
+        if mask.n != n:
+            raise ShapeError(f"mask covers {mask.n} neurons, model has {n}")
+        dropped = np.frombuffer(mask.bits.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+        return 1.0 - np.unpackbits(dropped, count=n, bitorder="little")
 
     def logits(self, mask=None) -> np.ndarray:
         """Output-unit logits (pre-sigmoid), one per row, under ``mask``."""
-        return self._logits(self.model.masked_units_per_layer(mask))
+        return self._exact(self.keep(mask))
 
-    def _logits(self, dropped: list[list[int]]) -> np.ndarray:
-        z = self._run(dropped, fold=True)
-        if np.isnan(z).any():
-            # A NaN or infinite activation of a dropped unit times its zeroed
-            # weight is NaN (numpy warns of inf * 0): zero the activations
-            # themselves instead.
-            z = self._run(dropped, fold=False)
-        return z
-
-    def _run(self, dropped: list[list[int]], fold: bool) -> np.ndarray:
-        """Logits with the dropped units zeroed in the weights they feed
-        (``fold``) or, by assignment, in their activations."""
+    def _exact(self, keep: np.ndarray) -> np.ndarray:
+        """Logits of the exact pass for the mask given as one row of keep
+        factors: a dropped unit is zeroed by assignment, so it never
+        reaches the output, even when it is NaN or infinite."""
         model = self.model
         A = self._first
-        last = len(self._outs) - 1
-        for i, out in enumerate(self._outs):
-            W = model.weights[i + 1]
-            if dropped[i] and fold:
-                W = self._masked_weights[i]
-                np.copyto(W, model.weights[i + 1])
-                W[:, dropped[i]] = 0.0
-            elif dropped[i]:
+        last = len(model.weights) - 2
+        for i, (W, b) in enumerate(zip(model.weights[1:], model.biases[1:])):
+            dropped = keep[self._bits[i]] == 0.0
+            if dropped.any():
                 if A is self._first:
                     A = A.copy()
-                A[:, dropped[i]] = 0.0
-            np.matmul(A, W.T, out=out)
-            np.add(out, model.biases[i + 1], out=out)
+                A[:, dropped] = 0.0
+            A = A @ W.T + b
             if i < last:
-                np.maximum(out, 0.0, out=out)
-            A = out
+                A = np.maximum(A, 0.0)
         return A.reshape(-1)
 
     def predict(self, mask=None) -> np.ndarray:
-        """Boolean predictions ``sigmoid(z) >= 0.5`` under ``mask``.
-
-        Every logit z >= 0 predicts 1; only logits in the narrow window below
-        0 where the probability can still round to 0.5 go through the
-        sigmoid itself.
-        """
-        return self._threshold(self.logits(mask))
-
-    def _threshold(self, z: np.ndarray) -> np.ndarray:
-        preds = np.greater_equal(z, 0.0, out=self._preds)
-        near = np.greater_equal(z, -_SIGMOID_HALF_WINDOW, out=self._near)
-        if np.count_nonzero(near) != np.count_nonzero(preds):
-            near &= ~preds
-            preds[near] = _sigmoid(z[near]) >= 0.5
-        return preds
+        """Boolean predictions ``sigmoid(z) >= 0.5`` of the exact pass under
+        ``mask``."""
+        return _threshold(self.logits(mask))
 
     @functools.cached_property
     def _slack(self) -> np.ndarray | None:
@@ -260,8 +234,8 @@ class MaskedForward:
         inputs (Higham, *Accuracy and Stability of Numerical Algorithms*,
         2nd ed., section 3.1).  ``bound`` bounds every masked activation,
         because a mask only zeroes terms; ``err`` carries each layer's
-        error through the next ``|W|``.  Two computations (the batched one
-        and ``_run``) each lie within ``err`` of the real logit.  The
+        error through the next ``|W|``.  Two computations (the batched pass
+        and the exact one) each lie within ``err`` of the real logit.  The
         rounding of the bound itself, and any underflow, is far below the
         1e-12 window.
         """
@@ -277,35 +251,39 @@ class MaskedForward:
         slack = 2.0 * err[:, 0] + _SIGMOID_HALF_WINDOW
         return slack if np.isfinite(slack).all() else None
 
-    @functools.cached_property
-    def _batch_buffers(self) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    def _batch_buffers(self, B: int) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
         """Buffers of the batched pass, each layer's input carrying a last
         row of ones so that its bias rides in the matmul as one more term:
         the first layer as (units + 1, rows), and for each later layer
-        ``batch_size`` copies of its weights with the bias as last column,
-        and its outputs as (masks, units + 1, rows)."""
-        B, n = self.batch_size, self._first.shape[0]
-        first = np.ones((self._first.shape[1] + 1, n))
-        first[:-1] = self._first.T
-        weights, outs = [], []
-        for W, b in zip(self.model.weights[1:], self.model.biases[1:]):
-            stack = np.empty((B, W.shape[0], W.shape[1] + 1))
-            stack[:, :, -1] = b
-            weights.append(stack)
-            outs.append(np.ones((B, W.shape[0] + 1, n)))
-        return first, weights, outs
+        copies of its weights with the bias as last column, and its outputs
+        as (masks, units + 1, rows).  They hold as many masks as the largest
+        batch run so far, so a kernel that prices one mask at a time holds
+        one."""
+        if self._buffers is None or len(self._buffers[2][0]) < B:
+            n = self._first.shape[0]
+            first = np.ones((self._first.shape[1] + 1, n))
+            first[:-1] = self._first.T
+            weights, outs = [], []
+            for W, b in zip(self.model.weights[1:], self.model.biases[1:]):
+                stack = np.empty((B, W.shape[0], W.shape[1] + 1))
+                stack[:, :, -1] = b
+                weights.append(stack)
+                outs.append(np.ones((B, W.shape[0] + 1, n)))
+            self._buffers = first, weights, outs
+        return self._buffers
 
     def predict_many(self, keep: np.ndarray) -> np.ndarray:
         """Predictions (masks, rows) for up to ``batch_size`` masks, equal to
         ``predict`` on each of them.
 
-        ``keep`` has one row per mask and one column per mask bit: 1.0
-        keeps that neuron, 0.0 drops it.  Each mask is folded into a stacked
-        copy of every later layer's weights, and all masks run through one
-        matmul per layer.  That sums in another order than ``_run``, so a
-        row is trusted only when its logit lies farther from 0 than
-        ``_slack``; a mask with any row within it, or any NaN, goes through
-        ``predict`` itself, as does every mask when the bound is not finite.
+        ``keep`` has one row of keep factors per mask, as the ``keep``
+        method builds them: 1.0 keeps that neuron, 0.0 drops it.  Each mask
+        is folded into a stacked copy of every later layer's weights, and all
+        masks run through one matmul per layer.  That sums in another order
+        than the exact pass, so a row is trusted only when its logit lies
+        farther from 0 than ``_slack``; a mask with any row within it, or
+        any NaN, goes through the exact pass, as does every mask when the
+        bound is not finite.
         """
         B = keep.shape[0]
         if B > self.batch_size:
@@ -319,13 +297,13 @@ class MaskedForward:
             preds = z >= 0.0
             unsafe = np.flatnonzero(~(np.abs(z) > slack).all(axis=1))
         for m in unsafe:
-            preds[m] = self._predict_keep(keep[m])
+            preds[m] = _threshold(self._exact(keep[m]))
         return preds
 
     def _batch_logits(self, keep: np.ndarray) -> np.ndarray:
         """Logits (masks, rows) of the batched pass, in its buffers."""
         B = keep.shape[0]
-        H, weight_stacks, out_stacks = self._batch_buffers
+        H, weight_stacks, out_stacks = self._batch_buffers(B)
         last = len(out_stacks) - 1
         for i, (W, Wf, out) in enumerate(zip(self.model.weights[1:], weight_stacks, out_stacks)):
             Wf, out = Wf[:B], out[:B]
@@ -336,10 +314,16 @@ class MaskedForward:
             H = out
         return H[:, 0]
 
-    def _predict_keep(self, keep_row: np.ndarray) -> np.ndarray:
-        """``predict`` for the mask given as one row of keep factors."""
-        dropped = [np.flatnonzero(keep_row[bits] == 0.0).tolist() for bits in self._bits]
-        return self._threshold(self._logits(dropped))
+
+def _threshold(z: np.ndarray) -> np.ndarray:
+    """Boolean ``sigmoid(z) >= 0.5``: every logit z >= 0 predicts 1, and
+    only logits in the narrow window below 0 where the probability can
+    still round to 0.5 go through the sigmoid itself."""
+    preds = z >= 0.0
+    near = (z >= -_SIGMOID_HALF_WINDOW) & ~preds
+    if near.any():
+        preds[near] = _sigmoid(z[near]) >= 0.5
+    return preds
 
 
 def predict_batch(model: MlpModel, data, mask=None) -> np.ndarray:

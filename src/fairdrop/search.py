@@ -185,9 +185,10 @@ class CostEvaluator:
     one evaluator (one run), never shared.  Everything that does not depend
     on the mask is done once, when the evaluator is built: the labels and
     protected bits are checked and folded into one cell key per row, and the
-    forward pass caches its first hidden layer and its buffers
-    (``MaskedForward``).  A price is then one masked pass, one ``bincount``
-    of eight cells and the cost formula.
+    forward pass caches its first hidden layer (``MaskedForward``).  A price
+    is then a batch of one through the certified batched pass
+    (``MaskedForward.predict_many``), one ``bincount`` of eight cells and
+    the cost formula.
     """
 
     def __init__(self, model: MlpModel, validation_data: TabularDataset, params: CostParams):
@@ -201,7 +202,8 @@ class CostEvaluator:
 
     def price(self, state: DropoutState) -> CostEvaluation:
         """Price one mask, bypassing the memo cache."""
-        np.add(self._key, self._forward.predict(state), out=self._cell)
+        preds = self._forward.predict_many(self._forward.keep(state)[None])
+        np.add(self._key, preds[0], out=self._cell)
         m = cell_metrics(np.bincount(self._cell, minlength=8))
         return CostEvaluation(cost=penalized_cost(m.eod, m.f1, self.params), eod=m.eod, f1=m.f1)
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import fairdrop as fd
+from fairdrop.search import penalized_cost
 
 settings.register_profile(
     "ci", derandomize=True, max_examples=60, deadline=None,
@@ -77,3 +78,12 @@ def reference_logits(model: fd.MlpModel, features, mask=None) -> np.ndarray:
 def reference_predictions(model: fd.MlpModel, features, mask=None) -> np.ndarray:
     """0/1 predictions ``sigmoid(z) >= 0.5`` of ``reference_logits``."""
     return (fd.model._sigmoid(reference_logits(model, features, mask)) >= 0.5).astype(np.int64)
+
+
+def reference_price(model: fd.MlpModel, data: fd.TabularDataset, state, params) -> tuple:
+    """(cost, EOD, F1) of ``state`` from ``reference_predictions`` and the
+    reference metrics."""
+    preds = reference_predictions(model, data.features, state)
+    eod = fd.fairness(preds, data.labels, data.protected).eod
+    f1_s = fd.f1(fd.confusion(preds, data.labels))
+    return penalized_cost(eod, f1_s, params), eod, f1_s

@@ -248,6 +248,15 @@ class TestConfig:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["train", "repair"])
+    def test_duplicate_seeds_are_operational_error(self, tmp_path, capsys, command):
+        # a repeated seed would be trained once but searched and averaged twice
+        config = tmp_path / "config.json"
+        write_config(config, seeds=[1, 2, 1])
+        assert run_cli([command, "--config", config]) == 1
+        assert "seeds list must not repeat a seed, got [1, 2, 1]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["repair", "sweep", "oracle"])
     @pytest.mark.parametrize("setting,value,message", [
         ("target_acceptance", 1.0, "target_acceptance must lie in (0, 1)"),
@@ -294,6 +303,7 @@ class TestFlagValidation:
         ["repair", "--iterations", "-5"],
         ["repair", "--time-limit-s", "0"],
         ["repair", "--seeds", "1,x"],
+        ["repair", "--seeds", "1,1"],
         ["repair", "--n-l", "-1"],
         ["sweep", "--p-values", "0.5,-2"],
         ["synth", "--n-rows", "50"],

@@ -14,7 +14,10 @@ from fairdrop.model import (_SIGMOID_HALF_WINDOW, MaskedForward, MlpArchitecture
 from fairdrop.prng import XorShift64Star
 from fairdrop.search import DropoutState
 
-from conftest import random_small_model, reference_logits, reference_predictions
+from conftest import random_small_model, reference_logits, reference_predictions, reference_price
+
+
+PRICE_PARAMS = fd.CostParams(p=3.0, t=0.9, eod_baseline=0.5, f1_baseline=0.5)
 
 
 def proba(model, features, mask=None) -> np.ndarray:
@@ -81,8 +84,15 @@ class TestForward:
             proba(hand_model(), [1.0, 2.0, 3.0])
 
     def test_mask_length_checked(self):
-        with pytest.raises(ShapeError):
-            proba(hand_model(), [1.0, 2.0], DropoutState.empty(5))
+        model = hand_model()
+        data = fd.TabularDataset(np.zeros((4, 2)), np.array([0, 1, 0, 1]),
+                                 np.array([0, 0, 1, 1]), ("a", "b"))
+        kernel = MaskedForward(model, data.features)
+        evaluator = fd.CostEvaluator(model, data, PRICE_PARAMS)
+        for mask in (DropoutState.empty(5), DropoutState.empty(1)):
+            for run in (kernel.logits, kernel.predict, evaluator.price):
+                with pytest.raises(ShapeError):
+                    run(mask)
 
     def test_mask_equals_outgoing_weight_surgery(self):
         # dropping a neuron == zeroing its outgoing weight column
@@ -177,8 +187,8 @@ class TestMaskedForward:
     @pytest.mark.parametrize("poison", [np.nan, np.inf])
     @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
     def test_non_finite_dropped_unit_never_reaches_the_output(self, poison):
-        # Dropping folds into the next layer's weights, where inf * 0 and
-        # nan * 0 are NaN; a dropped unit must still count as exactly zero.
+        # inf * 0 and nan * 0 are NaN: a dropped unit must still count as
+        # exactly zero, while a kept one poisons the logits.
         rng = XorShift64Star(14)
         model = random_small_model(rng, (3, 4, 5, 3, 1))
         X = 2.0 * rng.uniform_block(30 * 3).reshape(30, 3) - 1.0
@@ -213,19 +223,28 @@ def keep_rows(masks, n) -> np.ndarray:
 
 
 def exact_predictions(kernel, masks) -> np.ndarray:
-    return np.array([kernel.predict(mask).copy() for mask in masks])
+    return np.array([kernel.predict(mask) for mask in masks])
 
 
 @pytest.fixture
 def fallbacks(monkeypatch):
-    """How many masks ``predict_many`` re-ran through the exact pass."""
-    calls = []
-    exact = MaskedForward._predict_keep
+    """How many masks ``predict_many`` re-ran through the exact pass; the
+    exact pass that ``predict`` runs is not counted."""
+    calls, running = [], []
+    exact, many = MaskedForward._exact, MaskedForward.predict_many
 
-    def counted(self, keep_row):
-        calls.append(1)
+    def counted_exact(self, keep_row):
+        calls.extend(running)
         return exact(self, keep_row)
-    monkeypatch.setattr(MaskedForward, "_predict_keep", counted)
+
+    def counted_many(self, keep):
+        running.append(1)
+        try:
+            return many(self, keep)
+        finally:
+            running.pop()
+    monkeypatch.setattr(MaskedForward, "_exact", counted_exact)
+    monkeypatch.setattr(MaskedForward, "predict_many", counted_many)
     return calls
 
 
@@ -274,12 +293,19 @@ class TestPredictMany:
     @pytest.mark.parametrize("z", [-1e-17, -1e-13, -_SIGMOID_HALF_WINDOW])
     def test_logit_inside_the_slack_takes_the_exact_pass(self, fallbacks, z):
         # -1e-17 rounds to probability 0.5 and predicts 1, which z >= 0 would
-        # miss; the others predict 0 either way but still lie inside the slack
+        # miss; the others predict 0 either way but still lie inside the
+        # slack.  The z row is the only one that can predict 1, so it moves
+        # the one-mask price too.
         model = TestThreshold.logit_model(0.0)
-        kernel = MaskedForward(model, np.array([[-z], [3.0]]))
+        data = fd.TabularDataset(np.array([[-z], [3.0], [3.0], [3.0]]), np.array([1, 0, 1, 0]),
+                                 np.array([0, 0, 1, 1]), ("x",))
+        kernel = MaskedForward(model, data.features)
         preds = kernel.predict_many(np.ones((1, 1)))
-        assert preds.tolist() == [kernel.predict().tolist()] == [[z == -1e-17, False]]
-        assert fallbacks == [1]
+        assert preds.tolist() == [kernel.predict().tolist()] == [[z == -1e-17] + [False] * 3]
+        empty = DropoutState.empty(1)
+        price = fd.CostEvaluator(model, data, PRICE_PARAMS).price(empty)
+        assert tuple(price) == reference_price(model, data, empty, PRICE_PARAMS)
+        assert fallbacks == [1, 1]
 
     @pytest.mark.parametrize("poison", [np.nan, np.inf])
     @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import fairdrop as fd
-from fairdrop.metrics import confusion, f1, fairness
 from fairdrop.oracle import enumerate_best, iter_states
 from fairdrop.prng import XorShift64Star
 from fairdrop.search import (CostEvaluator, CostParams, DropoutState, SearchConfig,
@@ -15,7 +14,7 @@ from fairdrop.search import (CostEvaluator, CostParams, DropoutState, SearchConf
                              generate_neighbor, penalized_cost, random_state,
                              trace_csv_text, valid_flip_positions, worst_case_t0)
 
-from conftest import bounds, random_small_model, reference_predictions
+from conftest import bounds, random_small_model, reference_price
 
 PARAMS = CostParams(p=3.0, t=0.98, eod_baseline=0.10, f1_baseline=0.68)
 
@@ -118,14 +117,7 @@ class TestCostFunction:
 
 
 class TestCostEvaluatorExactness:
-    """The evaluator's cached, buffered path against the reference metrics."""
-
-    @staticmethod
-    def reference_price(model, data, state, params):
-        preds = reference_predictions(model, data.features, state)
-        eod = fairness(preds, data.labels, data.protected).eod
-        f1_s = f1(confusion(preds, data.labels))
-        return penalized_cost(eod, f1_s, params), eod, f1_s
+    """The evaluator's cached, certified path against the reference metrics."""
 
     def test_random_masks_equal_reference(self, small_instance):
         parts, model, params = small_instance
@@ -134,8 +126,22 @@ class TestCostEvaluatorExactness:
         b = bounds(model.hidden_total, 0, model.hidden_total)
         for _ in range(300):
             state = random_state(b, rng)
-            assert tuple(evaluator.price(state)) == self.reference_price(
+            assert tuple(evaluator.price(state)) == reference_price(
                 model, parts.validation, state, params), state.key_hex()
+
+    def test_keys_wider_than_64_bits_equal_reference(self):
+        rng = XorShift64Star(23)
+        model = random_small_model(rng, (3, 40, 30, 1))
+        rows = np.arange(60)
+        data = fd.TabularDataset(2.0 * rng.uniform_block(60 * 3).reshape(60, 3) - 1.0,
+                                 rows % 2, rows // 2 % 2, ("a", "b", "c"))
+        evaluator = CostEvaluator(model, data, PARAMS)
+        n = model.hidden_total
+        states = [DropoutState.from_indices(n, (69,)), DropoutState.from_indices(n, range(64, 70))]
+        states += [random_state(bounds(n, 0, n), rng) for _ in range(40)]
+        assert n == 70 and sum(s.bits >> 64 != 0 for s in states) > 20
+        for state in states:
+            assert tuple(evaluator.price(state)) == reference_price(model, data, state, PARAMS)
 
     def test_undefined_eod_prices_infinite(self, small_instance):
         parts, model, params = small_instance
@@ -150,7 +156,7 @@ class TestCostEvaluatorExactness:
             state = random_state(b, rng)
             ev = evaluator.price(state)
             assert ev.cost == math.inf and ev.eod is None
-            assert tuple(ev) == self.reference_price(model, data, state, params)
+            assert tuple(ev) == reference_price(model, data, state, params)
 
     @pytest.mark.parametrize("column", ["labels", "protected"])
     def test_non_binary_vectors_rejected_at_construction(self, small_instance, column):
