@@ -91,7 +91,8 @@ def _has_type(value, kind) -> bool:
     if isinstance(value, bool):
         return False
     if kind is float:
-        return isinstance(value, (int, float))
+        # NaN, the infinities and integers past float range all fail the bound
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     if kind is list:
         return isinstance(value, list) and all(_has_type(v, int) for v in value)
     return isinstance(value, kind)
@@ -510,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.set_defaults(func=cmd_synth)
 
     count = _flag_type(int, lambda v: v >= 0, "an integer >= 0")
-    penalty = _flag_type(float, lambda v: v >= 0, "a number >= 0")
+    penalty = _flag_type(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="experiment config JSON")
     common.add_argument("--seeds", type=_flag_type(_comma_list(int),
@@ -527,7 +528,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--n-u", dest="n_u", type=count, help="maximum neurons to drop")
     common.add_argument("--iterations", type=count, help="max_iterations override")
     common.add_argument("--time-limit-s", dest="time_limit_s",
-                        type=_flag_type(float, lambda v: v > 0, "a number > 0"),
+                        type=_flag_type(float, lambda v: 0 < v < math.inf,
+                                        "a finite number > 0"),
                         help="wall-clock limit override (seconds)")
 
     p_train = sub.add_parser("train", parents=[common],
@@ -541,8 +543,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", parents=[common],
                              help="repeat repair across penalty multipliers")
     p_sweep.add_argument("--p-values",
-                         type=_flag_type(_comma_list(float), lambda vs: min(vs) >= 0,
-                                         "comma-separated numbers >= 0"),
+                         type=_flag_type(_comma_list(float),
+                                         lambda vs: all(0 <= v < math.inf for v in vs),
+                                         "comma-separated finite numbers >= 0"),
                          help="comma-separated penalty multipliers")
     p_sweep.set_defaults(func=cmd_sweep)
 

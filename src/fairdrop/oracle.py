@@ -5,8 +5,8 @@ the cost the randomized searches use (many masks per batched pass, each
 priced exactly as one search evaluation would), into columns; the global
 optimum, the census (how many states are globally optimal, near-optimal, or
 below the F1 floor) and the per-state cost dump are reductions over them.  The
-single-neuron-drop baseline is the best mask of weight exactly 1, the
-strongest repair a one-neuron method could ever reach.
+single-neuron-drop baseline is the best state of the weight-1 window, priced
+by the same pass: the strongest repair a one-neuron method could ever reach.
 
 Every reduction is order-independent: the optimum carries a deterministic
 tie-break (smallest canonical state key), and census counters are plain sums,
@@ -25,7 +25,7 @@ import numpy as np
 from .dataset import TabularDataset
 from .metrics import prediction_metrics
 from .model import MlpModel, predict_batch
-from .search import CostEvaluator, CostParams, DropoutState, SearchSpaceBounds
+from .search import CostEvaluator, CostParams, DropoutState, SearchSpaceBounds, key_hex_format
 
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
 
@@ -118,8 +118,8 @@ class PricedSpace:
 
     def census(self, good_margin: float = 0.05) -> StateCensus:
         """Classify every state against the global optimum."""
-        if good_margin < 0:
-            raise ValueError("good_margin must be >= 0")
+        if not 0 <= good_margin < np.inf:
+            raise ValueError("good_margin must be finite and >= 0")
         optimal = float(self.cost.min())
         bad = self.f1 < self.f1_floor
         best = (self.cost == optimal) & ~bad
@@ -130,7 +130,7 @@ class PricedSpace:
 
     def rows(self) -> Iterator[tuple[str, float, float, float]]:
         """(state_key_hex, cost, eod, f1) per state, as Python floats."""
-        width = f"0{max(1, (self.n_total + 3) // 4)}x"
+        width = key_hex_format(self.n_total)
         for bits, c, eod, f1_s in zip(self.keys.tolist(), self.cost.tolist(),
                                       self.eod.tolist(), self.f1.tolist()):
             yield format(bits, width), c, eod, f1_s
@@ -197,20 +197,20 @@ def single_neuron_baseline(model: MlpModel, validation_data: TabularDataset,
                            test_data: TabularDataset, params: CostParams) -> dict:
     """Best single-neuron drop by validation cost, evaluated on both splits.
 
-    Scans all N weight-1 masks in linear time (identical to enumerating the
-    space with bounds (1, 1)); ties break to the lowest neuron index.
+    Enumerates the N states of the weight-1 window (bounds (1, 1)); cost ties
+    break to the smallest key, which is the lowest neuron index.
     """
-    n = model.hidden_total
-    costs = CostEvaluator(model, validation_data, params).price_many(1.0 - np.eye(n))[0]
-    best_index = int(np.argmin(costs))
-    best_state = DropoutState.from_indices(n, (best_index,))
+    space = price_space(model, validation_data,
+                        SearchSpaceBounds(model.hidden_total, 1, 1), params)
+    best_state, cost = space.best()
+    (best_index,) = best_state.indices()
     layer, unit = model.neuron_order[best_index]
     report = {
         "neuron_index": best_index,
         "layer": layer,
         "unit": unit,
-        "cost": float(costs[best_index]),
-        "evaluations": len(costs),
+        "cost": cost,
+        "evaluations": len(space.cost),
     }
     for name, data in (("validation", validation_data), ("test", test_data)):
         preds = predict_batch(model, data, best_state)

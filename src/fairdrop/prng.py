@@ -151,9 +151,6 @@ class XorShift64Star:
         """Uniform double in [0, 1) with 53 bits of precision."""
         return (self.next_u64() >> 11) * _INV_2_53
 
-    def uniform(self, low: float, high: float) -> float:
-        return low + (high - low) * self.random()
-
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n), unbiased via rejection sampling."""
         if n <= 0:

@@ -51,9 +51,9 @@ class SearchSpaceError(ValueError):
 class SearchSpaceBounds:
     """Weight window [n_l, n_u] over n_total hidden neurons.
 
-    n_l == n_u is allowed for enumeration but leaves every state without
-    neighbors (no single flip preserves the weight), so it draws a warning:
-    the randomized searches cannot move in such a space.
+    A fixed-weight window (n_l == n_u) can be enumerated, but no single flip
+    stays inside it, so a search on it stops with ``generate_neighbor``'s
+    ``SearchSpaceError``.
     """
 
     n_total: int
@@ -66,14 +66,15 @@ class SearchSpaceBounds:
         if not 0 <= self.n_l <= self.n_u <= self.n_total:
             raise SearchSpaceError(f"need 0 <= n_l <= n_u <= {self.n_total}, "
                                    f"got n_l={self.n_l}, n_u={self.n_u}")
-        if self.n_l == self.n_u:
-            warnings.warn(f"bounds ({self.n_l}, {self.n_u}) leave the search graph "
-                          "without edges; neighbor generation will fail",
-                          stacklevel=2)
 
     def size(self) -> int:
         """Number of states, sum of C(n_total, k) for k in [n_l, n_u]."""
         return sum(math.comb(self.n_total, k) for k in range(self.n_l, self.n_u + 1))
+
+
+def key_hex_format(n: int) -> str:
+    """Format spec of the state key over n neurons: hex, one digit per four."""
+    return f"0{max(1, (n + 3) // 4)}x"
 
 
 @dataclass(frozen=True)
@@ -119,7 +120,7 @@ class DropoutState:
         return tuple(i for i in range(self.n) if self.bits >> i & 1)
 
     def key_hex(self) -> str:
-        return format(self.bits, f"0{max(1, (self.n + 3) // 4)}x")
+        return format(self.bits, key_hex_format(self.n))
 
 
 @dataclass(frozen=True)
@@ -133,8 +134,8 @@ class CostParams:
     f1_baseline: float
 
     def __post_init__(self):
-        if self.p < 0:
-            raise ValueError("penalty multiplier p must be >= 0")
+        if not 0 <= self.p < math.inf:
+            raise ValueError("penalty multiplier p must be finite and >= 0")
         if not 0.0 < self.t < 1.0:
             raise ValueError("threshold multiplier t must lie in (0, 1)")
         if not 0.0 <= self.eod_baseline <= 1.0:
@@ -209,18 +210,15 @@ class CostEvaluator:
 
     @property
     def batch_size(self) -> int:
-        """How many masks ``price_many`` runs through one batched pass."""
+        """The most masks one ``price_many`` call takes."""
         return self._forward.batch_size
 
     def price_many(self, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(cost, EOD, F1) columns for masks given as rows of keep factors
-        (``MaskedForward.predict_many``), bypassing the memo cache; EOD is NaN
-        where undefined.  Each value equals ``price``'s."""
-        B = self.batch_size
-        columns = [cell_costs(cell_counts(self._key, self._forward.predict_many(keep[i:i + B])),
-                              self.params.f1_floor, self.params.p * self.params.eod_baseline)
-                   for i in range(0, len(keep), B)]
-        return tuple(np.concatenate(col) for col in zip(*columns))
+        """(cost, EOD, F1) columns for up to ``batch_size`` masks (more raise
+        ``ShapeError``) given as rows of keep factors, bypassing the memo cache;
+        EOD is NaN where undefined.  Each value equals ``price``'s."""
+        return cell_costs(cell_counts(self._key, self._forward.predict_many(keep)),
+                          self.params.f1_floor, self.params.p * self.params.eod_baseline)
 
     def evaluate(self, state: DropoutState) -> CostEvaluation:
         hit = self._cache.get(state.bits)
@@ -405,12 +403,13 @@ class SearchConfig:
             raise ValueError("set max_iterations and/or time_limit_s")
         if self.max_iterations is not None and self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
-        if self.time_limit_s is not None and self.time_limit_s <= 0:
-            raise ValueError("time_limit_s must be positive")
+        if self.time_limit_s is not None and not 0 < self.time_limit_s < math.inf:
+            raise ValueError("time_limit_s must be positive and finite")
         if self.t0_mode not in T0_MODES:
             raise ValueError(f"t0_mode must be one of {T0_MODES}, got {self.t0_mode!r}")
-        if self.t0_mode == "explicit" and (self.t0_value is None or self.t0_value <= 0):
-            raise ValueError("explicit t0_mode needs a positive t0_value")
+        if self.t0_mode == "explicit" and (self.t0_value is None
+                                           or not 0 < self.t0_value < math.inf):
+            raise ValueError("explicit t0_mode needs a positive, finite t0_value")
         if not 0.0 < self.target_acceptance < 1.0:
             raise ValueError("target_acceptance must lie in (0, 1)")
         if self.t0_sample_size < 1:

@@ -1,5 +1,4 @@
 import re
-import warnings
 
 import numpy as np
 import pytest
@@ -43,14 +42,6 @@ def small_instance():
                                     train_dropout_prob=0.1, seed=4))
     params = fd.baseline_cost_params(model, parts.validation, p=3.0, t=0.98)
     return parts, model, params
-
-
-def bounds(n, lo, hi) -> fd.SearchSpaceBounds:
-    """Weight window [lo, hi] over n neurons, without the warning that
-    fixed-weight windows (lo == hi) draw."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return fd.SearchSpaceBounds(n_total=n, n_l=lo, n_u=hi)
 
 
 def random_small_model(rng: fd.XorShift64Star, sizes) -> fd.MlpModel:

@@ -8,7 +8,6 @@ enumerable instance) are module-scoped fixtures shared across criteria.
 import csv
 import json
 import math
-import warnings
 from collections import deque
 
 import numpy as np
@@ -24,12 +23,6 @@ from fairdrop.search import (CostParams, SearchConfig, SearchSpaceBounds,
                              penalized_cost, valid_flip_positions)
 
 SEARCH_SEEDS = tuple(range(1, 11))
-
-
-def quiet_bounds(n, lo, hi):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return SearchSpaceBounds(n_total=n, n_l=lo, n_u=hi)
 
 
 # ------------------------------------------------------------------ fixtures
@@ -241,7 +234,7 @@ def test_criterion_05_search_graph_structure():
     for n in (4, 6, 8):
         for n_l in range(0, n):
             for n_u in range(n_l + 1, n + 1):
-                b = quiet_bounds(n, n_l, n_u)
+                b = SearchSpaceBounds(n, n_l, n_u)
                 states = list(iter_states(b))
                 adjacency = {s.bits: [s.flip(i).bits for i in valid_flip_positions(s, b)]
                              for s in states}

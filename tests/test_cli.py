@@ -248,6 +248,26 @@ class TestConfig:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["train", "repair", "oracle"])
+    @pytest.mark.parametrize("section,override,message", [
+        ("search", {"p": math.nan}, "config search.p must be a number, got nan"),
+        ("search", {"time_limit_s": math.nan}, "config search.time_limit_s must be a number"),
+        ("search", {"max_iterations": None, "time_limit_s": math.inf},
+         "config search.time_limit_s must be a number, got inf"),
+        ("search", {"t0_value": -math.inf}, "config search.t0_value must be a number"),
+        ("search", {"p": 10**400}, "config search.p must be a number"),
+        ("oracle", {"good_margin": math.inf}, "config oracle.good_margin must be a number"),
+        ("model", {"train": {"learning_rate": math.nan}},
+         "config model.train.learning_rate must be a number"),
+    ])
+    def test_non_finite_number_is_operational_error(self, tmp_path, capsys, command, section,
+                                                    override, message):
+        config = tmp_path / "config.json"
+        write_config(config, **{section: override})
+        assert run_cli([command, "--config", config]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["train", "repair"])
     def test_duplicate_seeds_are_operational_error(self, tmp_path, capsys, command):
         # a repeated seed would be trained once but searched and averaged twice
@@ -300,12 +320,18 @@ class TestFlagValidation:
         ["repair", "--t", "1.5"],
         ["repair", "--t", "0"],
         ["repair", "--p", "-1"],
+        ["repair", "--p", "nan"],
+        ["repair", "--p", "inf"],
         ["repair", "--iterations", "-5"],
         ["repair", "--time-limit-s", "0"],
+        ["repair", "--time-limit-s", "nan"],
+        ["repair", "--time-limit-s", "inf"],
         ["repair", "--seeds", "1,x"],
         ["repair", "--seeds", "1,1"],
         ["repair", "--n-l", "-1"],
         ["sweep", "--p-values", "0.5,-2"],
+        ["sweep", "--p-values", "0.5,nan"],
+        ["sweep", "--p-values", "inf"],
         ["synth", "--n-rows", "50"],
         ["synth", "--n-features", "0"],
         ["synth", "--bias-strength", "1.5"],
@@ -393,6 +419,16 @@ class TestOracleCommand:
         assert f"does not match the enumerated instance: its {field} is" in err
         assert enumerated == []
         assert not (out / "oracle_report.json").exists()
+
+    def test_fixed_weight_window_enumerates_but_does_not_search(self, trained, capsys):
+        config, out = trained
+        capsys.readouterr()
+        assert run_cli(["oracle", "--config", config, "--n-l", 3, "--n-u", 3]) == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads((out / "oracle_report.json").read_text())["cardinality"] == 56
+        assert run_cli(["repair", "--config", config, "--n-l", 3, "--n-u", 3]) == 1
+        assert ("error: state of weight 3 has no neighbors within bounds (3, 3)"
+                in capsys.readouterr().err)
 
     def test_budget_refusal_clean(self, tmp_path, capsys):
         config = tmp_path / "config.json"

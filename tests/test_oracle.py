@@ -8,9 +8,9 @@ from fairdrop.oracle import (DEFAULT_ENUMERATION_BUDGET, EnumerationBudgetError,
                              census, enumerate_best, iter_states, per_state_cost_rows,
                              price_space, single_neuron_baseline)
 from fairdrop.prng import XorShift64Star
-from fairdrop.search import CostEvaluator, CostParams
+from fairdrop.search import CostEvaluator, CostParams, SearchSpaceBounds
 
-from conftest import bounds, random_small_model
+from conftest import random_small_model
 
 # Pinned after the first enumeration of the session fixture ([6,8,8,1] model,
 # bounds (2,4), 2500 states); regression values for the full pipeline.
@@ -29,14 +29,14 @@ def tiny_data(seed=12, n=300):
 
 class TestIterStates:
     def test_state_count_matches_cardinality(self):
-        b = bounds(6, 2, 3)
+        b = SearchSpaceBounds(6, 2, 3)
         states = list(iter_states(b))
         assert len(states) == b.size() == 35
         assert len({s.bits for s in states}) == 35
         assert all(2 <= s.weight <= 3 for s in states)
 
     def test_n4_bounds_1_2_is_ten_states(self):
-        assert len(list(iter_states(bounds(4, 1, 2)))) == 10
+        assert len(list(iter_states(SearchSpaceBounds(4, 1, 2)))) == 10
 
 
 class TestEnumerateBest:
@@ -45,7 +45,7 @@ class TestEnumerateBest:
         data = tiny_data()
         params = fd.baseline_cost_params(model, data, p=3.0, t=0.98)
         evaluator = CostEvaluator(model, data, params)
-        b = bounds(4, 1, 2)
+        b = SearchSpaceBounds(4, 1, 2)
         best = None
         for s in iter_states(b):
             c = evaluator.evaluate(s).cost
@@ -59,7 +59,7 @@ class TestEnumerateBest:
         model = random_small_model(XorShift64Star(21), (3, 5, 1))
         data = tiny_data(seed=22)
         params = fd.baseline_cost_params(model, data, p=3.0, t=0.98)
-        b = bounds(5, 1, 3)
+        b = SearchSpaceBounds(5, 1, 3)
         _, optimum = enumerate_best(model, data, b, params)
         for alg in ("sa", "rw"):
             for seed in (1, 2, 3):
@@ -75,7 +75,7 @@ class TestEnumerateBest:
                             [np.zeros(4), np.zeros(1)])
         data = tiny_data(seed=5, n=200)
         params = fd.baseline_cost_params(model, data, p=3.0, t=0.5001)
-        b = bounds(4, 1, 2)
+        b = SearchSpaceBounds(4, 1, 2)
         state, _ = enumerate_best(model, data, b, params)
         assert state.bits == 1  # lowest-key weight-1 state
 
@@ -90,7 +90,7 @@ class TestEnumerateBest:
                             [np.ones(4), np.array([2.6])])
         data = tiny_data(seed=5, n=200)
         params = CostParams(p=1.0, t=0.5, eod_baseline=0.2, f1_baseline=0.5)
-        b = bounds(4, 1, 2)
+        b = SearchSpaceBounds(4, 1, 2)
         evaluator = CostEvaluator(model, data, params)
         optimal = [s.bits for s in iter_states(b) if evaluator.evaluate(s).cost == 0.0]
         assert optimal[0] == 0b100 and min(optimal) == 0b11
@@ -101,7 +101,7 @@ class TestEnumerateBest:
         model = random_small_model(XorShift64Star(2), (3, 4, 1))
         data = tiny_data()
         params = fd.baseline_cost_params(model, data, p=3.0, t=0.98)
-        huge = bounds(4, 0, 4)
+        huge = SearchSpaceBounds(4, 0, 4)
         with pytest.raises(EnumerationBudgetError) as exc:
             enumerate_best(model, data, huge, params, budget=10)
         assert exc.value.cardinality == 16
@@ -109,7 +109,7 @@ class TestEnumerateBest:
 
     def test_budget_check_is_arithmetic_not_enumeration(self):
         # cardinality beyond any enumerable size computes instantly
-        b = bounds(384, 2, 96)
+        b = SearchSpaceBounds(384, 2, 96)
         assert b.size() > DEFAULT_ENUMERATION_BUDGET
         model = random_small_model(XorShift64Star(3), (3, 4, 1))
         data = tiny_data()
@@ -119,7 +119,7 @@ class TestEnumerateBest:
 
     def test_pinned_session_fixture_optimum(self, small_instance):
         parts, model, params = small_instance
-        state, cost = enumerate_best(model, parts.validation, bounds(16, 2, 4), params)
+        state, cost = enumerate_best(model, parts.validation, SearchSpaceBounds(16, 2, 4), params)
         assert state.key_hex() == PINNED_OPTIMAL_HEX
         assert cost == pytest.approx(PINNED_OPTIMAL_COST, abs=1e-12)
 
@@ -127,7 +127,7 @@ class TestEnumerateBest:
 class TestPriceSpace:
     def test_columns_equal_evaluator_on_every_state(self, small_instance):
         parts, model, params = small_instance
-        b = bounds(16, 2, 4)
+        b = SearchSpaceBounds(16, 2, 4)
         space = price_space(model, parts.validation, b, params)
         evaluator = CostEvaluator(model, parts.validation, params)
         states = list(iter_states(b))
@@ -146,7 +146,7 @@ class TestPriceSpace:
         model = random_small_model(XorShift64Star(41), (3, 40, 30, 1))
         data = tiny_data(seed=42)
         params = fd.baseline_cost_params(model, data, p=3.0, t=0.98)
-        b = bounds(70, 1, 1)
+        b = SearchSpaceBounds(70, 1, 1)
         space = price_space(model, data, b, params)
         evaluator = CostEvaluator(model, data, params)
         states = list(iter_states(b))
@@ -159,7 +159,7 @@ class TestPriceSpace:
         model = random_small_model(XorShift64Star(43), (3, 40, 30, 1))
         data = tiny_data(seed=44)
         params = fd.baseline_cost_params(model, data, p=3.0, t=0.98)
-        b = bounds(70, 0, 2)
+        b = SearchSpaceBounds(70, 0, 2)
         space = price_space(model, data, b, params)
         evaluator = CostEvaluator(model, data, params)
         states = list(iter_states(b))
@@ -171,7 +171,7 @@ class TestPriceSpace:
 
     def test_reductions_match_the_wrappers(self, small_instance):
         parts, model, params = small_instance
-        b = bounds(16, 2, 3)
+        b = SearchSpaceBounds(16, 2, 3)
         space = price_space(model, parts.validation, b, params)
         assert space.best() == enumerate_best(model, parts.validation, b, params)
         assert space.census(0.05) == census(model, parts.validation, b, params)
@@ -182,7 +182,7 @@ class TestPriceSpace:
 class TestCensus:
     def test_partition_and_likelihoods(self, small_instance):
         parts, model, params = small_instance
-        cen = census(model, parts.validation, bounds(16, 2, 4), params)
+        cen = census(model, parts.validation, SearchSpaceBounds(16, 2, 4), params)
         assert (cen.best_count, cen.good_count, cen.bad_count) == PINNED_CENSUS
         assert cen.total == 2500
         assert cen.best_count + cen.good_count + cen.bad_count <= cen.total
@@ -197,13 +197,13 @@ class TestCensus:
         data = tiny_data(seed=32)
         # t tiny: the F1 floor is (almost) unreachable from below
         params = CostParams(p=0.0, t=1e-9, eod_baseline=0.2, f1_baseline=0.5)
-        cen = census(model, data, bounds(4, 1, 2), params)
+        cen = census(model, data, SearchSpaceBounds(4, 1, 2), params)
         assert cen.bad_count == 0
 
     def test_order_independence(self, small_instance):
         # classify states in a shuffled order with independent bookkeeping
         parts, model, params = small_instance
-        b = bounds(16, 2, 4)
+        b = SearchSpaceBounds(16, 2, 4)
         cen = census(model, parts.validation, b, params)
         evaluator = CostEvaluator(model, parts.validation, params)
         states = list(iter_states(b))
@@ -220,8 +220,10 @@ class TestCensus:
 
     def test_margin_validation(self, small_instance):
         parts, model, params = small_instance
-        with pytest.raises(ValueError):
-            census(model, parts.validation, bounds(16, 2, 4), params, good_margin=-0.1)
+        space = price_space(model, parts.validation, SearchSpaceBounds(16, 2, 4), params)
+        for margin in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="good_margin must be finite and >= 0"):
+                space.census(good_margin=margin)
 
 
 class TestSingleNeuronBaseline:
@@ -230,7 +232,7 @@ class TestSingleNeuronBaseline:
         report = single_neuron_baseline(model, parts.validation, parts.test, params)
         assert report["evaluations"] == model.hidden_total == 16
         state, cost = enumerate_best(model, parts.validation,
-                                     bounds(model.hidden_total, 1, 1), params)
+                                     SearchSpaceBounds(model.hidden_total, 1, 1), params)
         assert report["cost"] == cost
         assert state.indices() == (report["neuron_index"],)
 
@@ -243,17 +245,48 @@ class TestSingleNeuronBaseline:
             assert set(block) == {"eod", "f1", "accuracy"}
             assert block["f1"] >= 0.0
 
+    def test_keys_wider_than_64_bits(self):
+        model = random_small_model(XorShift64Star(41), (3, 40, 30, 1))
+        data = tiny_data(seed=42)
+        params = fd.baseline_cost_params(model, data, p=3.0, t=0.98)
+        report = single_neuron_baseline(model, data, data, params)
+        evaluator = CostEvaluator(model, data, params)
+        costs = [evaluator.evaluate(s).cost for s in iter_states(SearchSpaceBounds(70, 1, 1))]
+        assert report["evaluations"] == model.hidden_total == 70
+        assert report["neuron_index"] == costs.index(min(costs))
+        assert report["cost"] == min(costs)
+        assert model.neuron_order[report["neuron_index"]] == (report["layer"], report["unit"])
+
+    def test_cost_tie_picks_the_lower_index(self):
+        # unit 0 carries the score; units 1 and 2 reach the output with weight
+        # 0, so dropping either leaves the predictions, hence the cost, alone
+        rng = XorShift64Star(3)
+        X = rng.uniform_block(400 * 2).reshape(400, 2)
+        data = fd.TabularDataset(X, (X[:, 0] > 0.5).astype(np.int64),
+                                 (X[:, 1] > 0.5).astype(np.int64), ("a", "b"))
+        model = fd.MlpModel(fd.MlpArchitecture((2, 3, 1)),
+                            [np.array([[1.0, 0.3], [1.0, 1.0], [0.5, -1.0]]),
+                             np.array([[10.0, 0.0, 0.0]])],
+                            [np.array([0.0, 0.0, 1.0]), np.array([-6.5])])
+        params = fd.baseline_cost_params(model, data, p=3.0, t=0.98)
+        evaluator = CostEvaluator(model, data, params)
+        costs = [evaluator.evaluate(fd.DropoutState.from_indices(3, (i,))).cost
+                 for i in range(3)]
+        assert costs[1] == costs[2] < costs[0]
+        report = single_neuron_baseline(model, data, data, params)
+        assert (report["neuron_index"], report["cost"]) == (1, costs[1])
+
     def test_selected_cost_no_better_than_wider_optimum(self, small_instance):
         parts, model, params = small_instance
         report = single_neuron_baseline(model, parts.validation, parts.test, params)
-        _, optimum = enumerate_best(model, parts.validation, bounds(16, 1, 4), params)
+        _, optimum = enumerate_best(model, parts.validation, SearchSpaceBounds(16, 1, 4), params)
         assert report["cost"] >= optimum
 
 
 class TestPerStateCostDump:
     def test_rows_cover_space_with_consistent_values(self, small_instance):
         parts, model, params = small_instance
-        b = bounds(16, 2, 2)
+        b = SearchSpaceBounds(16, 2, 2)
         rows = list(per_state_cost_rows(model, parts.validation, b, params))
         assert len(rows) == b.size() == 120
         keys = {r[0] for r in rows}

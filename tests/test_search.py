@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 from collections import Counter, deque
 
 import numpy as np
@@ -14,7 +15,7 @@ from fairdrop.search import (CostEvaluator, CostParams, DropoutState, SearchConf
                              generate_neighbor, penalized_cost, random_state,
                              trace_csv_text, valid_flip_positions, worst_case_t0)
 
-from conftest import bounds, random_small_model, reference_price
+from conftest import random_small_model, reference_price
 
 PARAMS = CostParams(p=3.0, t=0.98, eod_baseline=0.10, f1_baseline=0.68)
 
@@ -26,15 +27,27 @@ class TestBounds:
         with pytest.raises(SearchSpaceError):
             SearchSpaceBounds(8, 0, 9)
 
-    def test_degenerate_bounds_warn(self):
-        with pytest.warns(UserWarning):
-            SearchSpaceBounds(8, 3, 3)
+    def test_fixed_weight_window_constructs_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert SearchSpaceBounds(8, 3, 3).size() == 56
+
+    @pytest.mark.parametrize("t0", [{"t0_mode": "ben_ameur"},
+                                    {"t0_mode": "explicit", "t0_value": 1.0}],
+                             ids=["ben_ameur", "explicit"])
+    def test_search_on_fixed_weight_window_stops(self, small_instance, t0):
+        parts, model, params = small_instance
+        config = SearchConfig(alg_type="sa", bounds=SearchSpaceBounds(model.hidden_total, 3, 3),
+                              cost_params=params, seed=1, max_iterations=5, **t0)
+        with pytest.raises(SearchSpaceError,
+                           match=r"weight 3 has no neighbors within bounds \(3, 3\)"):
+            fd.run_search(model, parts.validation, config)
 
     def test_cardinality_binomial_sums(self):
-        assert bounds(6, 2, 3).size() == 15 + 20
-        assert bounds(16, 2, 4).size() == 120 + 560 + 1820
-        assert bounds(16, 2, 4).size() == 2500
-        assert bounds(4, 0, 4).size() == 16
+        assert SearchSpaceBounds(6, 2, 3).size() == 15 + 20
+        assert SearchSpaceBounds(16, 2, 4).size() == 120 + 560 + 1820
+        assert SearchSpaceBounds(16, 2, 4).size() == 2500
+        assert SearchSpaceBounds(4, 0, 4).size() == 16
 
 
 class TestDropoutState:
@@ -90,7 +103,7 @@ class TestCostFunction:
         parts, model, params = small_instance
         evaluator = CostEvaluator(model, parts.validation, params)
         rng = XorShift64Star(3)
-        b = bounds(model.hidden_total, 2, 5)
+        b = SearchSpaceBounds(model.hidden_total, 2, 5)
         for _ in range(50):
             ev = evaluator.evaluate(random_state(b, rng))
             assert ev.cost >= ev.eod
@@ -108,8 +121,11 @@ class TestCostFunction:
         assert evaluator.evaluations == 1
 
     def test_params_validation(self):
+        for p in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="p must be finite and >= 0"):
+                CostParams(p=p, t=0.98, eod_baseline=0.1, f1_baseline=0.5)
         with pytest.raises(ValueError):
-            CostParams(p=-1.0, t=0.98, eod_baseline=0.1, f1_baseline=0.5)
+            CostParams(p=1.0, t=math.nan, eod_baseline=0.1, f1_baseline=0.5)
         with pytest.raises(ValueError):
             CostParams(p=1.0, t=1.0, eod_baseline=0.1, f1_baseline=0.5)
         with pytest.raises(ValueError):
@@ -123,7 +139,7 @@ class TestCostEvaluatorExactness:
         parts, model, params = small_instance
         evaluator = CostEvaluator(model, parts.validation, params)
         rng = XorShift64Star(17)
-        b = bounds(model.hidden_total, 0, model.hidden_total)
+        b = SearchSpaceBounds(model.hidden_total, 0, model.hidden_total)
         for _ in range(300):
             state = random_state(b, rng)
             assert tuple(evaluator.price(state)) == reference_price(
@@ -138,7 +154,7 @@ class TestCostEvaluatorExactness:
         evaluator = CostEvaluator(model, data, PARAMS)
         n = model.hidden_total
         states = [DropoutState.from_indices(n, (69,)), DropoutState.from_indices(n, range(64, 70))]
-        states += [random_state(bounds(n, 0, n), rng) for _ in range(40)]
+        states += [random_state(SearchSpaceBounds(n, 0, n), rng) for _ in range(40)]
         assert n == 70 and sum(s.bits >> 64 != 0 for s in states) > 20
         for state in states:
             assert tuple(evaluator.price(state)) == reference_price(model, data, state, PARAMS)
@@ -151,12 +167,18 @@ class TestCostEvaluatorExactness:
         data = fd.TabularDataset(v.features, labels, v.protected, v.feature_names)
         evaluator = CostEvaluator(model, data, params)
         rng = XorShift64Star(5)
-        b = bounds(model.hidden_total, 0, 6)
+        b = SearchSpaceBounds(model.hidden_total, 0, 6)
         for _ in range(50):
             state = random_state(b, rng)
             ev = evaluator.price(state)
             assert ev.cost == math.inf and ev.eod is None
             assert tuple(ev) == reference_price(model, data, state, params)
+
+    def test_price_many_takes_one_batch(self, small_instance):
+        parts, model, params = small_instance
+        evaluator = CostEvaluator(model, parts.validation, params)
+        with pytest.raises(fd.ShapeError, match="exceed the batch size"):
+            evaluator.price_many(np.ones((evaluator.batch_size + 1, model.hidden_total)))
 
     @pytest.mark.parametrize("column", ["labels", "protected"])
     def test_non_binary_vectors_rejected_at_construction(self, small_instance, column):
@@ -191,19 +213,20 @@ class TestTemperature:
 class TestWorstCaseT0:
     def test_direct_formula(self):
         params = CostParams(p=3.0, t=0.98, eod_baseline=0.10, f1_baseline=0.68)
-        assert worst_case_t0(params, bounds(32, 2, 20)) == pytest.approx(23.4, abs=1e-12)
+        assert worst_case_t0(params, SearchSpaceBounds(32, 2, 20)) == \
+            pytest.approx(23.4, abs=1e-12)
 
     def test_zero_penalty(self):
         params = CostParams(p=0.0, t=0.98, eod_baseline=0.10, f1_baseline=0.68)
-        assert worst_case_t0(params, bounds(32, 2, 20)) == 18.0
+        assert worst_case_t0(params, SearchSpaceBounds(32, 2, 20)) == 18.0
 
     def test_zero_baseline_eod(self):
         params = CostParams(p=3.0, t=0.98, eod_baseline=0.0, f1_baseline=0.68)
-        assert worst_case_t0(params, bounds(32, 2, 20)) == 18.0
+        assert worst_case_t0(params, SearchSpaceBounds(32, 2, 20)) == 18.0
 
     def test_degenerate_bounds_rejected(self):
         with pytest.raises(SearchSpaceError):
-            worst_case_t0(PARAMS, bounds(8, 3, 3))
+            worst_case_t0(PARAMS, SearchSpaceBounds(8, 3, 3))
 
 
 class TestTemperatureFit:
@@ -224,7 +247,7 @@ class TestTemperatureFit:
 
     def test_estimator_on_real_instance(self, small_instance):
         parts, model, params = small_instance
-        b = bounds(model.hidden_total, 2, 5)
+        b = SearchSpaceBounds(model.hidden_total, 2, 5)
         evaluator = CostEvaluator(model, parts.validation, params)
         t = _estimate_t0(evaluator, b, XorShift64Star(4), 0.75, sample_size=40)
         assert t > 0
@@ -236,8 +259,9 @@ class TestTemperatureFit:
                                ("target_acceptance", math.nan), ("t0_sample_size", 0),
                                ("t0_sample_size", -3)):
             with pytest.raises(ValueError, match=setting):
-                SearchConfig(alg_type="sa", bounds=bounds(8, 1, 3), cost_params=PARAMS,
-                             seed=1, max_iterations=5, **{setting: value})
+                SearchConfig(alg_type="sa", bounds=SearchSpaceBounds(8, 1, 3),
+                             cost_params=PARAMS, seed=1, max_iterations=5,
+                             **{setting: value})
 
     def test_flat_landscape_falls_back_with_warning(self):
         # all-zero model: every mask predicts identically, no uphill moves exist
@@ -251,26 +275,26 @@ class TestTemperatureFit:
         data = fd.TabularDataset(X, y, prot, ("a", "b"))
         params = fd.baseline_cost_params(model, data, p=3.0, t=0.98)
         with pytest.warns(UserWarning, match="worst-case"):
-            t = _estimate_t0(CostEvaluator(model, data, params), bounds(4, 1, 3),
+            t = _estimate_t0(CostEvaluator(model, data, params), SearchSpaceBounds(4, 1, 3),
                              XorShift64Star(6), 0.75, sample_size=10)
-        assert t == worst_case_t0(params, bounds(4, 1, 3))
+        assert t == worst_case_t0(params, SearchSpaceBounds(4, 1, 3))
 
 
 class TestRandomState:
     def test_forced_weight(self):
         rng = XorShift64Star(1)
-        b = bounds(8, 3, 3)
+        b = SearchSpaceBounds(8, 3, 3)
         for _ in range(50):
             assert random_state(b, rng).weight == 3
 
     def test_weight_within_bounds(self):
         rng = XorShift64Star(2)
-        b = bounds(16, 2, 4)
+        b = SearchSpaceBounds(16, 2, 4)
         assert all(2 <= random_state(b, rng).weight <= 4 for _ in range(10_000))
 
     def test_weight_distribution_roughly_uniform(self):
         rng = XorShift64Star(3)
-        b = bounds(16, 2, 4)
+        b = SearchSpaceBounds(16, 2, 4)
         counts = Counter(random_state(b, rng).weight for _ in range(10_000))
         for k in (2, 3, 4):
             assert abs(counts[k] - 10_000 / 3) < 250  # ~5 sigma of Bin(10000, 1/3)
@@ -278,7 +302,7 @@ class TestRandomState:
 
 class TestGenerateNeighbor:
     def test_at_upper_bound_only_lowering_flips(self):
-        b = bounds(4, 1, 2)
+        b = SearchSpaceBounds(4, 1, 2)
         s = DropoutState.from_indices(4, (0, 1))
         assert valid_flip_positions(s, b) == [0, 1]
         rng = XorShift64Star(4)
@@ -287,17 +311,17 @@ class TestGenerateNeighbor:
         assert all(abs(c - 500) < 80 for c in hits.values())
 
     def test_at_lower_bound_only_raising_flips(self):
-        b = bounds(4, 1, 3)
+        b = SearchSpaceBounds(4, 1, 3)
         s = DropoutState.from_indices(4, (0,))
         assert valid_flip_positions(s, b) == [1, 2, 3]
 
     def test_interior_state_all_flips_valid(self):
-        b = bounds(5, 1, 3)
+        b = SearchSpaceBounds(5, 1, 3)
         s = DropoutState.from_indices(5, (0, 2))
         assert valid_flip_positions(s, b) == [0, 1, 2, 3, 4]
 
     def test_no_neighbor_raises(self):
-        b = bounds(4, 2, 2)
+        b = SearchSpaceBounds(4, 2, 2)
         with pytest.raises(SearchSpaceError):
             generate_neighbor(DropoutState.from_indices(4, (0, 1)), b, XorShift64Star(1))
 
@@ -317,7 +341,7 @@ class TestGenerateNeighbor:
         for _ in range(300):
             n = rng.randint(1, 70)
             lo = rng.randint(0, n)
-            b = bounds(n, lo, rng.randint(lo, n))
+            b = SearchSpaceBounds(n, lo, rng.randint(lo, n))
             s = DropoutState.from_indices(n, rng.sample_indices(n, rng.randint(0, n)))
             flips = valid_flip_positions(s, b)
             if not flips:
@@ -329,7 +353,7 @@ class TestGenerateNeighbor:
                 assert draw.bound == len(flips)
 
     def test_neighbors_are_hamming_distance_one(self):
-        b = bounds(10, 2, 5)
+        b = SearchSpaceBounds(10, 2, 5)
         rng = XorShift64Star(5)
         s = random_state(b, rng)
         for _ in range(200):
@@ -362,7 +386,7 @@ class TestSearchGraphStructure:
     def test_connected_and_distance_equals_hamming(self):
         # exhaustive for small spaces: every pair reachable at HD(s, s') steps
         for n, lo, hi in ((4, 1, 2), (5, 0, 2), (6, 2, 4)):
-            b = bounds(n, lo, hi)
+            b = SearchSpaceBounds(n, lo, hi)
             states, adjacency = graph_states_and_adjacency(b)
             for s in states:
                 dist = bfs_distances(adjacency, s.bits)
@@ -371,13 +395,14 @@ class TestSearchGraphStructure:
                     assert dist[t.bits] == (s.bits ^ t.bits).bit_count()
 
     def test_fixed_weight_graph_has_no_edges(self):
-        b = bounds(6, 2, 2)
+        b = SearchSpaceBounds(6, 2, 2)
         _, adjacency = graph_states_and_adjacency(b)
         assert all(not neighbors for neighbors in adjacency.values())
 
 
 def run(model, validation, params, alg, seed, iters, n_l=2, n_u=4, **kw):
-    config = SearchConfig(alg_type=alg, bounds=bounds(model.hidden_total, n_l, n_u),
+    config = SearchConfig(alg_type=alg,
+                          bounds=SearchSpaceBounds(model.hidden_total, n_l, n_u),
                           cost_params=params, seed=seed, max_iterations=iters, **kw)
     return fd.run_search(model, validation, config)
 
@@ -399,7 +424,7 @@ class TestRunSearch:
         prot = (X[:, 2] > 0.5).astype(np.int64)
         data = fd.TabularDataset(X, y, prot, ("a", "b", "c"))
         params = fd.baseline_cost_params(model, data, p=3.0, t=0.98)
-        b = bounds(4, 1, 2)
+        b = SearchSpaceBounds(4, 1, 2)
         _, optimum = enumerate_best(model, data, b, params)
         res = run(model, data, params, "sa", 7, 500, n_l=1, n_u=2)
         assert res.best_cost == optimum
@@ -450,11 +475,11 @@ class TestRunSearch:
     def test_worst_case_t0_mode(self, small_instance):
         parts, model, params = small_instance
         res = run(model, parts.validation, params, "sa", 1, 10, t0_mode="worst_case")
-        assert res.t0 == worst_case_t0(params, bounds(model.hidden_total, 2, 4))
+        assert res.t0 == worst_case_t0(params, SearchSpaceBounds(model.hidden_total, 2, 4))
 
     def test_time_limit_mode_terminates(self, small_instance):
         parts, model, params = small_instance
-        config = SearchConfig(alg_type="sa", bounds=bounds(model.hidden_total, 2, 4),
+        config = SearchConfig(alg_type="sa", bounds=SearchSpaceBounds(model.hidden_total, 2, 4),
                               cost_params=params, seed=2, time_limit_s=0.3)
         res = fd.run_search(model, parts.validation, config)
         assert len(res.trace) > 0
@@ -470,7 +495,7 @@ class TestRunSearch:
         monkeypatch.setattr(CostEvaluator, "price", slow_price)
         # unbounded, fitting T0 would price hundreds of masks: over a second
         limit = 0.3
-        config = SearchConfig(alg_type="sa", bounds=bounds(model.hidden_total, 2, 5),
+        config = SearchConfig(alg_type="sa", bounds=SearchSpaceBounds(model.hidden_total, 2, 5),
                               cost_params=params, seed=2, time_limit_s=limit)
         start = time.perf_counter()
         res = fd.run_search(model, parts.validation, config)
@@ -480,13 +505,13 @@ class TestRunSearch:
 
     def test_bounds_must_match_model(self, small_instance):
         parts, model, params = small_instance
-        config = SearchConfig(alg_type="sa", bounds=bounds(5, 1, 2),
+        config = SearchConfig(alg_type="sa", bounds=SearchSpaceBounds(5, 1, 2),
                               cost_params=params, seed=1, max_iterations=5)
         with pytest.raises(SearchSpaceError):
             fd.run_search(model, parts.validation, config)
 
     def test_config_validation(self):
-        b = bounds(8, 1, 3)
+        b = SearchSpaceBounds(8, 1, 3)
         with pytest.raises(ValueError):
             SearchConfig(alg_type="greedy", bounds=b, cost_params=PARAMS, seed=1,
                          max_iterations=5)
@@ -495,6 +520,13 @@ class TestRunSearch:
         with pytest.raises(ValueError):
             SearchConfig(alg_type="sa", bounds=b, cost_params=PARAMS, seed=1,
                          max_iterations=5, t0_mode="explicit")
+        for value in (math.nan, math.inf, 0.0):
+            with pytest.raises(ValueError, match="time_limit_s must be positive and finite"):
+                SearchConfig(alg_type="sa", bounds=b, cost_params=PARAMS, seed=1,
+                             time_limit_s=value)
+            with pytest.raises(ValueError, match="positive, finite t0_value"):
+                SearchConfig(alg_type="sa", bounds=b, cost_params=PARAMS, seed=1,
+                             max_iterations=5, t0_mode="explicit", t0_value=value)
 
 
 class TestTraceCsv:
