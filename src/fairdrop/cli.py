@@ -293,6 +293,9 @@ def _repair_one(cfg: dict, data: TabularDataset, seed: int,
     s = cfg["search"]
     params = baseline_cost_params(model, parts.validation,
                                   p=float(s["p"] if p is None else p), t=float(s["t"]))
+    if params.f1_baseline == 0:
+        print(f"seed {seed}: the unmasked model's validation F1 is 0, so every mask "
+              f"meets the F1 floor", file=sys.stderr)
     config = search_config(cfg, seed, model.hidden_total, params)
     result = run_search(model, parts.validation, config)
     dropped = model.masked_units_per_layer(result.best_state)
@@ -393,14 +396,14 @@ def cmd_sweep(args) -> int:
 
 
 def _sa_run(path) -> dict:
-    """The run record of a repair result file (top level or under ``run``),
-    which must hold a numeric ``best_cost``."""
+    """The ``run`` record of a result file that ``repair`` wrote, which must
+    hold a numeric ``best_cost``."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise CliError(f"--sa-result {path} is not valid JSON: {exc}") from exc
-    run = doc.get("run", doc) if isinstance(doc, dict) else None
+    run = doc.get("run") if isinstance(doc, dict) else None
     cost = run.get("best_cost") if isinstance(run, dict) else None
     if isinstance(cost, bool) or not isinstance(cost, (int, float)):
         raise CliError(f"--sa-result {path} is not a repair result: no numeric best_cost")

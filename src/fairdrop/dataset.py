@@ -90,11 +90,6 @@ class DatasetSchema:
             if not set(mapping.values()) <= {0, 1}:
                 raise SchemaError(f"{name} values must map to 0 or 1")
 
-    @property
-    def feature_columns(self) -> tuple[str, ...]:
-        return tuple(c for c in self.column_names
-                     if c != self.label_column and c != self.protected_column)
-
     def to_dict(self) -> dict:
         return {
             "columns": list(self.column_names),
@@ -107,12 +102,14 @@ class DatasetSchema:
         }
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "DatasetSchema":
+    def from_dict(cls, raw) -> "DatasetSchema":
+        """The schema that a ``to_dict`` document describes; any fault in the
+        document is a SchemaError."""
         try:
             return cls(
-                column_names=tuple(raw["columns"]),
-                categorical_columns=frozenset(raw["categorical"]),
-                numerical_columns=frozenset(raw["numerical"]),
+                column_names=_names(raw, "columns"),
+                categorical_columns=frozenset(_names(raw, "categorical")),
+                numerical_columns=frozenset(_names(raw, "numerical")),
                 protected_column=raw["protected"]["column"],
                 protected_values={str(k): int(v) for k, v in raw["protected"]["values"].items()},
                 label_column=raw["label"]["column"],
@@ -122,14 +119,28 @@ class DatasetSchema:
             )
         except KeyError as exc:
             raise SchemaError(f"schema document missing key {exc}") from exc
+        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+            raise SchemaError(f"schema document: {exc}") from exc
 
     @classmethod
     def load(cls, path) -> "DatasetSchema":
+        """Read a schema file; any fault in it is a SchemaError naming it."""
         with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                return cls.from_dict(json.load(fh))
+            except ValueError as exc:  # not JSON, or a SchemaError
+                raise SchemaError(f"{path}: {exc}") from exc
 
     def dump(self, path) -> None:
         atomic_write_text(path, json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
+
+
+def _names(raw: dict, key: str) -> tuple[str, ...]:
+    """The column names listed under ``key``: a string is not a list of them."""
+    names = raw[key]
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise SchemaError(f"{key} must be a list of column names, got {names!r}")
+    return tuple(names)
 
 
 @dataclass(frozen=True)
@@ -169,7 +180,6 @@ class SplitDataset:
     train: TabularDataset
     validation: TabularDataset
     test: TabularDataset
-    split_seed: int
     train_indices: tuple[int, ...]
     validation_indices: tuple[int, ...]
     test_indices: tuple[int, ...]
@@ -288,7 +298,6 @@ def split(data: TabularDataset, seed: int) -> SplitDataset:
         train=data.subset(parts[0]),
         validation=data.subset(parts[1]),
         test=data.subset(parts[2]),
-        split_seed=seed,
         train_indices=tuple(parts[0]),
         validation_indices=tuple(parts[1]),
         test_indices=tuple(parts[2]),

@@ -474,38 +474,24 @@ def save_model(model: MlpModel, path) -> None:
 
 
 def load_model(path) -> MlpModel:
+    """Read a model file written by ``save_model``.  The architecture and the
+    model check its shapes; any fault in the file is a ModelFormatError
+    naming it."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ModelFormatError(f"{path}: not valid JSON ({exc})") from exc
-    if doc.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ModelFormatError(f"{path}: unsupported format_version "
-                               f"{doc.get('format_version')!r}")
+    if not isinstance(doc, dict) or doc.get("format_version") != MODEL_FORMAT_VERSION:
+        raise ModelFormatError(f"{path}: not a model file of format_version "
+                               f"{MODEL_FORMAT_VERSION}")
     try:
-        sizes = tuple(int(s) for s in doc["layer_sizes"])
         layers = doc["layers"]
-        order = doc["neuron_order"]
-    except KeyError as exc:
-        raise ModelFormatError(f"{path}: missing field {exc}") from exc
-    arch = MlpArchitecture(sizes)
-    if len(layers) != len(sizes) - 1:
-        raise ModelFormatError(f"{path}: expected {len(sizes) - 1} layers, got {len(layers)}")
-    weights = []
-    biases = []
-    for i, layer in enumerate(layers):
-        w = np.asarray(layer["weights"], dtype=np.float64)
-        b = np.asarray(layer["bias"], dtype=np.float64)
-        want = (sizes[i + 1], sizes[i])
-        if w.ndim != 2 or w.shape != want:
-            raise ModelFormatError(f"{path}: layer {i} weights have shape "
-                                   f"{w.shape}, expected {want}")
-        if b.shape != (sizes[i + 1],):
-            raise ModelFormatError(f"{path}: layer {i} bias has length "
-                                   f"{b.shape}, expected {sizes[i + 1]}")
-        weights.append(w)
-        biases.append(b)
-    try:
-        return MlpModel(arch, weights, biases, neuron_order=[(l, u) for l, u in order])
-    except (ShapeError, TypeError, ValueError) as exc:
-        raise ModelFormatError(f"{path}: invalid neuron_order ({exc})") from exc
+        # list() keeps a null neuron_order from falling back to the default
+        return MlpModel(MlpArchitecture(tuple(int(s) for s in doc["layer_sizes"])),
+                        [layer["weights"] for layer in layers],
+                        [layer["bias"] for layer in layers],
+                        neuron_order=list(doc["neuron_order"]))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # ShapeError is a ValueError
+        detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+        raise ModelFormatError(f"{path}: {detail}") from exc

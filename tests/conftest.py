@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -78,3 +79,77 @@ def reference_price(model: fd.MlpModel, data: fd.TabularDataset, state, params) 
     eod = fd.fairness(preds, data.labels, data.protected).eod
     f1_s = fd.f1(fd.confusion(preds, data.labels))
     return penalized_cost(eod, f1_s, params), eod, f1_s
+
+
+def model_document(hidden: int = 2, output_bias: float = 0.0) -> dict:
+    """A valid model file's document for a [6, hidden, 1] model: every hidden
+    unit sums the six inputs, and the output sums the hidden units plus
+    ``output_bias``."""
+    return {"format_version": 1,
+            "layer_sizes": [6, hidden, 1],
+            "layers": [{"weights": [[1.0] * 6 for _ in range(hidden)], "bias": [0.0] * hidden},
+                       {"weights": [[1.0] * hidden], "bias": [output_bias]}],
+            "neuron_order": [[0, unit] for unit in range(hidden)]}
+
+
+def _edited_model(**fields) -> str:
+    return json.dumps({**model_document(), **fields})
+
+
+def _ragged_layers() -> list:
+    layers = model_document()["layers"]
+    layers[0]["weights"][1].pop()
+    return layers
+
+
+# Each malformed model file, by case: its text and a fragment of its error.
+MALFORMED_MODEL_FILES = {
+    "not JSON": ("{not json", "not valid JSON"),
+    "top-level list": (json.dumps([model_document()]), "not a model file of format_version 1"),
+    "layer without bias": (_edited_model(layers=[{"weights": [[1.0] * 6] * 2},
+                                                 model_document()["layers"][1]]),
+                           "missing field 'bias'"),
+    "layers is a number": (_edited_model(layers=5), ""),
+    "layer is a list": (_edited_model(layers=[[[1.0] * 6] * 2, model_document()["layers"][1]]),
+                        ""),
+    "layer_sizes is a number": (_edited_model(layer_sizes=7), ""),
+    "zero layer size": (_edited_model(layer_sizes=[6, 0, 8, 1]), "layer sizes must be >= 1"),
+    "infinite layer size": (_edited_model(layer_sizes=[6, float("inf"), 1]), ""),
+    "ragged weight row": (_edited_model(layers=_ragged_layers()), ""),
+    "null neuron_order": (_edited_model(neuron_order=None), ""),
+}
+
+
+def schema_document() -> dict:
+    """A valid dataset schema document: two numerical features, a 0/1
+    protected column and a 0/1 label."""
+    return {"columns": ["f0", "f1", "group", "label"],
+            "categorical": [],
+            "numerical": ["f0", "f1"],
+            "protected": {"column": "group", "values": {"0": 0, "1": 1}},
+            "label": {"column": "label", "values": {"0": 0, "1": 1}},
+            "scaling": "min_max",
+            "drop_protected_from_features": False}
+
+
+def _edited_schema(**fields) -> str:
+    return json.dumps({**schema_document(), **fields})
+
+
+# Each malformed schema file, by case: its text and a fragment of its error.
+MALFORMED_SCHEMA_FILES = {
+    "not JSON": ('{"columns": [}', ""),
+    "top-level list": (json.dumps([schema_document()]), ""),
+    "values is a list": (_edited_schema(protected={"column": "group", "values": ["0", "1"]}),
+                         ""),
+    "protected is a string": (_edited_schema(protected="group"), ""),
+    "columns is a number": (_edited_schema(columns=5), "columns must be a list of column names"),
+    "numerical is a string": (_edited_schema(numerical="f0"),
+                              "numerical must be a list of column names"),
+    "label value not a number": (_edited_schema(label={"column": "label",
+                                                       "values": {"0": 0, "1": "yes"}}), ""),
+    "infinite label value": (_edited_schema(label={"column": "label",
+                                                   "values": {"0": 0, "1": float("inf")}}), ""),
+    "missing label": (json.dumps({k: v for k, v in schema_document().items() if k != "label"}),
+                      "missing key 'label'"),
+}

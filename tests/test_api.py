@@ -33,6 +33,7 @@ DELETED = [
     ("search", "DropoutState.bit"),
     ("metrics", "FairnessReport.to_flat_dict"),
     ("dataset", "SPLIT_FRACTIONS"),
+    ("dataset", "DatasetSchema.feature_columns"),
 ]
 
 # perfbench/tracer.py wraps these by name (a missing one stops a traced run
@@ -81,7 +82,8 @@ def test_deleted_name_is_gone(module, dotted):
 def test_deleted_fields_are_gone():
     assert [f.name for f in dataclasses.fields(fairdrop.search.DropoutState)] == ["n", "bits"]
     assert "config" not in {f.name for f in dataclasses.fields(fairdrop.search.SearchResult)}
-    assert "fractions" not in {f.name for f in dataclasses.fields(fairdrop.SplitDataset)}
+    split_fields = {f.name for f in dataclasses.fields(fairdrop.SplitDataset)}
+    assert not {"fractions", "split_seed"} & split_fields
 
 
 @pytest.mark.parametrize("module,dotted", KEPT)

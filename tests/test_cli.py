@@ -13,6 +13,8 @@ import fairdrop.oracle
 import fairdrop.search
 from fairdrop.cli import default_n_u, main, mean_ci, resolve_config
 
+from conftest import MALFORMED_MODEL_FILES, MALFORMED_SCHEMA_FILES, model_document
+
 
 def run_cli(args):
     return main([str(a) for a in args])
@@ -154,6 +156,59 @@ class TestRepair:
         assert run_cli(["repair", "--config", config]) == 3
         doc = json.loads((tmp_path / "out" / "repair_seed1_sa.json").read_text())
         assert doc["run"]["success"] is False
+
+    @pytest.mark.parametrize("argv", [["repair"], ["sweep", "--p-values", "1.0"]],
+                             ids=["repair", "sweep"])
+    def test_zero_baseline_f1_is_said_on_stderr(self, tmp_path, capsys, argv):
+        config = tmp_path / "config.json"
+        write_config(config, search={"t0_mode": "worst_case"})
+        out = tmp_path / "out"
+        out.mkdir()
+        # seed 1's output bias keeps every logit negative, so it predicts no
+        # positives; seed 2's model predicts every row positive
+        (out / "model_seed1.json").write_text(
+            json.dumps(model_document(hidden=8, output_bias=-1000.0)))
+        (out / "model_seed2.json").write_text(json.dumps(model_document(hidden=8)))
+        assert run_cli(argv + ["--config", config]) == 0
+        assert capsys.readouterr().err == ("seed 1: the unmasked model's validation F1 is 0, "
+                                           "so every mask meets the F1 floor\n")
+        if argv[0] == "repair":
+            run = json.loads((out / "repair_seed1_sa.json").read_text())["run"]
+            assert run["baseline"]["validation"]["f1"] == 0.0
+            assert run["success"] is True
+
+
+class TestMalformedInputFiles:
+    @pytest.mark.parametrize("text, fragment", MALFORMED_MODEL_FILES.values(),
+                             ids=MALFORMED_MODEL_FILES)
+    def test_model_file_is_an_error_naming_it(self, tmp_path, capsys, text, fragment):
+        config = tmp_path / "config.json"
+        write_config(config)
+        path = tmp_path / "out" / "model_seed1.json"
+        path.parent.mkdir()
+        path.write_text(text)
+        assert run_cli(["oracle", "--config", config, "--seed", 1]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert fragment in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("text, fragment", MALFORMED_SCHEMA_FILES.values(),
+                             ids=MALFORMED_SCHEMA_FILES)
+    def test_schema_file_is_an_error_naming_it(self, tmp_path, capsys, text, fragment):
+        path = tmp_path / "schema.json"
+        path.write_text(text)
+        config = tmp_path / "config.json"
+        cfg = write_config(config, dataset={"csv": str(tmp_path / "data.csv"),
+                                            "schema": str(path)})
+        del cfg["dataset"]["synth"]
+        config.write_text(json.dumps(cfg))
+        assert run_cli(["train", "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert fragment in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestSweep:
@@ -385,7 +440,8 @@ class TestOracleCommand:
         assert "np.float64(" not in dump
         assert len(dump.splitlines()) == cardinality + 1
 
-    @pytest.mark.parametrize("text", ["{}", "[1]", '{"run": {"best_cost": "x"}}', "{not json"])
+    @pytest.mark.parametrize("text", ["{}", "[1]", '{"run": {"best_cost": "x"}}', "{not json",
+                                      '{"best_cost": 0.1}'])
     def test_sa_result_without_best_cost_fails_before_enumerating(self, trained, capsys,
                                                                   monkeypatch, text):
         config, out = trained

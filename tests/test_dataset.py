@@ -9,6 +9,8 @@ import fairdrop as fd
 from fairdrop.dataset import (DataError, ParseError, SchemaError, SplitSizeError,
                               DatasetSchema)
 
+from conftest import MALFORMED_SCHEMA_FILES, schema_document
+
 # Observed once and pinned: train index sets for a 100-row dataset under the
 # pinned shuffle, seeds 1 and 2.
 PINNED_TRAIN_SEED1 = (
@@ -76,6 +78,21 @@ class TestSchema:
             make_schema(scaling="standard").dump(path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["schema.json"]
+
+    def test_unedited_test_document_loads(self, tmp_path):
+        path = tmp_path / "schema.json"
+        path.write_text(json.dumps(schema_document()))
+        assert DatasetSchema.load(path).to_dict() == schema_document()
+
+    @pytest.mark.parametrize("text, fragment", MALFORMED_SCHEMA_FILES.values(),
+                             ids=MALFORMED_SCHEMA_FILES)
+    def test_malformed_file_is_an_error_naming_it(self, tmp_path, text, fragment):
+        path = tmp_path / "schema.json"
+        path.write_text(text)
+        with pytest.raises(SchemaError) as exc:
+            DatasetSchema.load(path)
+        assert str(exc.value).startswith(f"{path}: ")
+        assert fragment in str(exc.value)
 
     def test_protected_equal_label_rejected(self):
         with pytest.raises(SchemaError):

@@ -14,7 +14,8 @@ from fairdrop.model import (_SIGMOID_HALF_WINDOW, MaskedForward, MlpArchitecture
 from fairdrop.prng import XorShift64Star
 from fairdrop.search import DropoutState
 
-from conftest import random_small_model, reference_logits, reference_predictions, reference_price
+from conftest import (MALFORMED_MODEL_FILES, model_document, random_small_model,
+                      reference_logits, reference_predictions, reference_price)
 
 
 PRICE_PARAMS = fd.CostParams(p=3.0, t=0.9, eod_baseline=0.5, f1_baseline=0.5)
@@ -523,6 +524,23 @@ class TestSerialization:
         path.write_text("{not json")
         with pytest.raises(ModelFormatError):
             fd.load_model(path)
+
+    def test_unedited_test_document_loads(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model_document()))
+        model = fd.load_model(path)
+        assert model.architecture.layer_sizes == (6, 2, 1)
+        assert model.neuron_order == ((0, 0), (0, 1))
+
+    @pytest.mark.parametrize("text, fragment", MALFORMED_MODEL_FILES.values(),
+                             ids=MALFORMED_MODEL_FILES)
+    def test_malformed_file_is_an_error_naming_it(self, tmp_path, text, fragment):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        with pytest.raises(ModelFormatError) as exc:
+            fd.load_model(path)
+        assert str(exc.value).startswith(f"{path}: ")
+        assert fragment in str(exc.value)
 
     def test_bad_neuron_order_rejected(self, tmp_path):
         model = hand_model()
