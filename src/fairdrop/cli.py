@@ -456,12 +456,7 @@ def cmd_oracle(args) -> int:
         report["sa_best_cost"] = sa_run["best_cost"]
         report["eod_delta"] = sa_run["best_cost"] - best_cost
     if args.dump_costs:
-        buf = io.StringIO()
-        buf.write("state_key_hex,cost,eod,f1\n")
-        for key, c, eod, f1_s in space.rows():
-            eod_text = "undefined" if math.isnan(eod) else repr(eod)
-            buf.write(f"{key},{c!r},{eod_text},{f1_s!r}\n")
-        atomic_write_text(os.path.join(out, "oracle_costs.csv"), buf.getvalue())
+        atomic_write_text(os.path.join(out, "oracle_costs.csv"), space.csv_text())
     write_json(os.path.join(out, "oracle_report.json"), report)
     print(f"enumerated {report['cardinality']} states: optimal cost {best_cost:.6f} "
           f"(state {report['optimal_state_hex']}), census best/good/bad = "

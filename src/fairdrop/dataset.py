@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_text, json_integer
 from .prng import XorShift64Star
 
 SCALING_MODES = ("min_max", "standard")
@@ -111,11 +111,11 @@ class DatasetSchema:
                 categorical_columns=frozenset(_names(raw, "categorical")),
                 numerical_columns=frozenset(_names(raw, "numerical")),
                 protected_column=raw["protected"]["column"],
-                protected_values={str(k): int(v) for k, v in raw["protected"]["values"].items()},
+                protected_values=_mapping(raw, "protected"),
                 label_column=raw["label"]["column"],
-                label_values={str(k): int(v) for k, v in raw["label"]["values"].items()},
+                label_values=_mapping(raw, "label"),
                 scaling=raw.get("scaling", "min_max"),
-                drop_protected_from_features=bool(raw.get("drop_protected_from_features", False)),
+                drop_protected_from_features=_flag(raw, "drop_protected_from_features"),
             )
         except KeyError as exc:
             raise SchemaError(f"schema document missing key {exc}") from exc
@@ -141,6 +141,20 @@ def _names(raw: dict, key: str) -> tuple[str, ...]:
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise SchemaError(f"{key} must be a list of column names, got {names!r}")
     return tuple(names)
+
+
+def _mapping(raw: dict, key: str) -> dict[str, int]:
+    """The value mapping of the ``key`` column: each mapped value an integer."""
+    return {str(k): json_integer(v, f"{key} value for {k!r}")
+            for k, v in raw[key]["values"].items()}
+
+
+def _flag(raw: dict, key: str) -> bool:
+    """An optional true/false setting, false when absent: a string is not one."""
+    value = raw.get(key, False)
+    if not isinstance(value, bool):
+        raise SchemaError(f"{key} must be true or false, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)

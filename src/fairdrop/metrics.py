@@ -9,7 +9,9 @@ metric depending on an undefined rate is itself ``None``.
 ``confusion``, ``fairness``, ``f1`` and ``accuracy`` are the plain reference
 implementations.  ``prediction_metrics``, the EOD/F1/accuracy triple that
 search, oracle and reports share, reads all three off the eight counts of
-(group, label, prediction) cells, which one ``bincount`` yields.
+(group, label, prediction) cells, which one ``bincount`` yields.  For a
+block of masks, one GEMM against ``group_label_indicator`` yields the four
+cells of predicted positives, and ``cell_costs`` prices every mask at once.
 """
 
 from __future__ import annotations
@@ -174,12 +176,24 @@ def cell_metrics(cells) -> PredictionMetrics:
     return PredictionMetrics(eod=eod, f1=f1(counts), accuracy=accuracy(counts))
 
 
-def cell_counts(key: np.ndarray, preds: np.ndarray) -> np.ndarray:
-    """``cell_metrics``'s eight counts for each row of a (masks, rows) block
-    of predictions, from one ``bincount``: mask b's cells sit at ``8 * b``."""
-    masks = preds.shape[0]
-    offsets = key + 8 * np.arange(masks)[:, None]
-    return np.bincount((offsets + preds).ravel(), minlength=8 * masks).reshape(masks, 8)
+def group_label_indicator(labels, protected) -> np.ndarray:
+    """(rows, 4) float64 0/1 matrix whose column 2g + y marks the rows of
+    group g with label y.  A (masks, rows) 0/1 block of predictions times it
+    gives each mask's predicted positives per (group, label), exactly in
+    float64; ``positive_cells`` completes them into the eight cells."""
+    key = group_label_key(labels, protected)
+    return (key[:, None] == np.arange(0, 8, 2)).astype(np.float64)
+
+
+def positive_cells(positives: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """``cell_metrics``'s eight counts (masks, 8) from each mask's predicted
+    positives per (group, label) and the rows per (group, label), in the
+    column order of ``group_label_indicator``: cell 4g + 2y + 1 holds the
+    positives and cell 4g + 2y the rest of the rows."""
+    cells = np.empty((len(positives), 8))
+    cells[:, 1::2] = positives
+    np.subtract(totals, positives, out=cells[:, 0::2])
+    return cells
 
 
 def cell_costs(cells: np.ndarray, f1_floor: float,

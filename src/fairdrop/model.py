@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import SplitDataset, TabularDataset
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_text, json_integer
 from .metrics import confusion, f1
 from .prng import XorShift64Star
 
@@ -162,7 +162,9 @@ class MaskedForward:
     zeroed by assignment.  ``predict_many`` runs up to ``batch_size`` masks
     through one matmul per layer and gives the same predictions, behind a
     certified error bound that sends every mask it cannot vouch for through
-    the exact pass.
+    the exact pass.  Its hidden layers (``_batch_hidden``) and its
+    certificate (``_certified``) also serve the oracle's factored pass,
+    which runs the output layer itself.
     """
 
     def __init__(self, model: MlpModel, features: np.ndarray):
@@ -280,39 +282,58 @@ class MaskedForward:
         method builds them: 1.0 keeps that neuron, 0.0 drops it.  Each mask
         is folded into a stacked copy of every later layer's weights, and all
         masks run through one matmul per layer.  That sums in another order
-        than the exact pass, so a row is trusted only when its logit lies
-        farther from 0 than ``_slack``; a mask with any row within it, or
-        any NaN, goes through the exact pass, as does every mask when the
-        bound is not finite.
+        than the exact pass, so ``_certified`` vouches for each mask.
         """
         B = keep.shape[0]
         if B > self.batch_size:
             raise ShapeError(f"{B} masks exceed the batch size {self.batch_size}")
-        slack = self._slack
-        if slack is None:
-            preds = np.empty((B, self._first.shape[0]), dtype=bool)
-            unsafe = range(B)
+        z = None if self._slack is None else self._batch_logits(keep)
+        return self._certified(z, B, keep.__getitem__)
+
+    def _certified(self, z: np.ndarray | None, count: int, keep_of) -> np.ndarray:
+        """Predictions (masks, rows) of ``count`` masks from their logits
+        ``z`` of a batched pass in any summation order.  A row is trusted
+        only when its logit lies farther from 0 than ``_slack``; a mask with
+        any row within it, or any NaN, goes through the exact pass on the
+        keep factors ``keep_of(m)``, as does every mask when the bound is not
+        finite (``z`` is then None: a caller skips the batched pass).  ``z``
+        is overwritten."""
+        if z is None:
+            preds = np.empty((count, self._first.shape[0]), dtype=bool)
+            unsafe = range(count)
         else:
-            z = self._batch_logits(keep)
             preds = z >= 0.0
-            unsafe = np.flatnonzero(~(np.abs(z) > slack).all(axis=1))
+            unsafe = np.flatnonzero(~(np.abs(z, out=z) > self._slack).all(axis=1))
         for m in unsafe:
-            preds[m] = _threshold(self._exact(keep[m]))
+            preds[m] = _threshold(self._exact(keep_of(m)))
         return preds
+
+    def _batch_hidden(self, keep: np.ndarray) -> np.ndarray:
+        """Last hidden layer's activations (masks, units + 1, rows) of the
+        batched pass for up to ``batch_size`` masks, in its buffers, with the
+        last row of ones that carries the output bias.  Only the keep
+        factors of the earlier hidden layers are read; with one hidden layer
+        every mask shares the cached first layer."""
+        B = keep.shape[0]
+        H, weight_stacks, out_stacks = self._batch_buffers(B)
+        layers = zip(self.model.weights[1:-1], weight_stacks, out_stacks)
+        for i, (W, Wf, out) in enumerate(layers):
+            Wf, out = Wf[:B], out[:B]
+            np.multiply(W, keep[:, None, self._bits[i]], out=Wf[:, :, :-1])
+            np.matmul(Wf, H, out=out[:, :-1])
+            np.maximum(out, 0.0, out=out)
+            H = out
+        return np.broadcast_to(H, (B, *H.shape)) if H.ndim == 2 else H
 
     def _batch_logits(self, keep: np.ndarray) -> np.ndarray:
         """Logits (masks, rows) of the batched pass, in its buffers."""
         B = keep.shape[0]
-        H, weight_stacks, out_stacks = self._batch_buffers(B)
-        last = len(out_stacks) - 1
-        for i, (W, Wf, out) in enumerate(zip(self.model.weights[1:], weight_stacks, out_stacks)):
-            Wf, out = Wf[:B], out[:B]
-            np.multiply(W, keep[:, None, self._bits[i]], out=Wf[:, :, :-1])
-            np.matmul(Wf, H, out=out[:, :-1])
-            if i < last:
-                np.maximum(out, 0.0, out=out)
-            H = out
-        return H[:, 0]
+        H = self._batch_hidden(keep)
+        _, weight_stacks, out_stacks = self._buffers
+        Wf, out = weight_stacks[-1][:B], out_stacks[-1][:B]
+        np.multiply(self.model.weights[-1], keep[:, None, self._bits[-1]], out=Wf[:, :, :-1])
+        np.matmul(Wf, H, out=out[:, :-1])
+        return out[:, 0]
 
 
 def _threshold(z: np.ndarray) -> np.ndarray:
@@ -486,12 +507,15 @@ def load_model(path) -> MlpModel:
         raise ModelFormatError(f"{path}: not a model file of format_version "
                                f"{MODEL_FORMAT_VERSION}")
     try:
+        sizes = tuple(json_integer(s, "layer size") for s in doc["layer_sizes"])
         layers = doc["layers"]
-        # list() keeps a null neuron_order from falling back to the default
-        return MlpModel(MlpArchitecture(tuple(int(s) for s in doc["layer_sizes"])),
+        # a null neuron_order is not iterable, so it cannot fall back to the default
+        order = [[json_integer(v, "neuron_order entry") for v in pair]
+                 for pair in doc["neuron_order"]]
+        return MlpModel(MlpArchitecture(sizes),
                         [layer["weights"] for layer in layers],
                         [layer["bias"] for layer in layers],
-                        neuron_order=list(doc["neuron_order"]))
+                        neuron_order=order)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # ShapeError is a ValueError
         detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
         raise ModelFormatError(f"{path}: {detail}") from exc

@@ -1,10 +1,15 @@
 """Exhaustive ground truth for bounded mask spaces at desk scale.
 
 Enumeration prices every mask with weight in [n_l, n_u] exactly once, with
-the cost the randomized searches use (many masks per batched pass, each
-priced exactly as one search evaluation would), into columns; the global
-optimum, the census (how many states are globally optimal, near-optimal, or
-below the F1 floor) and the per-state cost dump are reductions over them.  The
+the cost the randomized searches use, into columns; the global optimum, the
+census (how many states are globally optimal, near-optimal, or below the F1
+floor) and the per-state cost dump are reductions over them.  The pricing is
+factored (``price_space``): the hidden layers before the last run once per
+*prefix* (a mask's bits in them), the output layer is one GEMM per block of
+*suffixes* (bits in the last hidden layer) sharing a prefix, and one more
+GEMM against the (group, label) indicator counts the cells, each logit
+certified as in the searches' batched pass, so every value equals one search
+evaluation's.  The cost dump renders each distinct value once.  The
 single-neuron-drop baseline is the best state of the weight-1 window, priced
 by the same pass: the strongest repair a one-neuron method could ever reach.
 
@@ -17,15 +22,17 @@ merged by min / addition.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from .dataset import TabularDataset
-from .metrics import prediction_metrics
-from .model import MlpModel, predict_batch
-from .search import CostEvaluator, CostParams, DropoutState, SearchSpaceBounds, key_hex_format
+from .metrics import cell_costs, group_label_indicator, positive_cells, prediction_metrics
+from .model import _BATCH_ELEMENTS, MaskedForward, MlpModel, predict_batch
+from .search import (CostParams, DropoutState, SearchSpaceBounds, SearchSpaceError,
+                     key_hex_format)
 
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
 
@@ -128,45 +135,182 @@ class PricedSpace:
                            bad_count=int(bad.sum()), total=len(self.cost), optimal_cost=optimal,
                            good_margin=good_margin, f1_floor=self.f1_floor)
 
+    def key_hex(self) -> list[str]:
+        """Each state's ``DropoutState.key_hex``: for keys of up to 64 bits,
+        hex digits cut from the keys by shifts and looked up in one table."""
+        width = key_hex_format(self.n_total)
+        if self.keys.dtype == object:
+            return [format(bits, width) for bits in self.keys.tolist()]
+        digits = len(format(0, width))
+        shifts = np.arange(4 * (digits - 1), -1, -4, dtype=np.uint64)
+        nibbles = (self.keys[:, None] >> shifts) & np.uint64(15)
+        return _HEX_DIGITS[nibbles].view(f"S{digits}").ravel().astype(str).tolist()
+
     def rows(self) -> Iterator[tuple[str, float, float, float]]:
         """(state_key_hex, cost, eod, f1) per state, as Python floats."""
-        width = key_hex_format(self.n_total)
-        for bits, c, eod, f1_s in zip(self.keys.tolist(), self.cost.tolist(),
-                                      self.eod.tolist(), self.f1.tolist()):
-            yield format(bits, width), c, eod, f1_s
+        return zip(self.key_hex(), self.cost.tolist(), self.eod.tolist(), self.f1.tolist())
+
+    def csv_text(self) -> str:
+        """The per-state cost dump: ``state_key_hex,cost,eod,f1`` rows, each
+        value its ``repr`` (an undefined EOD reads ``undefined``).  Each
+        column holds few distinct values, so each is rendered once."""
+        columns = (self.key_hex(), _distinct_text(self.cost),
+                   _distinct_text(self.eod, nan="undefined"), _distinct_text(self.f1))
+        return "state_key_hex,cost,eod,f1\n" + "".join(map("{},{},{},{}\n".format, *columns))
+
+
+_HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+
+
+def _distinct_text(column: np.ndarray, nan: str = "nan") -> np.ndarray:
+    """``repr`` of each value of a float column, and ``nan`` for NaN,
+    computed once per distinct bit pattern."""
+    distinct, inverse = np.unique(column.view(np.uint64), return_inverse=True)
+    text = [repr(v) if v == v else nan for v in distinct.view(np.float64).tolist()]
+    return np.array(text, dtype=object)[inverse]
+
+
+def _combinations(items: int, k: int) -> np.ndarray:
+    """All k-subsets of range(items) as rows (subsets, k), in
+    ``itertools.combinations`` order."""
+    count = math.comb(items, k)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(items), k))
+    return np.fromiter(flat, np.intp, count * k).reshape(count, k)
+
+
+def _position_bits(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per bit position i out of n, ``1 << i`` and its mirror image
+    ``1 << (top - i)``: uint64 with top 63, or Python ints in object arrays
+    with top n - 1 when n > 64."""
+    if n > 64:
+        return (np.array([1 << i for i in range(n)], dtype=object),
+                np.array([1 << (n - 1 - i) for i in range(n)], dtype=object))
+    i = np.arange(n, dtype=np.uint64)
+    return np.uint64(1) << i, np.uint64(1) << (np.uint64(63) - i)
+
+
+def _set_keys(dropped: np.ndarray, bits: np.ndarray,
+              mirror_bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The state key and an order key of each set of bit positions, given
+    as rows of a boolean matrix whose columns have the ``_position_bits``
+    ``bits`` and ``mirror_bits``.  The key sums the set's bits; the order
+    key complements the sum of its mirror bits, so that sets of one weight
+    sort in ``itertools.combinations`` order.  Keys of disjoint sets
+    combine by OR, order keys by AND."""
+    return (np.where(dropped, bits, 0).sum(axis=1),
+            ~np.where(dropped, mirror_bits, 0).sum(axis=1))
+
+
+def _subset_blocks(items: int, sizes: range, block: int) -> Iterator[np.ndarray]:
+    """Every subset of range(items) with a size in ``sizes``, by size then
+    in ``itertools.combinations`` order, as boolean rows (subsets, items),
+    at most ``block`` rows at a time."""
+    subsets = itertools.chain.from_iterable(itertools.combinations(range(items), k)
+                                            for k in sizes)
+    while chunk := list(itertools.islice(subsets, block)):
+        sizes_of = [len(subset) for subset in chunk]
+        members = np.fromiter(itertools.chain.from_iterable(chunk), np.intp, sum(sizes_of))
+        rows = np.zeros((len(chunk), items), dtype=bool)
+        rows[np.repeat(np.arange(len(chunk)), sizes_of), members] = True
+        yield rows
 
 
 def price_space(model: MlpModel, validation_data: TabularDataset, bounds: SearchSpaceBounds,
                 params: CostParams, budget: int = DEFAULT_ENUMERATION_BUDGET) -> PricedSpace:
-    """Price every state in the bounded space exactly once, without the
-    evaluator's memo cache: no state comes back, so it would only hold memory.
+    """Price every state in the bounded space exactly once, each with the
+    cost ``CostEvaluator.evaluate`` gives it, by a factored enumeration.
 
-    States stream from ``itertools.combinations`` in ``iter_states`` order,
-    one batch of ``CostEvaluator.price_many`` at a time, so no more than one
-    batch of masks is ever held beside the columns.
+    A mask splits into a *prefix*, its bits in every hidden layer but the
+    last, and a *suffix*, its bits in the last hidden layer (the positions
+    come from the model's ``neuron_order``).  Prefixes go by weight w; the
+    suffixes that pair with weight w stream from ``itertools.combinations``
+    in blocks.  For each block, its rows (the output weights times each
+    suffix's keep factors, with the output bias as last column) are built
+    once, and each prefix of weight w runs through the hidden layers, many
+    prefixes per batch of ``MaskedForward``'s batched pass, to its
+    last-hidden-layer activations; one GEMM of the block's rows against
+    them gives the logits of every mask in the block that shares the
+    prefix.  When the suffixes of a weight fill one block, as they do on
+    desk-scale spaces, each prefix runs through the hidden layers once; a
+    wider last layer runs them once per block instead of holding every
+    suffix.  Every row is certified as in ``predict_many``: a mask with
+    any row within the slack goes through the exact pass.  A second GEMM,
+    of the block's 0/1 predictions against ``group_label_indicator``,
+    counts the cells, and ``cell_costs`` prices them.  Last, one
+    permutation puts the columns in ``iter_states`` order, which ``best``'s
+    tie-break and the dump follow.
+
+    Memory: beside the per-state columns (the keys; until the sort, an
+    order key and the weight; four int32 counts; the permutation) and the
+    prefixes of one weight, a suffix block's logits (which then carry its
+    0/1 predictions), a prefix batch's layer outputs, and all that
+    ``cell_costs`` holds for one chunk of states each come to about
+    ``_BATCH_ELEMENTS`` values.  Nothing of it is a setting.
     """
     total = _check_budget(bounds, budget)
-    evaluator = CostEvaluator(model, validation_data, params)
     n = bounds.n_total
-    keys = np.empty(total, dtype=np.uint64 if n <= 64 else object)
-    cost, eod, f1s = np.empty((3, total), dtype=np.float64)
-    start = 0
-    for k in range(bounds.n_l, bounds.n_u + 1):
-        combos = itertools.combinations(range(n), k)
-        while chunk := list(itertools.islice(combos, evaluator.batch_size)):
-            dropped = np.fromiter(itertools.chain.from_iterable(chunk), np.intp,
-                                  len(chunk) * k).reshape(len(chunk), k)
-            keep = np.ones((len(chunk), n))
-            keep[np.arange(len(chunk))[:, None], dropped] = 0.0
-            stop = start + len(chunk)
-            cost[start:stop], eod[start:stop], f1s[start:stop] = evaluator.price_many(keep)
-            if n <= 64:
-                keys[start:stop] = np.bitwise_or.reduce(
-                    np.uint64(1) << dropped.astype(np.uint64), axis=1)
-            else:
-                keys[start:stop] = [sum(1 << i for i in combo) for combo in chunk]
-            start = stop
-    return PricedSpace(n, params.f1_floor, keys, cost, eod, f1s)
+    if n != model.hidden_total:
+        raise SearchSpaceError(f"bounds cover {n} neurons, model has {model.hidden_total}")
+    kernel = MaskedForward(model, validation_data.features)
+    indicator = group_label_indicator(validation_data.labels, validation_data.protected)
+    batched = kernel._slack is not None
+    rows = kernel._first.shape[0]
+    bits, mirror_bits = _position_bits(n)
+    last = kernel._bits[-1]
+    prefix_bits = np.concatenate([np.empty(0, np.intp), *kernel._bits[:-1]])
+    h = len(last)
+
+    block = max(1, _BATCH_ELEMENTS // max(rows, h + 1))
+    out_rows = np.empty((block, h + 1))
+    out_rows[:, -1] = model.biases[-1]
+    logits = np.empty((block, rows))
+    keys = np.empty(total, dtype=bits.dtype)
+    order_key = np.empty_like(keys)
+    weight = np.empty(total, dtype=np.min_scalar_type(n))
+    positives = np.empty((total, 4), dtype=np.int32)
+
+    def full_keep(i):  # keep factors of the block's suffix i joined to prefix b
+        row = keep[b].copy()
+        row[last] = ~dropped[i]
+        return row
+
+    f = 0
+    for w in range(max(0, bounds.n_l - h), min(bounds.n_u, len(prefix_bits)) + 1):
+        prefixes = prefix_bits[_combinations(len(prefix_bits), w)]
+        suffix_sizes = range(max(0, bounds.n_l - w), min(h, bounds.n_u - w) + 1)
+        for dropped in _subset_blocks(h, suffix_sizes, block):
+            m = len(dropped)
+            suffix_key, suffix_order = _set_keys(dropped, bits[last], mirror_bits[last])
+            suffix_weight = w + dropped.sum(axis=1)
+            if batched:
+                np.multiply(model.weights[-1][0], ~dropped, out=out_rows[:m, :-1])
+            for first in range(0, len(prefixes), kernel.batch_size):
+                batch = prefixes[first:first + kernel.batch_size]
+                keep = np.ones((len(batch), n))
+                keep[np.arange(len(batch))[:, None], batch] = 0.0
+                prefix_key, prefix_order = _set_keys(keep == 0.0, bits, mirror_bits)
+                span = slice(f, f + len(batch) * m)
+                keys[span] = (prefix_key[:, None] | suffix_key).ravel()
+                order_key[span] = (prefix_order[:, None] & suffix_order).ravel()
+                weight[span] = np.tile(suffix_weight, len(batch))
+                hidden = kernel._batch_hidden(keep) if batched else None
+                for b in range(len(batch)):
+                    z = np.matmul(out_rows[:m], hidden[b], out=logits[:m]) if batched else None
+                    # the 0/1 predictions go through the logits' buffer as floats
+                    np.copyto(logits[:m], kernel._certified(z, m, full_keep))
+                    positives[f:f + m] = logits[:m] @ indicator
+                    f += m
+    order = np.lexsort((order_key, weight))
+    del order_key, weight
+    totals = indicator.sum(axis=0)
+    penalty = params.p * params.eod_baseline
+    cost, eod, f1s = np.empty((3, total))
+    chunk = _BATCH_ELEMENTS // 64  # cell_costs holds some eight arrays of 8 * chunk values
+    for s in range(0, total, chunk):
+        cells = positive_cells(positives[order[s:s + chunk]], totals)
+        cost[s:s + chunk], eod[s:s + chunk], f1s[s:s + chunk] = cell_costs(
+            cells, params.f1_floor, penalty)
+    return PricedSpace(n, params.f1_floor, keys[order], cost, eod, f1s)
 
 
 def enumerate_best(model: MlpModel, validation_data: TabularDataset,

@@ -31,8 +31,7 @@ import numpy as np
 
 from .dataset import TabularDataset
 from .ioutil import atomic_write_text
-from .metrics import (cell_costs, cell_counts, cell_metrics, group_label_key,
-                      prediction_metrics)
+from .metrics import cell_metrics, group_label_key, prediction_metrics
 from .model import MaskedForward, MlpModel, predict_batch
 from .prng import XorShift64Star
 
@@ -207,18 +206,6 @@ class CostEvaluator:
         np.add(self._key, preds[0], out=self._cell)
         m = cell_metrics(np.bincount(self._cell, minlength=8))
         return CostEvaluation(cost=penalized_cost(m.eod, m.f1, self.params), eod=m.eod, f1=m.f1)
-
-    @property
-    def batch_size(self) -> int:
-        """The most masks one ``price_many`` call takes."""
-        return self._forward.batch_size
-
-    def price_many(self, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(cost, EOD, F1) columns for up to ``batch_size`` masks (more raise
-        ``ShapeError``) given as rows of keep factors, bypassing the memo cache;
-        EOD is NaN where undefined.  Each value equals ``price``'s."""
-        return cell_costs(cell_counts(self._key, self._forward.predict_many(keep)),
-                          self.params.f1_floor, self.params.p * self.params.eod_baseline)
 
     def evaluate(self, state: DropoutState) -> CostEvaluation:
         hit = self._cache.get(state.bits)

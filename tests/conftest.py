@@ -117,6 +117,12 @@ MALFORMED_MODEL_FILES = {
     "infinite layer size": (_edited_model(layer_sizes=[6, float("inf"), 1]), ""),
     "ragged weight row": (_edited_model(layers=_ragged_layers()), ""),
     "null neuron_order": (_edited_model(neuron_order=None), ""),
+    "fractional layer size": (_edited_model(layer_sizes=[6.9, 2, 1]),
+                              "layer size must be an integer, got 6.9"),
+    "boolean layer size": (_edited_model(layer_sizes=[True, 2, 1]),
+                           "layer size must be an integer, got True"),
+    "fractional neuron_order entry": (_edited_model(neuron_order=[[0, 0.5], [0, 1]]),
+                                      "neuron_order entry must be an integer, got 0.5"),
 }
 
 
@@ -152,4 +158,9 @@ MALFORMED_SCHEMA_FILES = {
                                                    "values": {"0": 0, "1": float("inf")}}), ""),
     "missing label": (json.dumps({k: v for k, v in schema_document().items() if k != "label"}),
                       "missing key 'label'"),
+    "flag is a string": (_edited_schema(drop_protected_from_features="false"),
+                         "drop_protected_from_features must be true or false, got 'false'"),
+    "fractional label value": (_edited_schema(label={"column": "label",
+                                                     "values": {"0": 0, "1": 1.9}}),
+                               "label value for '1' must be an integer, got 1.9"),
 }

@@ -34,6 +34,9 @@ DELETED = [
     ("metrics", "FairnessReport.to_flat_dict"),
     ("dataset", "SPLIT_FRACTIONS"),
     ("dataset", "DatasetSchema.feature_columns"),
+    ("search", "CostEvaluator.price_many"),
+    ("search", "CostEvaluator.batch_size"),
+    ("metrics", "cell_counts"),
 ]
 
 # perfbench/tracer.py wraps these by name (a missing one stops a traced run

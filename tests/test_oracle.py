@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 import fairdrop as fd
-from fairdrop.oracle import (DEFAULT_ENUMERATION_BUDGET, EnumerationBudgetError,
+from fairdrop.model import _BATCH_ELEMENTS, _SIGMOID_HALF_WINDOW, MaskedForward
+from fairdrop.oracle import (DEFAULT_ENUMERATION_BUDGET, EnumerationBudgetError, PricedSpace,
                              census, enumerate_best, iter_states, per_state_cost_rows,
                              price_space, single_neuron_baseline)
 from fairdrop.prng import XorShift64Star
-from fairdrop.search import CostEvaluator, CostParams, SearchSpaceBounds
+from fairdrop.search import CostEvaluator, CostParams, DropoutState, SearchSpaceBounds
 
 from conftest import random_small_model
 
@@ -107,6 +108,14 @@ class TestEnumerateBest:
         assert exc.value.cardinality == 16
         assert exc.value.budget == 10
 
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_bounds_over_another_neuron_count_rejected(self, n):
+        model = random_small_model(XorShift64Star(2), (3, 4, 1))
+        data = tiny_data()
+        params = fd.baseline_cost_params(model, data, p=3.0, t=0.98)
+        with pytest.raises(fd.SearchSpaceError, match=f"bounds cover {n} neurons, model has 4"):
+            price_space(model, data, SearchSpaceBounds(n, 1, 2), params)
+
     def test_budget_check_is_arithmetic_not_enumeration(self):
         # cardinality beyond any enumerable size computes instantly
         b = SearchSpaceBounds(384, 2, 96)
@@ -124,23 +133,34 @@ class TestEnumerateBest:
         assert cost == pytest.approx(PINNED_OPTIMAL_COST, abs=1e-12)
 
 
+def assert_columns_equal_evaluator(model, data, bounds, params, step=1) -> PricedSpace:
+    """``price_space``'s columns, in ``iter_states`` order, equal to
+    ``CostEvaluator.evaluate`` on every ``step``-th state."""
+    space = price_space(model, data, bounds, params)
+    evaluator = CostEvaluator(model, data, params)
+    states = list(iter_states(bounds))
+    assert space.keys.tolist() == [s.bits for s in states]
+    for i in range(0, len(states), step):
+        ev = evaluator.evaluate(states[i])
+        assert (space.cost[i], space.f1[i]) == (ev.cost, ev.f1)
+        assert math.isnan(space.eod[i]) if ev.eod is None else space.eod[i] == ev.eod
+    return space
+
+
+def shuffled_model(seed, sizes):
+    rng = XorShift64Star(seed)
+    base = random_small_model(rng, sizes)
+    order = list(base.neuron_order)
+    rng.shuffle(order)
+    return fd.MlpModel(base.architecture, base.weights, base.biases, neuron_order=order)
+
+
 class TestPriceSpace:
     def test_columns_equal_evaluator_on_every_state(self, small_instance):
         parts, model, params = small_instance
-        b = SearchSpaceBounds(16, 2, 4)
-        space = price_space(model, parts.validation, b, params)
-        evaluator = CostEvaluator(model, parts.validation, params)
-        states = list(iter_states(b))
-        assert len(space.cost) == len(states) == 2500
-        assert space.keys.tolist() == [s.bits for s in states]
-        for i, state in enumerate(states):
-            ev = evaluator.evaluate(state)
-            assert space.cost[i] == ev.cost
-            assert space.f1[i] == ev.f1
-            if ev.eod is None:
-                assert math.isnan(space.eod[i])
-            else:
-                assert space.eod[i] == ev.eod
+        space = assert_columns_equal_evaluator(model, parts.validation,
+                                               SearchSpaceBounds(16, 2, 4), params)
+        assert len(space.cost) == 2500
 
     def test_keys_wider_than_64_bits(self):
         model = random_small_model(XorShift64Star(41), (3, 40, 30, 1))
@@ -160,14 +180,8 @@ class TestPriceSpace:
         data = tiny_data(seed=44)
         params = fd.baseline_cost_params(model, data, p=3.0, t=0.98)
         b = SearchSpaceBounds(70, 0, 2)
-        space = price_space(model, data, b, params)
-        evaluator = CostEvaluator(model, data, params)
-        states = list(iter_states(b))
-        assert space.keys.tolist() == [s.bits for s in states]
-        assert [row[0] for row in space.rows()] == [s.key_hex() for s in states]
-        for i in range(0, len(states), 23):
-            ev = evaluator.evaluate(states[i])
-            assert (space.cost[i], space.f1[i]) == (ev.cost, ev.f1)
+        space = assert_columns_equal_evaluator(model, data, b, params, step=23)
+        assert [row[0] for row in space.rows()] == [s.key_hex() for s in iter_states(b)]
 
     def test_reductions_match_the_wrappers(self, small_instance):
         parts, model, params = small_instance
@@ -177,6 +191,118 @@ class TestPriceSpace:
         assert space.census(0.05) == census(model, parts.validation, b, params)
         assert list(space.rows()) == list(per_state_cost_rows(model, parts.validation, b,
                                                               params))
+
+
+class TestFactoredPricing:
+    def test_prefix_spans_two_layers_under_a_shuffled_order(self):
+        # the last hidden layer's bits are scattered among the others, so a
+        # prefix keyed by the low bit positions would price other masks
+        model = shuffled_model(66, (3, 4, 5, 3, 1))
+        assert sorted(model.neuron_order[-3:]) != [(2, 0), (2, 1), (2, 2)]
+        data = tiny_data(seed=67)
+        params = fd.baseline_cost_params(model, data, p=3.0, t=0.98)
+        space = assert_columns_equal_evaluator(model, data, SearchSpaceBounds(12, 0, 12), params)
+        assert len(set(space.cost.tolist())) > 100
+
+    def test_one_hidden_layer_has_an_empty_prefix(self):
+        model = shuffled_model(79, (3, 7, 1))
+        data = tiny_data(seed=80)
+        params = fd.baseline_cost_params(model, data, p=3.0, t=0.98)
+        space = assert_columns_equal_evaluator(model, data, SearchSpaceBounds(7, 0, 7), params)
+        assert len(set(space.cost.tolist())) > 30
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+    def test_nan_in_a_dropped_last_layer_unit_takes_the_exact_pass(self, monkeypatch):
+        # a finite slack forced onto a model with a NaN unit in the last
+        # hidden layer: every batched logit is NaN (the unit's output weight
+        # is zeroed, not its activation), so every mask takes the exact pass,
+        # and a mask that drops the unit prices as if the unit were clean
+        model = random_small_model(XorShift64Star(65), (3, 4, 5, 3, 1))
+        data = tiny_data(seed=66)
+        params = fd.baseline_cost_params(model, data, p=3.0, t=0.98)
+        biases = [b.copy() for b in model.biases]
+        biases[2][1] = np.nan
+        poisoned = fd.MlpModel(model.architecture, model.weights, biases)
+        bit = model.neuron_order.index((2, 1))
+        exact_calls = []
+        exact = MaskedForward._exact
+        monkeypatch.setattr(MaskedForward, "_slack", np.full(300, _SIGMOID_HALF_WINDOW))
+        monkeypatch.setattr(MaskedForward, "_exact",
+                            lambda self, keep: exact_calls.append(1) or exact(self, keep))
+        bounds = SearchSpaceBounds(12, 1, 3)
+        space = price_space(poisoned, data, bounds, params)
+        assert len(exact_calls) == bounds.size()
+        clean = CostEvaluator(model, data, params)
+        for i, state in enumerate(iter_states(bounds)):
+            if state.bits >> bit & 1:
+                assert (space.cost[i], space.f1[i]) == tuple(clean.evaluate(state))[::2]
+            else:
+                assert space.f1[i] == 0.0  # NaN logits predict no positives
+        assert np.isfinite(space.cost).all()
+
+    def test_gemm_blocks_and_prefix_batches_stay_within_one_batch(self, monkeypatch):
+        # 466 suffixes pair with the empty prefix, over two GEMM blocks of
+        # at most _BATCH_ELEMENTS // 300 = 436 suffixes
+        model = random_small_model(XorShift64Star(43), (3, 40, 30, 1))
+        data = tiny_data(seed=44)
+        params = fd.baseline_cost_params(model, data, p=3.0, t=0.98)
+        blocks, batches = [], []
+        certified, hidden = MaskedForward._certified, MaskedForward._batch_hidden
+
+        def spy_certified(self, z, count, keep_of):
+            blocks.append(z.shape)
+            return certified(self, z, count, keep_of)
+
+        def spy_hidden(self, keep):
+            batches.append((len(keep), self.batch_size))
+            return hidden(self, keep)
+        monkeypatch.setattr(MaskedForward, "_certified", spy_certified)
+        monkeypatch.setattr(MaskedForward, "_batch_hidden", spy_hidden)
+        assert_columns_equal_evaluator(model, data, SearchSpaceBounds(70, 0, 2), params, step=23)
+        assert max(rows * count for count, rows in blocks) <= _BATCH_ELEMENTS
+        assert (436, 300) in blocks
+        assert all(size <= limit for size, limit in batches)
+        assert sum(size for size, _ in batches) > max(limit for _, limit in batches)
+
+
+class TestCostDump:
+    @staticmethod
+    def row_by_row(space: PricedSpace) -> str:
+        """The dump as it was first written: one formatted line per state."""
+        lines = ["state_key_hex,cost,eod,f1\n"]
+        for bits, c, eod, f1_s in zip(space.keys.tolist(), space.cost.tolist(),
+                                      space.eod.tolist(), space.f1.tolist()):
+            eod_text = "undefined" if math.isnan(eod) else repr(eod)
+            lines.append(f"{DropoutState(space.n_total, bits).key_hex()},{c!r},{eod_text},"
+                         f"{f1_s!r}\n")
+        return "".join(lines)
+
+    def test_equals_row_by_row_rendering(self, small_instance):
+        parts, model, params = small_instance
+        space = price_space(model, parts.validation, SearchSpaceBounds(16, 1, 3), params)
+        assert space.csv_text() == self.row_by_row(space)
+        assert [row[0] for row in space.rows()] == space.key_hex()
+
+    def test_undefined_eod_inf_cost_and_wide_keys(self):
+        # group 1 has no positive label, so every EOD is undefined
+        model = random_small_model(XorShift64Star(41), (3, 40, 30, 1))
+        v = tiny_data(seed=42)
+        data = fd.TabularDataset(v.features, np.where(v.protected == 1, 0, v.labels),
+                                 v.protected, v.feature_names)
+        params = CostParams(p=3.0, t=0.98, eod_baseline=0.2, f1_baseline=0.5)
+        space = price_space(model, data, SearchSpaceBounds(70, 0, 2), params)
+        assert np.isnan(space.eod).all() and np.isinf(space.cost).all()
+        text = space.csv_text()
+        assert text == self.row_by_row(space)
+        assert ",inf,undefined," in text and len(text.splitlines()[-1].split(",")[0]) == 18
+
+    @pytest.mark.parametrize("n", [1, 5, 63, 64])
+    def test_key_widths(self, n):
+        keys = np.array([0, 1, (1 << n) - 1, 1 << (n - 1)], dtype=np.uint64)
+        column = np.array([0.1, 1 / 3, np.inf, np.nan])
+        space = PricedSpace(n, 0.5, keys, column, column[::-1].copy(), column)
+        assert space.key_hex() == [DropoutState(n, int(k)).key_hex() for k in keys.tolist()]
+        assert space.csv_text() == self.row_by_row(space)
 
 
 class TestCensus:

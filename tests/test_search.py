@@ -174,12 +174,6 @@ class TestCostEvaluatorExactness:
             assert ev.cost == math.inf and ev.eod is None
             assert tuple(ev) == reference_price(model, data, state, params)
 
-    def test_price_many_takes_one_batch(self, small_instance):
-        parts, model, params = small_instance
-        evaluator = CostEvaluator(model, parts.validation, params)
-        with pytest.raises(fd.ShapeError, match="exceed the batch size"):
-            evaluator.price_many(np.ones((evaluator.batch_size + 1, model.hidden_total)))
-
     @pytest.mark.parametrize("column", ["labels", "protected"])
     def test_non_binary_vectors_rejected_at_construction(self, small_instance, column):
         parts, model, params = small_instance
