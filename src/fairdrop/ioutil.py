@@ -1,5 +1,5 @@
 """File helpers shared by model and schema files and the CLI: atomic writes,
-and integers read strictly from JSON documents."""
+and integers and numbers read strictly from JSON documents."""
 
 from __future__ import annotations
 
@@ -30,3 +30,17 @@ def json_integer(value, what: str) -> int:
                                        isinstance(value, float) and value.is_integer()):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def json_numbers(value, what: str):
+    """A number or nested lists of numbers read from a JSON document, given
+    back unchanged: ints and floats.  Anything else in it, a bool, a string
+    or a null included, is a ValueError naming ``what``."""
+    pending = [value]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, list):
+            pending.extend(item)
+        elif isinstance(item, bool) or not isinstance(item, (int, float)):
+            raise ValueError(f"{what} must hold only numbers, got {item!r}")
+    return value

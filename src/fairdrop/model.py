@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import SplitDataset, TabularDataset
-from .ioutil import atomic_write_text, json_integer
+from .ioutil import atomic_write_text, json_integer, json_numbers
 from .metrics import confusion, f1
 from .prng import XorShift64Star
 
@@ -163,8 +163,8 @@ class MaskedForward:
     through one matmul per layer and gives the same predictions, behind a
     certified error bound that sends every mask it cannot vouch for through
     the exact pass.  Its hidden layers (``_batch_hidden``) and its
-    certificate (``_certified``) also serve the oracle's factored pass,
-    which runs the output layer itself.
+    certificate (``_certified``) also serve the oracle's factored pass and
+    the search's ``CostEvaluator``, which run the output layer themselves.
     """
 
     def __init__(self, model: MlpModel, features: np.ndarray):
@@ -290,39 +290,53 @@ class MaskedForward:
         z = None if self._slack is None else self._batch_logits(keep)
         return self._certified(z, B, keep.__getitem__)
 
+    @functools.cached_property
+    def _widest_slack(self) -> float:
+        return float(self._slack.max())
+
     def _certified(self, z: np.ndarray | None, count: int, keep_of) -> np.ndarray:
         """Predictions (masks, rows) of ``count`` masks from their logits
         ``z`` of a batched pass in any summation order.  A row is trusted
-        only when its logit lies farther from 0 than ``_slack``; a mask with
-        any row within it, or any NaN, goes through the exact pass on the
-        keep factors ``keep_of(m)``, as does every mask when the bound is not
-        finite (``z`` is then None: a caller skips the batched pass).  ``z``
-        is overwritten."""
+        only when its logit lies farther from 0 than its ``_slack``; a mask
+        with any row within it, or any NaN, goes through the exact pass on
+        the keep factors ``keep_of(m)``, as does every mask when the bound
+        is not finite (``z`` is then None: a caller skips the batched pass).
+        When every logit clears the widest slack, no row needs its own
+        test.  ``z`` is overwritten."""
         if z is None:
             preds = np.empty((count, self._first.shape[0]), dtype=bool)
             unsafe = range(count)
         else:
             preds = z >= 0.0
-            unsafe = np.flatnonzero(~(np.abs(z, out=z) > self._slack).all(axis=1))
+            np.abs(z, out=z)
+            unsafe = (() if z.min() > self._widest_slack  # False when z holds a NaN
+                      else np.flatnonzero(~(z > self._slack).all(axis=1)))
         for m in unsafe:
             preds[m] = _threshold(self._exact(keep_of(m)))
         return preds
 
-    def _batch_hidden(self, keep: np.ndarray) -> np.ndarray:
+    def _batch_hidden(self, keep: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Last hidden layer's activations (masks, units + 1, rows) of the
-        batched pass for up to ``batch_size`` masks, in its buffers, with the
-        last row of ones that carries the output bias.  Only the keep
-        factors of the earlier hidden layers are read; with one hidden layer
-        every mask shares the cached first layer."""
+        batched pass for up to ``batch_size`` masks, with the last row of
+        ones that carries the output bias: in ``out`` when given (its last
+        row must be ones), else in the pass's buffers, which the next call
+        overwrites.  Only the keep factors of the earlier hidden layers are
+        read; with one hidden layer every mask shares the cached first
+        layer."""
         B = keep.shape[0]
         H, weight_stacks, out_stacks = self._batch_buffers(B)
-        layers = zip(self.model.weights[1:-1], weight_stacks, out_stacks)
-        for i, (W, Wf, out) in enumerate(layers):
-            Wf, out = Wf[:B], out[:B]
+        outs = [stack[:B] for stack in out_stacks[:-1]]
+        if out is not None:
+            if not outs:
+                out[:] = H
+                return out
+            outs[-1] = out
+        for i, (W, Wf, A) in enumerate(zip(self.model.weights[1:-1], weight_stacks, outs)):
+            Wf = Wf[:B]
             np.multiply(W, keep[:, None, self._bits[i]], out=Wf[:, :, :-1])
-            np.matmul(Wf, H, out=out[:, :-1])
-            np.maximum(out, 0.0, out=out)
-            H = out
+            np.matmul(Wf, H, out=A[:, :-1])
+            np.maximum(A, 0.0, out=A)
+            H = A
         return np.broadcast_to(H, (B, *H.shape)) if H.ndim == 2 else H
 
     def _batch_logits(self, keep: np.ndarray) -> np.ndarray:
@@ -512,9 +526,12 @@ def load_model(path) -> MlpModel:
         # a null neuron_order is not iterable, so it cannot fall back to the default
         order = [[json_integer(v, "neuron_order entry") for v in pair]
                  for pair in doc["neuron_order"]]
+        # numpy would read a true as 1.0 and a "0.5" as 0.5
         return MlpModel(MlpArchitecture(sizes),
-                        [layer["weights"] for layer in layers],
-                        [layer["bias"] for layer in layers],
+                        [json_numbers(layer["weights"], f"layer {i} weights")
+                         for i, layer in enumerate(layers)],
+                        [json_numbers(layer["bias"], f"layer {i} bias")
+                         for i, layer in enumerate(layers)],
                         neuron_order=order)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # ShapeError is a ValueError
         detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc

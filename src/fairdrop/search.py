@@ -31,7 +31,8 @@ import numpy as np
 
 from .dataset import TabularDataset
 from .ioutil import atomic_write_text
-from .metrics import cell_metrics, group_label_key, prediction_metrics
+from .metrics import (cell_costs, cell_metrics, group_label_indicator, group_label_key,
+                      positive_cells, prediction_metrics)
 from .model import MaskedForward, MlpModel, predict_batch
 from .prng import XorShift64Star
 
@@ -185,33 +186,126 @@ class CostEvaluator:
     one evaluator (one run), never shared.  Everything that does not depend
     on the mask is done once, when the evaluator is built: the labels and
     protected bits are checked and folded into one cell key per row, and the
-    forward pass caches its first hidden layer (``MaskedForward``).  A price
-    is then a batch of one through the certified batched pass
-    (``MaskedForward.predict_many``), one ``bincount`` of eight cells and
-    the cost formula.
+    forward pass caches its first hidden layer (``MaskedForward``).
+
+    A mask's *prefix* is its bits in every hidden layer but the last (the
+    positions come from the model's ``neuron_order``).  The last hidden
+    layer's activations depend on the prefix alone, so a walk's flips in
+    the last layer leave them as they were.  The evaluator keeps those of
+    the two most recent prefixes in buffers of its own, and a price whose
+    prefix is one of them runs only the output layer.  A price is then one
+    GEMV of the output weights times the mask's keep factors against that
+    layer, certified as in the batched pass (``MaskedForward._certified``:
+    a mask with any logit it cannot vouch for takes the exact pass), one
+    ``bincount`` of eight cells and the cost formula.  ``prefetch`` prices
+    many masks ahead in one factored pass for ``evaluate`` to take.
     """
 
     def __init__(self, model: MlpModel, validation_data: TabularDataset, params: CostParams):
         self.model = model
         self.params = params
-        self._forward = MaskedForward(model, validation_data.features)
+        self._forward = forward = MaskedForward(model, validation_data.features)
         self._key = group_label_key(validation_data.labels, validation_data.protected)
         self._cell = np.empty_like(self._key)
+        self._indicator = group_label_indicator(validation_data.labels, validation_data.protected)
+        self._prefix_mask = sum(1 << int(bit) for bits in forward._bits[:-1] for bit in bits)
+        units = len(forward._bits[-1])
+        # the output layer's weights times a mask's keep factors, bias last,
+        # and its logits
+        self._out_row = np.empty(units + 1)
+        self._out_row[-1] = model.biases[-1][0]
+        self._z = np.empty((1, len(self._key)))
+        # (prefix, its last hidden layer as MaskedForward._batch_hidden lays it
+        # out), most recent first; the batched pass's own buffers are
+        # overwritten by its next call, so they are never kept
+        self._recent = [(None, np.ones((1, units + 1, len(self._key)))) for _ in range(2)]
         self._cache: dict[int, CostEvaluation] = {}
+        self._prefetched: dict[int, CostEvaluation] = {}
         self.evaluations = 0
 
     def price(self, state: DropoutState) -> CostEvaluation:
         """Price one mask, bypassing the memo cache."""
-        preds = self._forward.predict_many(self._forward.keep(state)[None])
+        forward = self._forward
+        keep = forward.keep(state)
+        z = None
+        if forward._slack is not None:
+            hidden = self._hidden(state.bits & self._prefix_mask, keep)
+            np.multiply(self.model.weights[-1][0], keep[forward._bits[-1]],
+                        out=self._out_row[:-1])
+            z = self._z
+            np.matmul(self._out_row, hidden, out=z[0])
+        preds = forward._certified(z, 1, lambda _: keep)
         np.add(self._key, preds[0], out=self._cell)
         m = cell_metrics(np.bincount(self._cell, minlength=8))
         return CostEvaluation(cost=penalized_cost(m.eod, m.f1, self.params), eod=m.eod, f1=m.f1)
+
+    def _hidden(self, prefix: int, keep: np.ndarray) -> np.ndarray:
+        """The last hidden layer (units + 1, rows) for ``prefix``, the
+        prefix of the mask with keep factors ``keep``: kept, or computed into
+        the buffer of the less recent prefix."""
+        recent = self._recent
+        if recent[0][0] != prefix:
+            if recent[1][0] != prefix:
+                recent[1] = (prefix, self._forward._batch_hidden(keep[None], out=recent[1][1]))
+            recent.reverse()
+        return recent[0][1][0]
+
+    def prefetch(self, states) -> None:
+        """Price those of ``states`` that are not memoized in one factored
+        pass, for ``evaluate`` to take instead of pricing them; the states
+        prefetched before and not taken are dropped.
+
+        The states are grouped by prefix.  Each prefix runs through the
+        hidden layers once, many prefixes per batch of the batched pass,
+        and one GEMM of the output weights times each member's keep factors
+        against its last hidden layer gives the group's logits, certified as
+        in ``price``.  One more GEMM against ``group_label_indicator``
+        counts the cells, and ``cell_costs`` prices them: the values
+        ``price`` gives.
+        """
+        groups: dict[int, dict[int, DropoutState]] = {}
+        for s in states:
+            if s.bits not in self._cache:
+                groups.setdefault(s.bits & self._prefix_mask, {})[s.bits] = s
+        self._prefetched = {}
+        if not groups:
+            return
+        # the states by prefix, each group one slice of them
+        fresh = [s for group in groups.values() for s in group.values()]
+        ends = np.cumsum([len(group) for group in groups.values()]).tolist()
+        forward = self._forward
+        keep = np.array([forward.keep(s) for s in fresh])
+        last = forward._bits[-1]
+        rows = np.empty((len(fresh), len(last) + 1))
+        rows[:, -1] = self.model.biases[-1]
+        np.multiply(self.model.weights[-1][0], keep[:, last], out=rows[:, :-1])
+        starts = [0, *ends[:-1]]
+        positives = np.empty((len(fresh), 4))
+        for first in range(0, len(ends), forward.batch_size):
+            batch = slice(first, first + forward.batch_size)
+            lo, hi = starts[first], ends[batch][-1]
+            z = None
+            if forward._slack is not None:
+                hidden = forward._batch_hidden(keep[starts[batch]])
+                z = np.empty((hi - lo, len(self._key)))
+                for b, (start, end) in enumerate(zip(starts[batch], ends[batch])):
+                    np.matmul(rows[start:end], hidden[b], out=z[start - lo:end - lo])
+            preds = forward._certified(z, hi - lo, lambda m: keep[lo + m])
+            positives[lo:hi] = preds @ self._indicator
+        params = self.params
+        cost, eod, f1s = cell_costs(positive_cells(positives, self._indicator.sum(axis=0)),
+                                    params.f1_floor, params.p * params.eod_baseline)
+        self._prefetched = {
+            s.bits: CostEvaluation(cost=c, eod=None if math.isnan(e) else e, f1=f)
+            for s, c, e, f in zip(fresh, cost.tolist(), eod.tolist(), f1s.tolist())}
 
     def evaluate(self, state: DropoutState) -> CostEvaluation:
         hit = self._cache.get(state.bits)
         if hit is not None:
             return hit
-        result = self.price(state)
+        result = self._prefetched.pop(state.bits, None)
+        if result is None:
+            result = self.price(state)
         self._cache[state.bits] = result
         self.evaluations += 1
         return result
@@ -324,20 +418,38 @@ def _fit_temperature(deltas: list[float], target: float, tol: float = 1e-4) -> f
 def _sample_positive_transitions(evaluator: CostEvaluator, bounds: SearchSpaceBounds,
                                  rng: XorShift64Star, sample_size: int,
                                  deadline: float | None = None) -> list[float]:
-    """Up to ``sample_size`` positive cost deltas of random transitions; draws
-    stop early once ``time.perf_counter()`` passes ``deadline``."""
+    """Up to ``sample_size`` positive cost deltas of random transitions, out
+    of at most max(100, 10 * sample_size) of them.
+
+    Transitions are drawn ahead in chunks of max(8, deltas still wanted),
+    and the chunk's states are priced in one factored pass
+    (``CostEvaluator.prefetch``).  The chunk's pairs are then taken in
+    order, each through ``evaluate``, until enough deltas are found, and
+    the generator is set back to where the last pair taken left it: the
+    deltas, the draws after them and the evaluator's memo and count are
+    those of drawing and pricing one pair at a time.  Drawing stops early,
+    between chunks, once ``time.perf_counter()`` passes ``deadline``.
+    """
     deltas: list[float] = []
-    max_draws = max(100, 10 * sample_size)
-    for _ in range(max_draws):
-        if len(deltas) >= sample_size:
-            break
+    draws = max(100, 10 * sample_size)
+    while draws > 0 and len(deltas) < sample_size:
         if deadline is not None and time.perf_counter() > deadline:
             break
-        s = random_state(bounds, rng)
-        s_next = generate_neighbor(s, bounds, rng)
-        d = evaluator.evaluate(s_next).cost - evaluator.evaluate(s).cost
-        if math.isfinite(d) and d > 0.0:
-            deltas.append(d)
+        pairs = []
+        for _ in range(min(draws, max(8, sample_size - len(deltas)))):
+            s = random_state(bounds, rng)
+            pairs.append((s, generate_neighbor(s, bounds, rng), rng._state))
+        evaluator.prefetch(state for s, s_next, _ in pairs for state in (s_next, s))
+        for s, s_next, after in pairs:
+            if len(deltas) >= sample_size:
+                break
+            draws -= 1
+            resume = after
+            d = evaluator.evaluate(s_next).cost - evaluator.evaluate(s).cost
+            if math.isfinite(d) and d > 0.0:
+                deltas.append(d)
+        rng._state = resume
+    evaluator.prefetch(())  # drops the priced states no pair took
     return deltas
 
 
@@ -367,9 +479,9 @@ class SearchConfig:
     """Knobs for one search run; at least one stopping criterion is required.
 
     ``time_limit_s`` is a wall-clock budget for the whole run, T0 estimation
-    included: estimation stops drawing once it is spent, and the loop checks
-    it before each iteration.  ``max_iterations`` gives platform-independent,
-    fully deterministic runs.
+    included: estimation checks it between the chunks of transitions it
+    draws and prices, and the loop checks it before each iteration.
+    ``max_iterations`` gives platform-independent, fully deterministic runs.
     """
 
     alg_type: str

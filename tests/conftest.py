@@ -102,6 +102,17 @@ def _ragged_layers() -> list:
     return layers
 
 
+def _retyped_layers(**value) -> list:
+    """The layers with one weight of the first layer, or the output bias,
+    replaced by ``value["weight"]`` or ``value["bias"]``."""
+    layers = model_document()["layers"]
+    if "weight" in value:
+        layers[0]["weights"][1][3] = value["weight"]
+    if "bias" in value:
+        layers[1]["bias"][0] = value["bias"]
+    return layers
+
+
 # Each malformed model file, by case: its text and a fragment of its error.
 MALFORMED_MODEL_FILES = {
     "not JSON": ("{not json", "not valid JSON"),
@@ -123,6 +134,18 @@ MALFORMED_MODEL_FILES = {
                            "layer size must be an integer, got True"),
     "fractional neuron_order entry": (_edited_model(neuron_order=[[0, 0.5], [0, 1]]),
                                       "neuron_order entry must be an integer, got 0.5"),
+    "boolean weight": (_edited_model(layers=_retyped_layers(weight=True)),
+                       "layer 0 weights must hold only numbers, got True"),
+    "string weight": (_edited_model(layers=_retyped_layers(weight="0.5")),
+                      "layer 0 weights must hold only numbers, got '0.5'"),
+    "null weight": (_edited_model(layers=_retyped_layers(weight=None)),
+                    "layer 0 weights must hold only numbers, got None"),
+    "boolean bias": (_edited_model(layers=_retyped_layers(bias=False)),
+                     "layer 1 bias must hold only numbers, got False"),
+    "string bias": (_edited_model(layers=_retyped_layers(bias="0.5")),
+                    "layer 1 bias must hold only numbers, got '0.5'"),
+    "null bias": (_edited_model(layers=_retyped_layers(bias=None)),
+                  "layer 1 bias must hold only numbers, got None"),
 }
 
 

@@ -3,15 +3,18 @@ import csv
 import json
 import math
 import os
+import random
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fairdrop
 import fairdrop.cli
 import fairdrop.oracle
 import fairdrop.search
 from fairdrop.cli import default_n_u, main, mean_ci, resolve_config
+from perfbench import checks, workloads
 
 from conftest import MALFORMED_MODEL_FILES, MALFORMED_SCHEMA_FILES, model_document
 
@@ -176,6 +179,31 @@ class TestRepair:
             run = json.loads((out / "repair_seed1_sa.json").read_text())["run"]
             assert run["baseline"]["validation"]["f1"] == 0.0
             assert run["success"] is True
+
+
+class TestRepairAgainstReference:
+    def test_every_trace_row_matches_the_reference_pricer(self, tmp_path):
+        # short annealing runs with a fitted T0, several seeds, checked as
+        # the benchmark checks its outputs: with no more rows than it
+        # samples, every candidate is re-priced by its independent pricer
+        seeds = [1, 2, 3, 4]
+        workload = workloads.Workload(workloads.CENSUS_INSTANCE,
+                                      {"n_l": 1, "n_u": 6, "max_iterations": checks.SAMPLED_ROWS},
+                                      "sa", seeds=len(seeds), setups=len(seeds))
+        cfg = workload.config(seeds, str(tmp_path / "out"))
+        assert cfg["search"]["t0_mode"] == "ben_ameur"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(["train", "--config", path]) == 0
+        assert run_cli(["repair", "--config", path]) in (0, 3)
+        synth = cfg["dataset"]["synth"]
+        data = fairdrop.synthesize_biased(synth["n_rows"], synth["n_features"],
+                                          synth["bias_strength"], synth["seed"])
+        for seed in seeds:
+            parts = fairdrop.split(data, seed)
+            pricer = checks.reference_for(cfg["output_dir"], cfg, seed, parts)
+            assert checks.check_repair(cfg["output_dir"], cfg, "sa", seed, pricer, parts.test,
+                                       random.Random(seed)) == []
 
 
 class TestMalformedInputFiles:

@@ -229,23 +229,27 @@ def exact_predictions(kernel, masks) -> np.ndarray:
 
 @pytest.fixture
 def fallbacks(monkeypatch):
-    """How many masks ``predict_many`` re-ran through the exact pass; the
-    exact pass that ``predict`` runs is not counted."""
+    """How many masks ``predict_many`` or ``CostEvaluator.price`` re-ran
+    through the exact pass; the exact pass that ``predict`` runs is not
+    counted."""
     calls, running = [], []
-    exact, many = MaskedForward._exact, MaskedForward.predict_many
+    exact = MaskedForward._exact
 
     def counted_exact(self, keep_row):
         calls.extend(running)
         return exact(self, keep_row)
 
-    def counted_many(self, keep):
-        running.append(1)
-        try:
-            return many(self, keep)
-        finally:
-            running.pop()
+    def counting(method):
+        def counted(*args):
+            running.append(1)
+            try:
+                return method(*args)
+            finally:
+                running.pop()
+        return counted
     monkeypatch.setattr(MaskedForward, "_exact", counted_exact)
-    monkeypatch.setattr(MaskedForward, "predict_many", counted_many)
+    monkeypatch.setattr(MaskedForward, "predict_many", counting(MaskedForward.predict_many))
+    monkeypatch.setattr(fd.CostEvaluator, "price", counting(fd.CostEvaluator.price))
     return calls
 
 
@@ -531,6 +535,21 @@ class TestSerialization:
         model = fd.load_model(path)
         assert model.architecture.layer_sizes == (6, 2, 1)
         assert model.neuron_order == ((0, 0), (0, 1))
+
+    def test_integer_weights_and_biases_load_as_floats(self, tmp_path):
+        loaded = []
+        for kind in (int, float):
+            doc = model_document(output_bias=-2.0)
+            for layer in doc["layers"]:
+                layer["weights"] = [[kind(w) for w in row] for row in layer["weights"]]
+                layer["bias"] = [kind(b) for b in layer["bias"]]
+            path = tmp_path / f"{kind.__name__}.json"
+            path.write_text(json.dumps(doc))
+            loaded.append(fd.load_model(path))
+        assert "1.0" not in (tmp_path / "int.json").read_text()
+        ints, floats = loaded
+        for a, b in zip(ints.weights + ints.biases, floats.weights + floats.biases):
+            assert a.dtype == b.dtype == np.float64 and np.array_equal(a, b)
 
     @pytest.mark.parametrize("text, fragment", MALFORMED_MODEL_FILES.values(),
                              ids=MALFORMED_MODEL_FILES)

@@ -253,9 +253,9 @@ class TestFactoredPricing:
             blocks.append(z.shape)
             return certified(self, z, count, keep_of)
 
-        def spy_hidden(self, keep):
+        def spy_hidden(self, keep, out=None):
             batches.append((len(keep), self.batch_size))
-            return hidden(self, keep)
+            return hidden(self, keep, out)
         monkeypatch.setattr(MaskedForward, "_certified", spy_certified)
         monkeypatch.setattr(MaskedForward, "_batch_hidden", spy_hidden)
         assert_columns_equal_evaluator(model, data, SearchSpaceBounds(70, 0, 2), params, step=23)

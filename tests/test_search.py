@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 
 import fairdrop as fd
+from fairdrop.model import _SIGMOID_HALF_WINDOW, MaskedForward
 from fairdrop.oracle import enumerate_best, iter_states
 from fairdrop.prng import XorShift64Star
 from fairdrop.search import (CostEvaluator, CostParams, DropoutState, SearchConfig,
                              SearchSpaceBounds, SearchSpaceError, TemperatureSchedule,
                              _estimate_t0, _fit_temperature, _mean_acceptance,
-                             generate_neighbor, penalized_cost, random_state,
-                             trace_csv_text, valid_flip_positions, worst_case_t0)
+                             _sample_positive_transitions, generate_neighbor, penalized_cost,
+                             random_state, trace_csv_text, valid_flip_positions,
+                             worst_case_t0)
 
 from conftest import random_small_model, reference_price
 
@@ -185,6 +187,103 @@ class TestCostEvaluatorExactness:
             CostEvaluator(model, data, params)
 
 
+def walk(n: int, rng: XorShift64Star, steps: int) -> list[DropoutState]:
+    """A random state over n neurons and ``steps`` single flips from it."""
+    bounds = SearchSpaceBounds(n, 0, n)
+    states = [random_state(bounds, rng)]
+    for _ in range(steps):
+        states.append(generate_neighbor(states[-1], bounds, rng))
+    return states
+
+
+def assert_prices_along(model, data, params, states, clean=None):
+    """Prices of ``states`` from one evaluator, in turn, and from one
+    ``prefetch`` of them equal a fresh evaluator's price of each state and
+    the reference's; ``clean`` is the model those two price, when not
+    ``model``."""
+    clean = clean or model
+    walker, batched = CostEvaluator(model, data, params), CostEvaluator(model, data, params)
+    batched.prefetch(states)
+    seen = set()
+    for state in states:
+        want = CostEvaluator(clean, data, params).price(state)
+        assert tuple(want) == reference_price(clean, data, state, params), state.key_hex()
+        assert walker.price(state) == want, state.key_hex()
+        assert batched.evaluate(state) == want, state.key_hex()
+        seen.add(want)
+    # prices that vary along the walk, so that a stale hidden layer shows
+    assert len(seen) > 10
+
+
+class TestPrefixReuse:
+    """The evaluator keeps the last hidden layer of its two most recent
+    prefixes (a mask's bits in the earlier hidden layers); every price must
+    still equal one computed from scratch."""
+
+    def test_walk_over_interleaved_neuron_order(self, small_instance):
+        # the last layer's units sit on the even bits, the first layer's on
+        # the odd ones: the prefix is not a run of low bits
+        parts, trained, params = small_instance
+        order = [(layer, unit) for unit in range(8) for layer in (1, 0)]
+        model = fd.MlpModel(trained.architecture, trained.weights, trained.biases,
+                            neuron_order=order)
+        assert_prices_along(model, parts.validation, params, walk(16, XorShift64Star(71), 200))
+
+    def test_walk_over_three_hidden_layers(self, small_instance):
+        # the trained model with a mixing layer put in before its output:
+        # nearly the identity, so the model still separates the rows
+        parts, trained, _ = small_instance
+        rng = XorShift64Star(73)
+        mixing = np.eye(8) + 0.3 * (2.0 * rng.uniform_block(64).reshape(8, 8) - 1.0)
+        model = fd.MlpModel(fd.MlpArchitecture((6, 8, 8, 8, 1)),
+                            [*trained.weights[:2], mixing, trained.weights[2]],
+                            [*trained.biases[:2], np.full(8, 0.05), trained.biases[2]])
+        params = fd.baseline_cost_params(model, parts.validation, p=3.0, t=0.98)
+        assert_prices_along(model, parts.validation, params, walk(24, rng, 200))
+
+    def test_three_prefixes_in_turn(self, small_instance, monkeypatch):
+        # prefixes A, B, C (no first-layer unit dropped, unit 0, unit 1)
+        # under changing last-layer bits: A B A C A B C A.  With two kept,
+        # the hidden layers run six times: for the first A, B and C, and for
+        # B, C and A once each had dropped out of the two.
+        parts, model, params = small_instance
+        data = parts.validation
+        runs = []
+        hidden = MaskedForward._batch_hidden
+
+        def counted(self, keep, out=None):
+            runs.append(self)
+            return hidden(self, keep, out)
+        monkeypatch.setattr(MaskedForward, "_batch_hidden", counted)
+        prefixes = {"A": (), "B": (0,), "C": (1,)}
+        turns = "ABACABCA"
+        states = [DropoutState.from_indices(16, prefixes[p] + tuple(8 + u for u in suffix))
+                  for p, suffix in zip(turns, ((0,), (0,), (1, 2), (0,), (3,), (4, 5), (), ()))]
+        evaluator = CostEvaluator(model, data, params)
+        for state in states:
+            price = evaluator.price(state)
+            assert price == CostEvaluator(model, data, params).price(state)
+            assert tuple(price) == reference_price(model, data, state, params)
+        assert runs.count(evaluator._forward) == 6
+        # the three prefixes price apart, so a stale or shared buffer shows
+        assert len({CostEvaluator(model, data, params).price(DropoutState.from_indices(16, p))
+                    for p in prefixes.values()}) == 3
+
+    def test_nan_in_a_dropped_last_layer_unit_never_reaches_the_output(self, small_instance,
+                                                                       monkeypatch):
+        # a finite slack forced onto a model with a NaN unit in the last
+        # hidden layer: the kept layer holds the NaN, every logit is NaN, and
+        # every mask that drops the unit prices as if the unit were clean
+        parts, model, params = small_instance
+        biases = [b.copy() for b in model.biases]
+        biases[1][2] = np.nan
+        poisoned = fd.MlpModel(model.architecture, model.weights, biases)
+        monkeypatch.setattr(MaskedForward, "_slack", np.full(300, _SIGMOID_HALF_WINDOW))
+        bit = model.neuron_order.index((1, 2))
+        states = [DropoutState(16, s.bits | 1 << bit) for s in walk(16, XorShift64Star(77), 120)]
+        assert_prices_along(poisoned, parts.validation, params, states, clean=model)
+
+
 class TestTemperature:
     def test_first_iteration(self):
         sched = TemperatureSchedule(2.0)
@@ -258,20 +357,118 @@ class TestTemperatureFit:
                              **{setting: value})
 
     def test_flat_landscape_falls_back_with_warning(self):
-        # all-zero model: every mask predicts identically, no uphill moves exist
-        arch = fd.MlpArchitecture((2, 4, 1))
-        model = fd.MlpModel(arch, [np.zeros((4, 2)), np.zeros((1, 4))],
-                            [np.zeros(4), np.zeros(1)])
-        rng = XorShift64Star(5)
-        X = rng.uniform_block(400 * 2).reshape(400, 2)
-        y = (rng.uniform_block(400) > 0.5).astype(np.int64)
-        prot = (rng.uniform_block(400) > 0.5).astype(np.int64)
-        data = fd.TabularDataset(X, y, prot, ("a", "b"))
-        params = fd.baseline_cost_params(model, data, p=3.0, t=0.98)
+        model, data, params = flat_instance()
         with pytest.warns(UserWarning, match="worst-case"):
             t = _estimate_t0(CostEvaluator(model, data, params), SearchSpaceBounds(4, 1, 3),
                              XorShift64Star(6), 0.75, sample_size=10)
         assert t == worst_case_t0(params, SearchSpaceBounds(4, 1, 3))
+
+
+def flat_instance():
+    """An all-zero [2, 4, 1] model, under which every mask predicts alike, so
+    that no transition climbs, on 400 random rows."""
+    arch = fd.MlpArchitecture((2, 4, 1))
+    model = fd.MlpModel(arch, [np.zeros((4, 2)), np.zeros((1, 4))],
+                        [np.zeros(4), np.zeros(1)])
+    rng = XorShift64Star(5)
+    X = rng.uniform_block(400 * 2).reshape(400, 2)
+    y = (rng.uniform_block(400) > 0.5).astype(np.int64)
+    prot = (rng.uniform_block(400) > 0.5).astype(np.int64)
+    data = fd.TabularDataset(X, y, prot, ("a", "b"))
+    return model, data, fd.baseline_cost_params(model, data, p=3.0, t=0.98)
+
+
+def one_unit_instance():
+    """A [2, 8, 1] model whose output reads hidden unit 0 alone, so that only
+    flips of bit 0 change the cost and about one transition in 16 climbs,
+    on 400 random rows."""
+    rng = XorShift64Star(9)
+    first = 2.0 * rng.uniform_block(16).reshape(8, 2) - 1.0
+    first[0] = (1.0, 0.0)
+    output = np.zeros((1, 8))
+    output[0, 0] = 1.0
+    model = fd.MlpModel(fd.MlpArchitecture((2, 8, 1)), [first, output],
+                        [np.zeros(8), np.array([-0.5])])
+    X = rng.uniform_block(400 * 2).reshape(400, 2)
+    prot = (X[:, 1] > 0.5).astype(np.int64)
+    y = (X[:, 0] + 0.3 * prot > 0.6).astype(np.int64)
+    data = fd.TabularDataset(X, y, prot, ("a", "b"))
+    return model, data, fd.baseline_cost_params(model, data, p=3.0, t=0.98)
+
+
+def sequential_transitions(evaluator, bounds, rng, sample_size):
+    """The transition sampler as it drew and priced one pair at a time, the
+    reference for the chunked one: the deltas and how many pairs it drew."""
+    deltas, drawn = [], 0
+    for _ in range(max(100, 10 * sample_size)):
+        if len(deltas) >= sample_size:
+            break
+        s = random_state(bounds, rng)
+        s_next = generate_neighbor(s, bounds, rng)
+        drawn += 1
+        d = evaluator.evaluate(s_next).cost - evaluator.evaluate(s).cost
+        if math.isfinite(d) and d > 0.0:
+            deltas.append(d)
+    return deltas, drawn
+
+
+class TestChunkedTransitionSampling:
+    """The sampler draws transitions ahead in chunks and prices each chunk in
+    one factored pass; what it finds, the draws after it and the evaluator's
+    memo must be those of drawing and pricing one pair at a time."""
+
+    @staticmethod
+    def sample_both(instance, bounds, sample_size, seed, monkeypatch):
+        """The chunked and the sequential sampler on evaluators and generators
+        of their own: the deltas, the pairs drawn one at a time, and the
+        pairs of each chunk."""
+        model, data, params = instance
+        chunks = []
+        prefetch = CostEvaluator.prefetch
+
+        def counted(self, states):
+            states = list(states)
+            if states:
+                chunks.append(len(states) // 2)
+            return prefetch(self, states)
+        monkeypatch.setattr(CostEvaluator, "prefetch", counted)
+        chunked, sequential = (CostEvaluator(model, data, params) for _ in range(2))
+        rng, reference_rng = XorShift64Star(seed), XorShift64Star(seed)
+        deltas = _sample_positive_transitions(chunked, bounds, rng, sample_size)
+        want, drawn = sequential_transitions(sequential, bounds, reference_rng, sample_size)
+        assert deltas == want
+        assert [rng.next_u64() for _ in range(4)] == [reference_rng.next_u64() for _ in range(4)]
+        assert chunked.evaluations == sequential.evaluations
+        assert list(chunked._cache) == list(sequential._cache)
+        assert chunked._prefetched == {}
+        return deltas, drawn, chunks
+
+    def test_sample_size_reached_mid_chunk(self, small_instance, monkeypatch):
+        parts, model, params = small_instance
+        bounds = SearchSpaceBounds(16, 2, 5)
+        deltas, drawn, chunks = self.sample_both((model, parts.validation, params), bounds,
+                                                 30, 8, monkeypatch)
+        assert len(deltas) == 30
+        assert len(chunks) > 1 and sum(chunks) > drawn  # the last chunk was cut short
+        t0 = _estimate_t0(CostEvaluator(model, parts.validation, params), bounds,
+                          XorShift64Star(8), 0.75, 30)
+        assert t0 == _fit_temperature(deltas, 0.75)
+
+    def test_draw_budget_exhausted(self, monkeypatch):
+        deltas, drawn, chunks = self.sample_both(one_unit_instance(), SearchSpaceBounds(8, 1, 7),
+                                                 20, 3, monkeypatch)
+        assert 0 < len(deltas) < 20
+        assert drawn == sum(chunks) == 200
+
+    def test_flat_landscape_warns_as_before(self, monkeypatch):
+        model, data, params = flat_instance()
+        bounds = SearchSpaceBounds(4, 1, 3)
+        deltas, drawn, _ = self.sample_both((model, data, params), bounds, 10, 6, monkeypatch)
+        assert deltas == [] and drawn == 100
+        with pytest.warns(UserWarning, match="worst-case"):
+            t0 = _estimate_t0(CostEvaluator(model, data, params), bounds, XorShift64Star(6),
+                              0.75, 10)
+        assert t0 == worst_case_t0(params, bounds)
 
 
 class TestRandomState:
@@ -481,12 +678,17 @@ class TestRunSearch:
 
     def test_time_limit_covers_temperature_estimation(self, small_instance, monkeypatch):
         parts, model, params = small_instance
-        original = CostEvaluator.price
+        price, prefetch = CostEvaluator.price, CostEvaluator.prefetch
 
         def slow_price(self, state):
             time.sleep(0.002)
-            return original(self, state)
+            return price(self, state)
+
+        def slow_prefetch(self, states):  # the path T0 fitting prices its chunks by
+            prefetch(self, states)
+            time.sleep(0.002 * len(self._prefetched))
         monkeypatch.setattr(CostEvaluator, "price", slow_price)
+        monkeypatch.setattr(CostEvaluator, "prefetch", slow_prefetch)
         # unbounded, fitting T0 would price hundreds of masks: over a second
         limit = 0.3
         config = SearchConfig(alg_type="sa", bounds=SearchSpaceBounds(model.hidden_total, 2, 5),
