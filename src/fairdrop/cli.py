@@ -286,10 +286,21 @@ def _load_instance(cfg: dict, data: TabularDataset, seed: int) -> tuple[SplitDat
     return parts, load_model(path)
 
 
+def _say_if_one_class(seed: int, model: MlpModel, parts: SplitDataset) -> None:
+    """A stderr line naming the seed when the unmasked model predicts one
+    class for every validation row: its baseline EOD is then 0, and so is
+    the penalty that anchors the cost, so the run has nothing to repair."""
+    preds = predict_batch(model, parts.validation)
+    if preds.min() == preds.max():
+        print(f"seed {seed}: the unmasked model predicts {preds[0]} for every validation row",
+              file=sys.stderr)
+
+
 def _repair_one(cfg: dict, data: TabularDataset, seed: int,
                 p: float | None = None) -> tuple[SearchResult, dict]:
     """One seed's search: its result and its report record."""
     parts, model = _load_instance(cfg, data, seed)
+    _say_if_one_class(seed, model, parts)
     s = cfg["search"]
     params = baseline_cost_params(model, parts.validation,
                                   p=float(s["p"] if p is None else p), t=float(s["t"]))
@@ -429,6 +440,7 @@ def cmd_oracle(args) -> int:
     os.makedirs(out, exist_ok=True)
     seed = args.seed if args.seed is not None else cfg["seeds"][0]
     parts, model = _load_instance(cfg, data, seed)
+    _say_if_one_class(seed, model, parts)
     s = cfg["search"]
     params = baseline_cost_params(model, parts.validation, p=float(s["p"]), t=float(s["t"]))
     config = search_config(cfg, seed, model.hidden_total, params)

@@ -177,12 +177,15 @@ def cell_metrics(cells) -> PredictionMetrics:
 
 
 def group_label_indicator(labels, protected) -> np.ndarray:
-    """(rows, 4) float64 0/1 matrix whose column 2g + y marks the rows of
-    group g with label y.  A (masks, rows) 0/1 block of predictions times it
-    gives each mask's predicted positives per (group, label), exactly in
-    float64; ``positive_cells`` completes them into the eight cells."""
+    """(rows, 4) 0/1 matrix whose column 2g + y marks the rows of group g
+    with label y.  A (masks, rows) 0/1 block of predictions times it gives
+    each mask's predicted positives per (group, label), exactly: it is
+    float32, whose 24-bit significand holds every count, below 2**24 rows,
+    and float64 from there.  ``positive_cells`` completes the positives into
+    the eight cells."""
     key = group_label_key(labels, protected)
-    return (key[:, None] == np.arange(0, 8, 2)).astype(np.float64)
+    dtype = np.float32 if len(key) < 1 << 24 else np.float64
+    return (key[:, None] == np.arange(0, 8, 2)).astype(dtype)
 
 
 def positive_cells(positives: np.ndarray, totals: np.ndarray) -> np.ndarray:

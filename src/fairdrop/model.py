@@ -15,7 +15,8 @@ any prediction it cannot vouch for to the exact pass.
 Hidden neurons carry a fixed total order (the ``neuron_order`` bijection)
 that maps mask bit positions to (layer, unit) pairs; the order is set at
 construction and serialized with the model so masks stay meaningful across
-save/load.  All arithmetic is float64.
+save/load.  Training, the exact pass and every report are float64; only
+the certified batched pass runs in float32.
 """
 
 from __future__ import annotations
@@ -143,12 +144,28 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 # far more than the sigmoid's rounding error.
 _SIGMOID_HALF_WINDOW = 1e-12
 
-# Unit roundoff of float64, for the dot-product error bound.
-_UNIT_ROUNDOFF = 2.0 ** -53
+# Unit roundoffs of float64 (the exact pass) and float32 (the batched pass),
+# for the dot-product error bounds.
+_U64 = 2.0 ** -53
+_U32 = 2.0 ** -24
+
+# float32's smallest normal number: a float32 rounding whose result lies
+# below it errs by at most this much in absolute terms, also where the
+# hardware flushes such results to zero.
+_F32_TINY = 2.0 ** -126
+
+# The batched pass runs in float32 only while every weight and every
+# activation's bound stays below this, far inside float32's range (3.4e38).
+_F32_RANGE = 1e30
 
 # The batched pass prices as many masks at once as keep about this many
-# float64 values in one layer's stacked outputs (masks x units x rows).
+# float32 values in one layer's stacked outputs (masks x units x rows).
 _BATCH_ELEMENTS = 1 << 17
+
+
+def _gamma(k: int, u: float) -> float:
+    """Higham's bound on k roundings of unit roundoff u compounded."""
+    return k * u / (1.0 - k * u)
 
 
 class MaskedForward:
@@ -157,14 +174,16 @@ class MaskedForward:
     Built once per batch (a 1-D ``features`` is one row): it checks the
     batch's shape and computes the mask-independent first hidden layer
     ``relu(X @ W0.T + b0)``.  Masks then run over that layer in one of two
-    passes.  ``logits`` and ``predict`` run the exact pass for one mask:
-    every later layer on fresh arrays, with the dropped units' activations
-    zeroed by assignment.  ``predict_many`` runs up to ``batch_size`` masks
-    through one matmul per layer and gives the same predictions, behind a
-    certified error bound that sends every mask it cannot vouch for through
-    the exact pass.  Its hidden layers (``_batch_hidden``) and its
+    passes.  ``logits`` and ``predict`` run the exact pass for one mask, in
+    float64: every later layer on fresh arrays, with the dropped units'
+    activations zeroed by assignment.  ``predict_many`` runs up to
+    ``batch_size`` masks through one float32 matmul per layer and gives the
+    same predictions, behind a certified error bound (``_slack``) that
+    covers both passes' rounding and sends every mask it cannot vouch for
+    through the exact pass.  Its hidden layers (``_batch_hidden``) and its
     certificate (``_certified``) also serve the oracle's factored pass and
-    the search's ``CostEvaluator``, which run the output layer themselves.
+    the search's ``CostEvaluator``, which run the output layer themselves,
+    also in float32.
     """
 
     def __init__(self, model: MlpModel, features: np.ndarray):
@@ -225,52 +244,105 @@ class MaskedForward:
         return _threshold(self.logits(mask))
 
     @functools.cached_property
-    def _slack(self) -> np.ndarray | None:
-        """Per row, how far apart two logits computed for one mask in any
-        summation order can lie, plus the sigmoid window; None when the
-        bound is not finite.
+    def _errors(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Per row, how far the exact pass's logit (``err64``) and the
+        batched pass's (``err32``) can lie from the real one, for any mask;
+        None when the batched pass cannot run in float32.
 
-        Every layer after the cached first one is a dot product of length k
-        plus a bias, so each of its computed values lies within
-        ``gamma(k + 1) * (|W| @ |a| + |b|)`` of the value from the computed
-        inputs (Higham, *Accuracy and Stability of Numerical Algorithms*,
-        2nd ed., section 3.1).  ``bound`` bounds every masked activation,
-        because a mask only zeroes terms; ``err`` carries each layer's
-        error through the next ``|W|``.  Two computations (the batched pass
-        and the exact one) each lie within ``err`` of the real logit.  The
-        rounding of the bound itself, and any underflow, is far below the
-        1e-12 window.
+        The real logit is the exact rational value of the masked layers
+        from the cached first one.  ``bound`` bounds every real masked
+        activation, because a mask only zeroes terms, and each error is
+        carried through the next layer's ``|W|``.  Every layer after the
+        cached one is a dot product of length k = fan_in + 1 (the bias is
+        a term), so each computed value lies within ``gamma(k) * (|W| @ |a|
+        + |b|)`` of the value from the computed inputs ``a``, in any
+        summation order (Higham, *Accuracy and Stability of Numerical
+        Algorithms*, 2nd ed., section 3.1).
+
+        The exact pass sums in float64 (``_U64``) from the cached layer
+        itself.  The batched pass sums in float32 (``_U32``): it starts
+        from the cached layer rounded to float32, off by ``u32 * |first|``,
+        and rounds each weight and bias once more, so a layer takes
+        ``gamma32(fan_in + 2)`` over the activations' reach ``bound +
+        err32``.  Underflow escapes those relative bounds: a float32
+        rounding whose result falls below the normal range errs by up to
+        2**-150, or by up to 2**-126 (``_F32_TINY``) where the hardware
+        flushes such a result, or reads such a value, as zero.  A unit
+        takes at most 2k such roundings in its dot product and two in its
+        bias and output, each weight one on rounding and one on reading,
+        and later roundings magnify none of them more than twice.  So
+        ``err32`` carries ``4 * tiny * (k + 1 + sum(reach))`` per unit and
+        layer, and ``2 * tiny`` on the cached layer, like any other error:
+        underflow needs none of the sigmoid window, which 2**-150 times a
+        product of large weights could exceed.  (float64 underflow, at
+        most 2**-1074 per operation, is far below the window.)
+
+        The bounds are themselves float64 sums and products of
+        nonnegative numbers, so each falls short of its real value by at
+        most a relative ``gamma64(ops)``, ``ops`` counting (generously)
+        the roundings along its longest chain; both are scaled up by that.
+
+        Float32 range: every product and partial sum of a batched layer
+        stays within the reach of its outputs, so while every weight and
+        every reach stays below ``_F32_RANGE`` nothing overflows.  A model
+        past it, or with a bound that is not finite, gets None, and every
+        mask takes the exact pass.
         """
         model = self.model
         bound = np.abs(self._first)
-        err = np.zeros_like(bound)
+        err64 = np.zeros_like(bound)
+        err32 = _U32 * bound + 2 * _F32_TINY
+        if not (bound + err32).max() < _F32_RANGE:  # also when not finite
+            return None
+        ops = 8
         for W, b in zip(model.weights[1:], model.biases[1:]):
             absW, absb = np.abs(W.T), np.abs(b)
+            if not absW.max() < _F32_RANGE:
+                return None
             k = W.shape[1] + 1
-            gamma = k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
-            err = gamma * ((bound + err) @ absW + absb) + err @ absW
+            reach = bound + err32
+            err64 = _gamma(k, _U64) * ((bound + err64) @ absW + absb) + err64 @ absW
+            err32 = (_gamma(k + 1, _U32) * (reach @ absW + absb) + err32 @ absW
+                     + 4 * _F32_TINY * (k + 1 + reach.sum(axis=1, keepdims=True)))
             bound = bound @ absW + absb
-        slack = 2.0 * err[:, 0] + _SIGMOID_HALF_WINDOW
-        return slack if np.isfinite(slack).all() else None
+            if not (bound + err32).max() < _F32_RANGE:
+                return None
+            ops += k + 8
+        scale = 1.0 + _gamma(ops, _U64)
+        return scale * err64[:, 0], scale * err32[:, 0]
+
+    @functools.cached_property
+    def _slack(self) -> np.ndarray | None:
+        """Per row, how far from 0 a logit of the batched pass must lie to
+        give the exact pass's prediction: ``err64 + err32`` plus the
+        sigmoid window; None when every mask takes the exact pass.
+
+        A batched logit farther from 0 than that has the real logit on its
+        side of 0 and farther than ``err64`` plus the window, so the exact
+        pass's logit lies on that side too and outside the window, where
+        ``_threshold`` predicts by its sign.
+        """
+        errors = self._errors
+        return None if errors is None else errors[0] + errors[1] + _SIGMOID_HALF_WINDOW
 
     def _batch_buffers(self, B: int) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-        """Buffers of the batched pass, each layer's input carrying a last
-        row of ones so that its bias rides in the matmul as one more term:
-        the first layer as (units + 1, rows), and for each later layer
-        copies of its weights with the bias as last column, and its outputs
-        as (masks, units + 1, rows).  They hold as many masks as the largest
-        batch run so far, so a kernel that prices one mask at a time holds
-        one."""
+        """Float32 buffers of the batched pass, each layer's input carrying
+        a last row of ones so that its bias rides in the matmul as one more
+        term: the first layer as (units + 1, rows), and for each later
+        layer copies of its weights with the bias as last column, and its
+        outputs as (masks, units + 1, rows).  They hold as many masks as
+        the largest batch run so far, so a kernel that prices one mask at a
+        time holds one."""
         if self._buffers is None or len(self._buffers[2][0]) < B:
             n = self._first.shape[0]
-            first = np.ones((self._first.shape[1] + 1, n))
+            first = np.ones((self._first.shape[1] + 1, n), dtype=np.float32)
             first[:-1] = self._first.T
             weights, outs = [], []
             for W, b in zip(self.model.weights[1:], self.model.biases[1:]):
-                stack = np.empty((B, W.shape[0], W.shape[1] + 1))
+                stack = np.empty((B, W.shape[0], W.shape[1] + 1), dtype=np.float32)
                 stack[:, :, -1] = b
                 weights.append(stack)
-                outs.append(np.ones((B, W.shape[0] + 1, n)))
+                outs.append(np.ones((B, W.shape[0] + 1, n), dtype=np.float32))
             self._buffers = first, weights, outs
         return self._buffers
 
@@ -281,8 +353,9 @@ class MaskedForward:
         ``keep`` has one row of keep factors per mask, as the ``keep``
         method builds them: 1.0 keeps that neuron, 0.0 drops it.  Each mask
         is folded into a stacked copy of every later layer's weights, and all
-        masks run through one matmul per layer.  That sums in another order
-        than the exact pass, so ``_certified`` vouches for each mask.
+        masks run through one float32 matmul per layer.  That rounds more,
+        and sums in another order, than the exact pass, so ``_certified``
+        vouches for each mask.
         """
         B = keep.shape[0]
         if B > self.batch_size:
@@ -296,11 +369,12 @@ class MaskedForward:
 
     def _certified(self, z: np.ndarray | None, count: int, keep_of) -> np.ndarray:
         """Predictions (masks, rows) of ``count`` masks from their logits
-        ``z`` of a batched pass in any summation order.  A row is trusted
-        only when its logit lies farther from 0 than its ``_slack``; a mask
-        with any row within it, or any NaN, goes through the exact pass on
-        the keep factors ``keep_of(m)``, as does every mask when the bound
-        is not finite (``z`` is then None: a caller skips the batched pass).
+        ``z`` of a float32 batched pass in any summation order.  A row is
+        trusted only when its logit lies farther from 0 than its ``_slack``;
+        a mask with any row within it, or any NaN, goes through the exact
+        pass on the keep factors ``keep_of(m)``, as does every mask when
+        there is no slack (``z`` is then None: a caller skips the batched
+        pass).
         When every logit clears the widest slack, no row needs its own
         test.  ``z`` is overwritten."""
         if z is None:
@@ -316,10 +390,10 @@ class MaskedForward:
         return preds
 
     def _batch_hidden(self, keep: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Last hidden layer's activations (masks, units + 1, rows) of the
-        batched pass for up to ``batch_size`` masks, with the last row of
-        ones that carries the output bias: in ``out`` when given (its last
-        row must be ones), else in the pass's buffers, which the next call
+        """Last hidden layer's float32 activations (masks, units + 1, rows)
+        of the batched pass for up to ``batch_size`` masks, with the last row
+        of ones that carries the output bias: in ``out`` when given (float32,
+        its last row ones), else in the pass's buffers, which the next call
         overwrites.  Only the keep factors of the earlier hidden layers are
         read; with one hidden layer every mask shares the cached first
         layer."""

@@ -228,15 +228,15 @@ def price_space(model: MlpModel, validation_data: TabularDataset, bounds: Search
     suffix's keep factors, with the output bias as last column) are built
     once, and each prefix of weight w runs through the hidden layers, many
     prefixes per batch of ``MaskedForward``'s batched pass, to its
-    last-hidden-layer activations; one GEMM of the block's rows against
-    them gives the logits of every mask in the block that shares the
+    last-hidden-layer activations; one float32 GEMM of the block's rows
+    against them gives the logits of every mask in the block that shares the
     prefix.  When the suffixes of a weight fill one block, as they do on
     desk-scale spaces, each prefix runs through the hidden layers once; a
     wider last layer runs them once per block instead of holding every
     suffix.  Every row is certified as in ``predict_many``: a mask with
-    any row within the slack goes through the exact pass.  A second GEMM,
-    of the block's 0/1 predictions against ``group_label_indicator``,
-    counts the cells, and ``cell_costs`` prices them.  Last, one
+    any row within the slack goes through the exact pass.  A second float32
+    GEMM, of the block's 0/1 predictions against ``group_label_indicator``,
+    counts the cells exactly, and ``cell_costs`` prices them.  Last, one
     permutation puts the columns in ``iter_states`` order, which ``best``'s
     tie-break and the dump follow.
 
@@ -245,7 +245,8 @@ def price_space(model: MlpModel, validation_data: TabularDataset, bounds: Search
     prefixes of one weight, a suffix block's logits (which then carry its
     0/1 predictions), a prefix batch's layer outputs, and all that
     ``cell_costs`` holds for one chunk of states each come to about
-    ``_BATCH_ELEMENTS`` values.  Nothing of it is a setting.
+    ``_BATCH_ELEMENTS`` values (float32 in the block and the batch).
+    Nothing of it is a setting.
     """
     total = _check_budget(bounds, budget)
     n = bounds.n_total
@@ -261,9 +262,10 @@ def price_space(model: MlpModel, validation_data: TabularDataset, bounds: Search
     h = len(last)
 
     block = max(1, _BATCH_ELEMENTS // max(rows, h + 1))
-    out_rows = np.empty((block, h + 1))
-    out_rows[:, -1] = model.biases[-1]
-    logits = np.empty((block, rows))
+    out_rows = np.empty((block, h + 1), dtype=np.float32)
+    if batched:  # else the output layer may lie past float32's range
+        out_rows[:, -1] = model.biases[-1]
+    logits = np.empty((block, rows), dtype=np.float32)
     keys = np.empty(total, dtype=bits.dtype)
     order_key = np.empty_like(keys)
     weight = np.empty(total, dtype=np.min_scalar_type(n))

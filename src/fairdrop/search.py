@@ -192,11 +192,12 @@ class CostEvaluator:
     positions come from the model's ``neuron_order``).  The last hidden
     layer's activations depend on the prefix alone, so a walk's flips in
     the last layer leave them as they were.  The evaluator keeps those of
-    the two most recent prefixes in buffers of its own, and a price whose
-    prefix is one of them runs only the output layer.  A price is then one
-    GEMV of the output weights times the mask's keep factors against that
-    layer, certified as in the batched pass (``MaskedForward._certified``:
-    a mask with any logit it cannot vouch for takes the exact pass), one
+    the two most recent prefixes in float32 buffers of its own, and a price
+    whose prefix is one of them runs only the output layer.  A price is then
+    one float32 GEMV of the output weights times the mask's keep factors
+    against that layer, certified as in the batched pass
+    (``MaskedForward._certified``: a mask with any logit it cannot vouch
+    for takes the exact pass), one
     ``bincount`` of eight cells and the cost formula.  ``prefetch`` prices
     many masks ahead in one factored pass for ``evaluate`` to take.
     """
@@ -211,14 +212,17 @@ class CostEvaluator:
         self._prefix_mask = sum(1 << int(bit) for bits in forward._bits[:-1] for bit in bits)
         units = len(forward._bits[-1])
         # the output layer's weights times a mask's keep factors, bias last,
-        # and its logits
-        self._out_row = np.empty(units + 1)
-        self._out_row[-1] = model.biases[-1][0]
-        self._z = np.empty((1, len(self._key)))
+        # and its logits; without the batched pass, every price takes the
+        # exact pass and the bias may lie past float32's range
+        self._out_row = np.empty(units + 1, dtype=np.float32)
+        if forward._slack is not None:
+            self._out_row[-1] = model.biases[-1][0]
+        self._z = np.empty((1, len(self._key)), dtype=np.float32)
         # (prefix, its last hidden layer as MaskedForward._batch_hidden lays it
         # out), most recent first; the batched pass's own buffers are
         # overwritten by its next call, so they are never kept
-        self._recent = [(None, np.ones((1, units + 1, len(self._key)))) for _ in range(2)]
+        self._recent = [(None, np.ones((1, units + 1, len(self._key)), dtype=np.float32))
+                        for _ in range(2)]
         self._cache: dict[int, CostEvaluation] = {}
         self._prefetched: dict[int, CostEvaluation] = {}
         self.evaluations = 0
@@ -257,9 +261,9 @@ class CostEvaluator:
 
         The states are grouped by prefix.  Each prefix runs through the
         hidden layers once, many prefixes per batch of the batched pass,
-        and one GEMM of the output weights times each member's keep factors
-        against its last hidden layer gives the group's logits, certified as
-        in ``price``.  One more GEMM against ``group_label_indicator``
+        and one float32 GEMM of the output weights times each member's keep
+        factors against its last hidden layer gives the group's logits,
+        certified as in ``price``.  One more GEMM against ``group_label_indicator``
         counts the cells, and ``cell_costs`` prices them: the values
         ``price`` gives.
         """
@@ -275,19 +279,21 @@ class CostEvaluator:
         ends = np.cumsum([len(group) for group in groups.values()]).tolist()
         forward = self._forward
         keep = np.array([forward.keep(s) for s in fresh])
-        last = forward._bits[-1]
-        rows = np.empty((len(fresh), len(last) + 1))
-        rows[:, -1] = self.model.biases[-1]
-        np.multiply(self.model.weights[-1][0], keep[:, last], out=rows[:, :-1])
+        batched = forward._slack is not None
+        if batched:  # else the output layer may lie past float32's range
+            last = forward._bits[-1]
+            rows = np.empty((len(fresh), len(last) + 1), dtype=np.float32)
+            rows[:, -1] = self.model.biases[-1]
+            np.multiply(self.model.weights[-1][0], keep[:, last], out=rows[:, :-1])
         starts = [0, *ends[:-1]]
         positives = np.empty((len(fresh), 4))
         for first in range(0, len(ends), forward.batch_size):
             batch = slice(first, first + forward.batch_size)
             lo, hi = starts[first], ends[batch][-1]
             z = None
-            if forward._slack is not None:
+            if batched:
                 hidden = forward._batch_hidden(keep[starts[batch]])
-                z = np.empty((hi - lo, len(self._key)))
+                z = np.empty((hi - lo, len(self._key)), dtype=np.float32)
                 for b, (start, end) in enumerate(zip(starts[batch], ends[batch])):
                     np.matmul(rows[start:end], hidden[b], out=z[start - lo:end - lo])
             preds = forward._certified(z, hi - lo, lambda m: keep[lo + m])

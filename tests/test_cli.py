@@ -160,22 +160,29 @@ class TestRepair:
         doc = json.loads((tmp_path / "out" / "repair_seed1_sa.json").read_text())
         assert doc["run"]["success"] is False
 
-    @pytest.mark.parametrize("argv", [["repair"], ["sweep", "--p-values", "1.0"]],
-                             ids=["repair", "sweep"])
-    def test_zero_baseline_f1_is_said_on_stderr(self, tmp_path, capsys, argv):
+    @pytest.mark.parametrize("calls", [[["repair"]], [["sweep", "--p-values", "1.0"]],
+                                       [["oracle", "--seed", "1"], ["oracle", "--seed", "2"]]],
+                             ids=["repair", "sweep", "oracle"])
+    def test_one_class_baseline_is_said_on_stderr(self, tmp_path, capsys, calls):
         config = tmp_path / "config.json"
         write_config(config, search={"t0_mode": "worst_case"})
         out = tmp_path / "out"
         out.mkdir()
-        # seed 1's output bias keeps every logit negative, so it predicts no
-        # positives; seed 2's model predicts every row positive
+        # seed 1's output bias keeps every logit negative, so it predicts 0
+        # for every row and its F1 is 0; seed 2's model predicts 1 for every
+        # row
         (out / "model_seed1.json").write_text(
             json.dumps(model_document(hidden=8, output_bias=-1000.0)))
         (out / "model_seed2.json").write_text(json.dumps(model_document(hidden=8)))
-        assert run_cli(argv + ["--config", config]) == 0
-        assert capsys.readouterr().err == ("seed 1: the unmasked model's validation F1 is 0, "
-                                           "so every mask meets the F1 floor\n")
-        if argv[0] == "repair":
+        for argv in calls:
+            assert run_cli(argv + ["--config", config]) == 0
+        f1_zero = ("" if calls[0][0] == "oracle" else
+                   "seed 1: the unmasked model's validation F1 is 0, "
+                   "so every mask meets the F1 floor\n")
+        assert capsys.readouterr().err == (
+            "seed 1: the unmasked model predicts 0 for every validation row\n" + f1_zero
+            + "seed 2: the unmasked model predicts 1 for every validation row\n")
+        if calls[0][0] == "repair":
             run = json.loads((out / "repair_seed1_sa.json").read_text())["run"]
             assert run["baseline"]["validation"]["f1"] == 0.0
             assert run["success"] is True

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import fairdrop as fd
+import fairdrop.oracle
 from fairdrop.model import (_SIGMOID_HALF_WINDOW, MaskedForward, MlpArchitecture,
                             ModelFormatError, ShapeError, TrainingError, _sigmoid,
                             default_neuron_order, initialize_model)
@@ -229,9 +230,9 @@ def exact_predictions(kernel, masks) -> np.ndarray:
 
 @pytest.fixture
 def fallbacks(monkeypatch):
-    """How many masks ``predict_many`` or ``CostEvaluator.price`` re-ran
-    through the exact pass; the exact pass that ``predict`` runs is not
-    counted."""
+    """How many masks ``predict_many``, ``CostEvaluator.price`` or
+    ``prefetch``, or ``fairdrop.oracle.price_space`` re-ran through the
+    exact pass; the exact pass that ``predict`` runs is not counted."""
     calls, running = [], []
     exact = MaskedForward._exact
 
@@ -250,6 +251,8 @@ def fallbacks(monkeypatch):
     monkeypatch.setattr(MaskedForward, "_exact", counted_exact)
     monkeypatch.setattr(MaskedForward, "predict_many", counting(MaskedForward.predict_many))
     monkeypatch.setattr(fd.CostEvaluator, "price", counting(fd.CostEvaluator.price))
+    monkeypatch.setattr(fd.CostEvaluator, "prefetch", counting(fd.CostEvaluator.prefetch))
+    monkeypatch.setattr(fairdrop.oracle, "price_space", counting(fairdrop.oracle.price_space))
     return calls
 
 
@@ -352,14 +355,14 @@ class TestPredictMany:
 
     def test_bound_holds_against_exact_logits(self):
         # Rational arithmetic from the cached first layer gives each mask's
-        # real logit; both the batched and the exact pass lie within half
-        # the slack, less the sigmoid window, of it.
+        # real logit; the batched (float32) pass lies within err32 of it,
+        # and the exact (float64) pass within err64.
         rng = XorShift64Star(51)
         model = random_small_model(rng, (2, 3, 4, 3, 1))
         X = 4.0 * rng.uniform_block(6 * 2).reshape(6, 2) - 2.0
         kernel = MaskedForward(model, X)
         n = model.hidden_total
-        err = [Fraction(e) for e in (kernel._slack - _SIGMOID_HALF_WINDOW) / 2.0]
+        err64, err32 = ([Fraction(e) for e in err.tolist()] for err in kernel._errors)
         masks = [DropoutState(n, bits) for bits in range(0, 1 << n, 37)]
         batched = kernel._batch_logits(keep_rows(masks, n)).copy()
         for mask, fast in zip(masks, batched):
@@ -373,8 +376,141 @@ class TestPredictMany:
                     A = [[max(z, Fraction(0)) * (u not in dropped[i + 1])
                           for u, z in enumerate(row)] for row in Z]
             real = [row[0] for row in Z]
-            for z in (fast, kernel.logits(mask)):
+            for z, err in ((fast, err32), (kernel.logits(mask), err64)):
                 assert all(abs(Fraction(v) - r) <= e for v, r, e in zip(z.tolist(), real, err))
+
+
+def straddling_instance():
+    """A [1, 2, 1] model whose unmasked logit is -2**-30 on the rows x = 1,
+    with rows x = 0 beside them in both groups.  Its two hidden units read
+    1 + 2**-24 +- 2**-30 there, either side of a float32 rounding midpoint,
+    so float32 rounds them 2**-23 apart and reads that logit as about
+    +1.2e-7: the wrong sign, and past float64's error bound (about 1e-15)
+    but within float32's."""
+    eps = 2.0 ** -30
+    model = fd.MlpModel(MlpArchitecture((1, 2, 1)),
+                        [np.array([[1.0 + 2.0 ** -24 + eps], [1.0 + 2.0 ** -24 - eps]]),
+                         np.array([[1.0, -1.0]])],
+                        [np.zeros(2), np.array([-3.0 * eps])])
+    data = fd.TabularDataset(np.array([[1.0], [0.0], [1.0], [0.0]]), np.array([1, 0, 1, 0]),
+                             np.array([0, 0, 1, 1]), ("x",))
+    return model, data, eps
+
+
+class TestFloat32Pass:
+    def test_logit_within_float32_error_takes_the_exact_pass(self, fallbacks):
+        model, data, eps = straddling_instance()
+        kernel = MaskedForward(model, data.features)
+        err64, err32 = kernel._errors
+        straddling = [0, 2]
+        fast = kernel._batch_logits(np.ones((1, 2)))[0].copy()
+        assert kernel.logits()[straddling].tolist() == [-eps, -eps]
+        assert (fast[straddling] > err64[straddling] + _SIGMOID_HALF_WINDOW).all()
+        assert (eps > err64[straddling] + _SIGMOID_HALF_WINDOW).all()
+        assert (eps < err32[straddling]).all()
+
+        states = [DropoutState(2, bits) for bits in range(4)]
+        # the x = 1 rows lie within their float32 slack under the unmasked
+        # state and under the one dropping both units (logit -3 * 2**-30);
+        # dropping one unit moves them far out
+        doubtful = 2
+        assert np.array_equal(kernel.predict_many(keep_rows(states, 2)),
+                              exact_predictions(kernel, states))
+        assert np.array_equal(exact_predictions(kernel, states),
+                              [reference_predictions(model, data.features, s) == 1
+                               for s in states])
+        assert len(fallbacks) == doubtful
+        expected = [reference_price(model, data, s, PRICE_PARAMS) for s in states]
+        alone = (fast >= 0.0).astype(np.int64)  # what float32 alone would predict
+        assert fd.f1(fd.confusion(alone, data.labels)) == 1.0 != expected[0][2]
+        evaluator = fd.CostEvaluator(model, data, PRICE_PARAMS)
+        assert [tuple(evaluator.price(s)) for s in states] == expected
+        assert len(fallbacks) == 2 * doubtful
+        evaluator.prefetch(states)
+        assert [tuple(evaluator.evaluate(s)) for s in states] == expected
+        assert len(fallbacks) == 3 * doubtful
+        space = fairdrop.oracle.price_space(model, data, fd.SearchSpaceBounds(2, 0, 2),
+                                            PRICE_PARAMS)
+        assert list(zip(space.keys.tolist(), space.cost.tolist(), space.eod.tolist(),
+                        space.f1.tolist())) == [(s.bits, *e) for s, e in zip(states, expected)]
+        assert len(fallbacks) == 4 * doubtful
+
+    @pytest.mark.parametrize("case", ["activations", "weight", "output"])
+    def test_model_past_float32_range_takes_the_exact_pass(self, fallbacks, case):
+        # finite float64 weights: about 1e20 per layer takes the second
+        # hidden layer to about 1e40, past float32; a 1e35 weight reading a
+        # unit that is always 0 does not reach the activations, but would
+        # still overflow in float32 on its own; so would an output weight
+        # and bias of 1e39, which no float32 buffer may then hold
+        rng = XorShift64Star(16)
+        base = random_small_model(rng, (2, 3, 3, 1))
+        weights = [w.copy() for w in base.weights]
+        biases = [b.copy() for b in base.biases]
+        if case == "activations":
+            weights = [1e20 * w for w in weights]
+            biases = [1e20 * b for b in biases]
+        elif case == "weight":
+            weights[0][0], biases[0][0] = -1.0, -1.0
+            weights[1][0, 0] = 1e35
+        else:
+            weights[-1] = 1e39 * weights[-1]
+            biases[-1] = 1e39 * biases[-1]
+        model = fd.MlpModel(base.architecture, weights, biases)
+        X = rng.uniform_block(40 * 2).reshape(40, 2)
+        data = fd.TabularDataset(X, (X[:, 0] > 0.5).astype(np.int64),
+                                 (X[:, 1] > 0.5).astype(np.int64), ("a", "b"))
+        kernel = MaskedForward(model, X)
+        assert kernel._errors is None and kernel._slack is None
+        n = model.hidden_total
+        states = [DropoutState(n, bits) for bits in range(0, 1 << n, 5)]
+        preds = kernel.predict_many(keep_rows(states, n))
+        assert np.array_equal(preds, exact_predictions(kernel, states))
+        assert np.array_equal(preds, [reference_predictions(model, X, s) == 1 for s in states])
+        assert len(fallbacks) == len(states)
+        expected = [reference_price(model, data, s, PRICE_PARAMS) for s in states]
+        evaluator = fd.CostEvaluator(model, data, PRICE_PARAMS)
+        assert [tuple(evaluator.price(s)) for s in states] == expected
+        assert len(fallbacks) == 2 * len(states)
+        evaluator = fd.CostEvaluator(model, data, PRICE_PARAMS)
+        evaluator.prefetch(states)
+        assert [tuple(evaluator.evaluate(s)) for s in states] == expected
+        assert len(fallbacks) == 3 * len(states)
+        space = fairdrop.oracle.price_space(model, data, fd.SearchSpaceBounds(n, 0, n),
+                                            PRICE_PARAMS)
+        priced = {bits: (c, None if e != e else e, f) for bits, c, e, f in zip(
+            space.keys.tolist(), space.cost.tolist(), space.eod.tolist(), space.f1.tolist())}
+        assert [priced[s.bits] for s in states] == expected
+        assert len(fallbacks) == 3 * len(states) + (1 << n)
+
+    def test_batched_pass_runs_in_float32(self, small_instance, monkeypatch):
+        # a float32 block times a float64 indicator would copy the block up
+        # to float64 on every call
+        parts, model, params = small_instance
+        n = model.hidden_total
+        logits, indicators = [], []
+        certified = MaskedForward._certified
+        indicator = fairdrop.oracle.group_label_indicator
+
+        def spy_certified(self, z, count, keep_of):
+            logits.append(z.dtype)
+            return certified(self, z, count, keep_of)
+
+        def spy_indicator(*args):
+            indicators.append(indicator(*args))
+            return indicators[-1]
+        monkeypatch.setattr(MaskedForward, "_certified", spy_certified)
+        monkeypatch.setattr(fairdrop.oracle, "group_label_indicator", spy_indicator)
+        evaluator = fd.CostEvaluator(model, parts.validation, params)
+        evaluator.price(DropoutState.from_indices(n, (0, 9)))
+        evaluator.prefetch(DropoutState.from_indices(n, (b, 15 - b)) for b in range(8))
+        fairdrop.oracle.price_space(model, parts.validation, fd.SearchSpaceBounds(n, 1, 2),
+                                    params)
+        first, weight_stacks, out_stacks = evaluator._forward._buffers
+        kept = [hidden for _, hidden in evaluator._recent]
+        for array in (first, *weight_stacks, *out_stacks, *kept, evaluator._out_row,
+                      evaluator._z, evaluator._indicator, *indicators):
+            assert array.dtype == np.float32
+        assert len(logits) >= 3 and set(logits) == {np.dtype(np.float32)}
 
 
 def separable_split(n=600, seed=9):
