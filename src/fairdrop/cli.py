@@ -25,11 +25,10 @@ from . import __version__
 from .dataset import (MIN_SYNTH_FEATURES, MIN_SYNTH_ROWS, DatasetSchema, SplitDataset,
                       TabularDataset, load_csv, split, synthesize_biased)
 from .ioutil import atomic_write_text
-from .metrics import prediction_metrics
 from .model import (MlpArchitecture, MlpModel, TrainConfig, load_model, predict_batch,
                     save_model, train)
 from .oracle import (DEFAULT_ENUMERATION_BUDGET, EnumerationBudgetError, price_space,
-                     single_neuron_baseline)
+                     single_neuron_baseline, split_reports)
 from .search import (SearchConfig, SearchResult, SearchSpaceBounds, baseline_cost_params,
                      run_search, write_trace_csv)
 
@@ -193,15 +192,6 @@ def write_json(path, payload: dict) -> None:
     atomic_write_text(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 
-def _split_reports(model: MlpModel, parts: SplitDataset, mask=None) -> dict:
-    """EOD / F1 / accuracy of the (masked) model on the validation and test splits."""
-    reports = {}
-    for name, data in (("validation", parts.validation), ("test", parts.test)):
-        preds = predict_batch(model, data, mask)
-        reports[name] = prediction_metrics(preds, data.labels, data.protected).to_dict()
-    return reports
-
-
 def mean_ci(values) -> dict:
     arr = np.asarray(values, dtype=np.float64)
     mean = float(arr.mean())
@@ -261,10 +251,11 @@ def cmd_train(args) -> int:
             train_dropout_prob=float(tr["train_dropout_prob"]),
             seed=seed,
         ))
+        _say_if_one_class(seed, model, parts)
         path = model_path(cfg, seed)
         save_model(model, path)
         per_seed[str(seed)] = {"model_file": os.path.basename(path),
-                               **_split_reports(model, parts)}
+                               **split_reports(model, parts.validation, parts.test)}
         v, t = per_seed[str(seed)]["validation"], per_seed[str(seed)]["test"]
         print(f"seed {seed}: val EOD {_pct(v['eod'])} F1 {v['f1']:.3f} acc {v['accuracy']:.3f} "
               f"| test EOD {_pct(t['eod'])} F1 {t['f1']:.3f} acc {t['accuracy']:.3f}")
@@ -323,8 +314,8 @@ def _repair_one(cfg: dict, data: TabularDataset, seed: int,
         "initial_cost": result.initial_cost,
         "success": result.success,
         "evaluations": result.evaluations,
-        "baseline": _split_reports(model, parts),
-        "repaired": _split_reports(model, parts, result.best_state),
+        "baseline": split_reports(model, parts.validation, parts.test),
+        "repaired": split_reports(model, parts.validation, parts.test, result.best_state),
     }
 
 

@@ -8,9 +8,9 @@ activation never reaches the output, even when it is NaN or infinite.  Every
 forward pass runs through ``MaskedForward``, which is built once per batch of
 rows, caches the first hidden layer and has two passes: the exact one, which
 zeroes the dropped activations by assignment, for training's validation
-scoring and reports; and a batched one, which prices one mask or many per
-matmul for search and enumeration behind a certified error bound that sends
-any prediction it cannot vouch for to the exact pass.
+scoring and reports; and a batched one, whose hidden layers and output
+rows search and enumeration pair in GEMMs of their own, behind a certified
+error bound that sends any prediction it cannot vouch for to the exact pass.
 
 Hidden neurons carry a fixed total order (the ``neuron_order`` bijection)
 that maps mask bit positions to (layer, unit) pairs; the order is set at
@@ -176,14 +176,16 @@ class MaskedForward:
     ``relu(X @ W0.T + b0)``.  Masks then run over that layer in one of two
     passes.  ``logits`` and ``predict`` run the exact pass for one mask, in
     float64: every later layer on fresh arrays, with the dropped units'
-    activations zeroed by assignment.  ``predict_many`` runs up to
-    ``batch_size`` masks through one float32 matmul per layer and gives the
-    same predictions, behind a certified error bound (``_slack``) that
-    covers both passes' rounding and sends every mask it cannot vouch for
-    through the exact pass.  Its hidden layers (``_batch_hidden``) and its
-    certificate (``_certified``) also serve the oracle's factored pass and
-    the search's ``CostEvaluator``, which run the output layer themselves,
-    also in float32.
+    activations zeroed by assignment.  The batched pass runs in float32:
+    ``_batch_hidden`` takes up to ``batch_size`` masks through one matmul
+    per later hidden layer to the last one, which a mask's bits in the
+    earlier layers (``prefix_bits``) alone set, and ``_output_rows`` builds
+    the output rows for keep factors of the last layer's units
+    (``suffix_bits``); ``CostEvaluator`` and the oracle pair the two in
+    GEMMs of their own.  Their logits give the exact pass's predictions
+    behind a certified error bound (``_slack``) that covers both passes'
+    rounding: ``_certified`` sends every mask it cannot vouch for through
+    the exact pass.
     """
 
     def __init__(self, model: MlpModel, features: np.ndarray):
@@ -201,9 +203,12 @@ class MaskedForward:
         position = {pair: bit for bit, pair in enumerate(model.neuron_order)}
         self._bits = [np.array([position[layer, unit] for unit in range(size)])
                       for layer, size in enumerate(model.architecture.hidden_sizes)]
+        self.prefix_bits = np.concatenate([np.empty(0, np.intp), *self._bits[:-1]])
+        self.suffix_bits = self._bits[-1]
         widest = max(model.architecture.layer_sizes[2:])
         self.batch_size = max(1, _BATCH_ELEMENTS // (n * widest))
-        self._buffers = None
+        self._capacity = 0  # masks the batched pass's buffers hold
+        self._rows = np.empty((0, len(self.suffix_bits) + 1), dtype=np.float32)
 
     def keep(self, mask) -> np.ndarray:
         """Keep factors of ``mask``, one per mask bit: 1.0 keeps that neuron,
@@ -326,42 +331,26 @@ class MaskedForward:
         return None if errors is None else errors[0] + errors[1] + _SIGMOID_HALF_WINDOW
 
     def _batch_buffers(self, B: int) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-        """Float32 buffers of the batched pass, each layer's input carrying
-        a last row of ones so that its bias rides in the matmul as one more
-        term: the first layer as (units + 1, rows), and for each later
-        layer copies of its weights with the bias as last column, and its
-        outputs as (masks, units + 1, rows).  They hold as many masks as
-        the largest batch run so far, so a kernel that prices one mask at a
-        time holds one."""
-        if self._buffers is None or len(self._buffers[2][0]) < B:
+        """Float32 buffers of the batched pass's hidden layers, each layer's
+        input carrying a last row of ones so that its bias rides in the
+        matmul as one more term: the first layer as (units + 1, rows), and
+        for each later hidden layer copies of its weights with the bias as
+        last column, and its outputs as (masks, units + 1, rows).  They hold
+        as many masks as the largest batch run so far, so a kernel that
+        prices one mask at a time holds one."""
+        if self._capacity < B:
             n = self._first.shape[0]
             first = np.ones((self._first.shape[1] + 1, n), dtype=np.float32)
             first[:-1] = self._first.T
             weights, outs = [], []
-            for W, b in zip(self.model.weights[1:], self.model.biases[1:]):
+            for W, b in zip(self.model.weights[1:-1], self.model.biases[1:-1]):
                 stack = np.empty((B, W.shape[0], W.shape[1] + 1), dtype=np.float32)
                 stack[:, :, -1] = b
                 weights.append(stack)
                 outs.append(np.ones((B, W.shape[0] + 1, n), dtype=np.float32))
             self._buffers = first, weights, outs
+            self._capacity = B
         return self._buffers
-
-    def predict_many(self, keep: np.ndarray) -> np.ndarray:
-        """Predictions (masks, rows) for up to ``batch_size`` masks, equal to
-        ``predict`` on each of them.
-
-        ``keep`` has one row of keep factors per mask, as the ``keep``
-        method builds them: 1.0 keeps that neuron, 0.0 drops it.  Each mask
-        is folded into a stacked copy of every later layer's weights, and all
-        masks run through one float32 matmul per layer.  That rounds more,
-        and sums in another order, than the exact pass, so ``_certified``
-        vouches for each mask.
-        """
-        B = keep.shape[0]
-        if B > self.batch_size:
-            raise ShapeError(f"{B} masks exceed the batch size {self.batch_size}")
-        z = None if self._slack is None else self._batch_logits(keep)
-        return self._certified(z, B, keep.__getitem__)
 
     @functools.cached_property
     def _widest_slack(self) -> float:
@@ -399,7 +388,7 @@ class MaskedForward:
         layer."""
         B = keep.shape[0]
         H, weight_stacks, out_stacks = self._batch_buffers(B)
-        outs = [stack[:B] for stack in out_stacks[:-1]]
+        outs = [stack[:B] for stack in out_stacks]
         if out is not None:
             if not outs:
                 out[:] = H
@@ -413,15 +402,21 @@ class MaskedForward:
             H = A
         return np.broadcast_to(H, (B, *H.shape)) if H.ndim == 2 else H
 
-    def _batch_logits(self, keep: np.ndarray) -> np.ndarray:
-        """Logits (masks, rows) of the batched pass, in its buffers."""
+    def _output_rows(self, keep: np.ndarray) -> np.ndarray | None:
+        """Float32 output rows (masks, units + 1) for rows of keep factors of
+        the last hidden layer's units in unit order: the output weights times
+        each row, the bias last to meet ``_batch_hidden``'s row of ones, in a
+        buffer the next call overwrites.  None when the batched pass does not
+        run, as the output layer may lie past float32's range."""
+        if self._slack is None:
+            return None
         B = keep.shape[0]
-        H = self._batch_hidden(keep)
-        _, weight_stacks, out_stacks = self._buffers
-        Wf, out = weight_stacks[-1][:B], out_stacks[-1][:B]
-        np.multiply(self.model.weights[-1], keep[:, None, self._bits[-1]], out=Wf[:, :, :-1])
-        np.matmul(Wf, H, out=out[:, :-1])
-        return out[:, 0]
+        if len(self._rows) < B:
+            self._rows = np.empty((B, self._rows.shape[1]), dtype=np.float32)
+            self._rows[:, -1] = self.model.biases[-1]
+        rows = self._rows[:B]
+        np.multiply(self.model.weights[-1][0], keep, out=rows[:, :-1])
+        return rows
 
 
 def _threshold(z: np.ndarray) -> np.ndarray:

@@ -224,17 +224,17 @@ def price_space(model: MlpModel, validation_data: TabularDataset, bounds: Search
     last, and a *suffix*, its bits in the last hidden layer (the positions
     come from the model's ``neuron_order``).  Prefixes go by weight w; the
     suffixes that pair with weight w stream from ``itertools.combinations``
-    in blocks.  For each block, its rows (the output weights times each
-    suffix's keep factors, with the output bias as last column) are built
-    once, and each prefix of weight w runs through the hidden layers, many
-    prefixes per batch of ``MaskedForward``'s batched pass, to its
-    last-hidden-layer activations; one float32 GEMM of the block's rows
-    against them gives the logits of every mask in the block that shares the
-    prefix.  When the suffixes of a weight fill one block, as they do on
-    desk-scale spaces, each prefix runs through the hidden layers once; a
-    wider last layer runs them once per block instead of holding every
-    suffix.  Every row is certified as in ``predict_many``: a mask with
-    any row within the slack goes through the exact pass.  A second float32
+    in blocks.  For each block, its output rows
+    (``MaskedForward._output_rows``) are built once, and each prefix of
+    weight w runs through the hidden layers, many prefixes per batch of
+    ``MaskedForward``'s batched pass, to its last-hidden-layer activations;
+    one float32 GEMM of the block's rows against them gives the logits of
+    every mask in the block that shares the prefix.  When the suffixes of a
+    weight fill one block, as they do on desk-scale spaces, each prefix runs
+    through the hidden layers once; a wider last layer runs them once per
+    block instead of holding every suffix.  Every row is certified one
+    prefix at a time (``MaskedForward._certified``): a mask with any row
+    within the slack goes through the exact pass.  A second float32
     GEMM, of the block's 0/1 predictions against ``group_label_indicator``,
     counts the cells exactly, and ``cell_costs`` prices them.  Last, one
     permutation puts the columns in ``iter_states`` order, which ``best``'s
@@ -254,17 +254,12 @@ def price_space(model: MlpModel, validation_data: TabularDataset, bounds: Search
         raise SearchSpaceError(f"bounds cover {n} neurons, model has {model.hidden_total}")
     kernel = MaskedForward(model, validation_data.features)
     indicator = group_label_indicator(validation_data.labels, validation_data.protected)
-    batched = kernel._slack is not None
     rows = kernel._first.shape[0]
     bits, mirror_bits = _position_bits(n)
-    last = kernel._bits[-1]
-    prefix_bits = np.concatenate([np.empty(0, np.intp), *kernel._bits[:-1]])
+    last, prefix_bits = kernel.suffix_bits, kernel.prefix_bits
     h = len(last)
 
     block = max(1, _BATCH_ELEMENTS // max(rows, h + 1))
-    out_rows = np.empty((block, h + 1), dtype=np.float32)
-    if batched:  # else the output layer may lie past float32's range
-        out_rows[:, -1] = model.biases[-1]
     logits = np.empty((block, rows), dtype=np.float32)
     keys = np.empty(total, dtype=bits.dtype)
     order_key = np.empty_like(keys)
@@ -284,8 +279,7 @@ def price_space(model: MlpModel, validation_data: TabularDataset, bounds: Search
             m = len(dropped)
             suffix_key, suffix_order = _set_keys(dropped, bits[last], mirror_bits[last])
             suffix_weight = w + dropped.sum(axis=1)
-            if batched:
-                np.multiply(model.weights[-1][0], ~dropped, out=out_rows[:m, :-1])
+            out_rows = kernel._output_rows(~dropped)
             for first in range(0, len(prefixes), kernel.batch_size):
                 batch = prefixes[first:first + kernel.batch_size]
                 keep = np.ones((len(batch), n))
@@ -295,9 +289,9 @@ def price_space(model: MlpModel, validation_data: TabularDataset, bounds: Search
                 keys[span] = (prefix_key[:, None] | suffix_key).ravel()
                 order_key[span] = (prefix_order[:, None] & suffix_order).ravel()
                 weight[span] = np.tile(suffix_weight, len(batch))
-                hidden = kernel._batch_hidden(keep) if batched else None
+                hidden = None if out_rows is None else kernel._batch_hidden(keep)
                 for b in range(len(batch)):
-                    z = np.matmul(out_rows[:m], hidden[b], out=logits[:m]) if batched else None
+                    z = None if hidden is None else np.matmul(out_rows, hidden[b], out=logits[:m])
                     # the 0/1 predictions go through the logits' buffer as floats
                     np.copyto(logits[:m], kernel._certified(z, m, full_keep))
                     positives[f:f + m] = logits[:m] @ indicator
@@ -351,14 +345,22 @@ def single_neuron_baseline(model: MlpModel, validation_data: TabularDataset,
     best_state, cost = space.best()
     (best_index,) = best_state.indices()
     layer, unit = model.neuron_order[best_index]
-    report = {
+    return {
         "neuron_index": best_index,
         "layer": layer,
         "unit": unit,
         "cost": cost,
         "evaluations": len(space.cost),
+        **split_reports(model, validation_data, test_data, best_state),
     }
+
+
+def split_reports(model: MlpModel, validation_data: TabularDataset, test_data: TabularDataset,
+                  mask=None) -> dict:
+    """EOD / F1 / accuracy of the (masked) model on the validation and test
+    splits, by the exact pass."""
+    reports = {}
     for name, data in (("validation", validation_data), ("test", test_data)):
-        preds = predict_batch(model, data, best_state)
-        report[name] = prediction_metrics(preds, data.labels, data.protected).to_dict()
-    return report
+        preds = predict_batch(model, data, mask)
+        reports[name] = prediction_metrics(preds, data.labels, data.protected).to_dict()
+    return reports

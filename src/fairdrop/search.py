@@ -188,17 +188,17 @@ class CostEvaluator:
     protected bits are checked and folded into one cell key per row, and the
     forward pass caches its first hidden layer (``MaskedForward``).
 
-    A mask's *prefix* is its bits in every hidden layer but the last (the
-    positions come from the model's ``neuron_order``).  The last hidden
-    layer's activations depend on the prefix alone, so a walk's flips in
-    the last layer leave them as they were.  The evaluator keeps those of
-    the two most recent prefixes in float32 buffers of its own, and a price
-    whose prefix is one of them runs only the output layer.  A price is then
-    one float32 GEMV of the output weights times the mask's keep factors
-    against that layer, certified as in the batched pass
-    (``MaskedForward._certified``: a mask with any logit it cannot vouch
-    for takes the exact pass), one
-    ``bincount`` of eight cells and the cost formula.  ``prefetch`` prices
+    A mask's *prefix* is its bits in every hidden layer but the last
+    (``MaskedForward.prefix_bits``, from the model's ``neuron_order``).
+    The last hidden layer's activations depend on the prefix alone, so a
+    walk's flips in the last layer leave them as they were.  The evaluator
+    keeps those of the two most recent prefixes in float32 buffers of its
+    own, and a price whose prefix is one of them runs only the output
+    layer.  A price is then one float32 GEMV of the mask's output row
+    (``MaskedForward._output_rows``) against that layer, certified as in
+    the batched pass (``MaskedForward._certified``: a mask with any logit
+    it cannot vouch for takes the exact pass), one ``bincount`` of eight
+    cells and the cost formula.  ``prefetch`` prices
     many masks ahead in one factored pass for ``evaluate`` to take.
     """
 
@@ -209,14 +209,8 @@ class CostEvaluator:
         self._key = group_label_key(validation_data.labels, validation_data.protected)
         self._cell = np.empty_like(self._key)
         self._indicator = group_label_indicator(validation_data.labels, validation_data.protected)
-        self._prefix_mask = sum(1 << int(bit) for bits in forward._bits[:-1] for bit in bits)
-        units = len(forward._bits[-1])
-        # the output layer's weights times a mask's keep factors, bias last,
-        # and its logits; without the batched pass, every price takes the
-        # exact pass and the bias may lie past float32's range
-        self._out_row = np.empty(units + 1, dtype=np.float32)
-        if forward._slack is not None:
-            self._out_row[-1] = model.biases[-1][0]
+        self._prefix_mask = sum(1 << bit for bit in forward.prefix_bits.tolist())
+        units = len(forward.suffix_bits)
         self._z = np.empty((1, len(self._key)), dtype=np.float32)
         # (prefix, its last hidden layer as MaskedForward._batch_hidden lays it
         # out), most recent first; the batched pass's own buffers are
@@ -231,13 +225,11 @@ class CostEvaluator:
         """Price one mask, bypassing the memo cache."""
         forward = self._forward
         keep = forward.keep(state)
+        rows = forward._output_rows(keep[forward.suffix_bits][None])
         z = None
-        if forward._slack is not None:
-            hidden = self._hidden(state.bits & self._prefix_mask, keep)
-            np.multiply(self.model.weights[-1][0], keep[forward._bits[-1]],
-                        out=self._out_row[:-1])
+        if rows is not None:
             z = self._z
-            np.matmul(self._out_row, hidden, out=z[0])
+            np.matmul(rows[0], self._hidden(state.bits & self._prefix_mask, keep), out=z[0])
         preds = forward._certified(z, 1, lambda _: keep)
         np.add(self._key, preds[0], out=self._cell)
         m = cell_metrics(np.bincount(self._cell, minlength=8))
@@ -261,11 +253,11 @@ class CostEvaluator:
 
         The states are grouped by prefix.  Each prefix runs through the
         hidden layers once, many prefixes per batch of the batched pass,
-        and one float32 GEMM of the output weights times each member's keep
-        factors against its last hidden layer gives the group's logits,
-        certified as in ``price``.  One more GEMM against ``group_label_indicator``
-        counts the cells, and ``cell_costs`` prices them: the values
-        ``price`` gives.
+        and one float32 GEMM of its members' output rows against its last
+        hidden layer gives the group's logits, certified a whole batch of
+        prefixes at once as in ``price``.  One more GEMM against
+        ``group_label_indicator`` counts the cells, and ``cell_costs``
+        prices them: the values ``price`` gives.
         """
         groups: dict[int, dict[int, DropoutState]] = {}
         for s in states:
@@ -279,19 +271,14 @@ class CostEvaluator:
         ends = np.cumsum([len(group) for group in groups.values()]).tolist()
         forward = self._forward
         keep = np.array([forward.keep(s) for s in fresh])
-        batched = forward._slack is not None
-        if batched:  # else the output layer may lie past float32's range
-            last = forward._bits[-1]
-            rows = np.empty((len(fresh), len(last) + 1), dtype=np.float32)
-            rows[:, -1] = self.model.biases[-1]
-            np.multiply(self.model.weights[-1][0], keep[:, last], out=rows[:, :-1])
+        rows = forward._output_rows(keep[:, forward.suffix_bits])
         starts = [0, *ends[:-1]]
         positives = np.empty((len(fresh), 4))
         for first in range(0, len(ends), forward.batch_size):
             batch = slice(first, first + forward.batch_size)
             lo, hi = starts[first], ends[batch][-1]
             z = None
-            if batched:
+            if rows is not None:
                 hidden = forward._batch_hidden(keep[starts[batch]])
                 z = np.empty((hi - lo, len(self._key)), dtype=np.float32)
                 for b, (start, end) in enumerate(zip(starts[batch], ends[batch])):

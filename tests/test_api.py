@@ -1,10 +1,13 @@
-"""The public surface: what ``import fairdrop`` exports, what was deleted, and
+"""The public surface: what ``import fairdrop`` exports, what was deleted,
 the module-level names that the benchmark and the acceptance module reach
-by name."""
+by name, and that no definition is there for the tests alone."""
 
+import ast
 import dataclasses
 import importlib
+import re
 import types
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +40,8 @@ DELETED = [
     ("search", "CostEvaluator.price_many"),
     ("search", "CostEvaluator.batch_size"),
     ("metrics", "cell_counts"),
+    ("model", "MaskedForward.predict_many"),
+    ("model", "MaskedForward._batch_logits"),
 ]
 
 # perfbench/tracer.py wraps these by name (a missing one stops a traced run
@@ -98,3 +103,49 @@ def test_predict_batch_bound_once():
     # the benchmark counts report predictions by patching these bindings
     assert (fairdrop.search.predict_batch is fairdrop.oracle.predict_batch
             is fairdrop.cli.predict_batch is fairdrop.model.predict_batch)
+
+
+def _referenced_names(tree: ast.AST) -> set[str]:
+    """The names code in ``tree`` reads, calls or imports: every name, every
+    attribute, every imported name; docstrings are string constants, so
+    they do not count."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def _definitions(tree: ast.Module):
+    """(dotted name, bare name) of each function, method and class in
+    ``tree``; dunder methods run without being named, so they are left out."""
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                dotted = f"{prefix}{child.name}"
+                if not (child.name.startswith("__") and child.name.endswith("__")):
+                    yield dotted, child.name
+                yield from walk(child, f"{dotted}.")
+    yield from walk(tree, "")
+
+
+def test_every_definition_is_used_outside_the_tests():
+    # a production path that only tests call is dead weight: every function,
+    # method and class must be named by code in the package, the demos or
+    # the benchmark, or by the README, unless KEPT lists it
+    root = Path(__file__).resolve().parents[1]
+    package = {path: ast.parse(path.read_text())
+               for path in (root / "src" / "fairdrop").glob("*.py")}
+    used = set().union(*map(_referenced_names, package.values()))
+    for path in [*(root / "demos").glob("*.py"), *(root / "perfbench").glob("*.py")]:
+        used |= _referenced_names(ast.parse(path.read_text()))
+    used |= set(re.findall(r"\w+", (root / "README.md").read_text()))
+    kept = {(module, dotted) for module, dotted in KEPT}
+    unused = [f"{path.stem}.{dotted}" for path, tree in package.items()
+              for dotted, name in _definitions(tree)
+              if name not in used and (path.stem, dotted) not in kept]
+    assert unused == []

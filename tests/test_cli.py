@@ -115,6 +115,21 @@ class TestTrain:
     def test_missing_config_is_operational_error(self, tmp_path):
         assert run_cli(["train", "--config", tmp_path / "absent.json"]) == 1
 
+    def test_one_class_model_is_said_on_stderr(self, tmp_path, capsys):
+        # the [8] models predict both classes; one epoch leaves the deep,
+        # narrow [5, 4, 5] models predicting 0 for every validation row
+        config = tmp_path / "config.json"
+        write_config(config)
+        assert run_cli(["train", "--config", config]) == 0
+        assert capsys.readouterr().err == ""
+        write_config(config, model={"hidden_sizes": [5, 4, 5],
+                                    "train": {"learning_rate": 0.5, "epochs": 1,
+                                              "batch_size": 64, "train_dropout_prob": 0.0}})
+        assert run_cli(["train", "--config", config]) == 0
+        assert capsys.readouterr().err == (
+            "seed 1: the unmasked model predicts 0 for every validation row\n"
+            "seed 2: the unmasked model predicts 0 for every validation row\n")
+
 
 class TestRepair:
     def test_reports_and_defaults_echo(self, trained):

@@ -194,6 +194,7 @@ class TestMaskedForward:
         rng = XorShift64Star(14)
         model = random_small_model(rng, (3, 4, 5, 3, 1))
         X = 2.0 * rng.uniform_block(30 * 3).reshape(30, 3) - 1.0
+        data = signs_dataset(X)
         n = model.hidden_total
         for bit, (layer, unit) in enumerate(model.neuron_order):
             biases = [b.copy() for b in model.biases]
@@ -217,7 +218,7 @@ class TestMaskedForward:
 
 
 def keep_rows(masks, n) -> np.ndarray:
-    """``predict_many``'s keep factors: one row per mask, 0.0 on dropped bits."""
+    """Keep factors of ``masks``: one row per mask, 0.0 on dropped bits."""
     keep = np.ones((len(masks), n))
     for row, mask in zip(keep, masks):
         row[list(mask.indices())] = 0.0
@@ -228,11 +229,49 @@ def exact_predictions(kernel, masks) -> np.ndarray:
     return np.array([kernel.predict(mask) for mask in masks])
 
 
+def batched_logits(kernel, keep) -> np.ndarray | None:
+    """The batched pass's float32 logits (masks, rows) for rows of keep
+    factors: each mask's output row against its own last hidden layer, or
+    None when the batched pass does not run."""
+    rows = kernel._output_rows(keep[:, kernel.suffix_bits])
+    if rows is None:
+        return None
+    return np.matmul(rows[:, None], kernel._batch_hidden(keep))[:, 0]
+
+
+def batched_predictions(kernel, keep) -> np.ndarray:
+    """The batched pass's certified predictions (masks, rows)."""
+    return kernel._certified(batched_logits(kernel, keep), len(keep), keep.__getitem__)
+
+
+def caller_prices(model, data, states) -> list[list[tuple]]:
+    """(cost, EOD, F1) of each of ``states`` as ``CostEvaluator.price``,
+    ``CostEvaluator.prefetch`` and ``fairdrop.oracle.price_space`` (over the
+    whole space) give them, in that order."""
+    evaluator = fd.CostEvaluator(model, data, PRICE_PARAMS)
+    priced = [tuple(evaluator.price(s)) for s in states]
+    evaluator = fd.CostEvaluator(model, data, PRICE_PARAMS)
+    evaluator.prefetch(states)
+    prefetched = [tuple(evaluator.evaluate(s)) for s in states]
+    n = model.hidden_total
+    space = fairdrop.oracle.price_space(model, data, fd.SearchSpaceBounds(n, 0, n), PRICE_PARAMS)
+    table = {bits: (c, None if e != e else e, f) for bits, c, e, f in zip(
+        space.keys.tolist(), space.cost.tolist(), space.eod.tolist(), space.f1.tolist())}
+    return [priced, prefetched, [table[s.bits] for s in states]]
+
+
+def signs_dataset(X) -> fd.TabularDataset:
+    """``X`` labelled by the sign of its first feature, its protected bit
+    the sign of the second."""
+    return fd.TabularDataset(X, (X[:, 0] > 0).astype(np.int64), (X[:, 1] > 0).astype(np.int64),
+                             tuple(f"x{i}" for i in range(X.shape[1])))
+
+
 @pytest.fixture
 def fallbacks(monkeypatch):
-    """How many masks ``predict_many``, ``CostEvaluator.price`` or
-    ``prefetch``, or ``fairdrop.oracle.price_space`` re-ran through the
-    exact pass; the exact pass that ``predict`` runs is not counted."""
+    """How many masks ``CostEvaluator.price`` or ``prefetch``, or
+    ``fairdrop.oracle.price_space``, re-ran through the exact pass; the
+    exact pass that ``predict`` runs is not counted."""
     calls, running = [], []
     exact = MaskedForward._exact
 
@@ -249,7 +288,6 @@ def fallbacks(monkeypatch):
                 running.pop()
         return counted
     monkeypatch.setattr(MaskedForward, "_exact", counted_exact)
-    monkeypatch.setattr(MaskedForward, "predict_many", counting(MaskedForward.predict_many))
     monkeypatch.setattr(fd.CostEvaluator, "price", counting(fd.CostEvaluator.price))
     monkeypatch.setattr(fd.CostEvaluator, "prefetch", counting(fd.CostEvaluator.prefetch))
     monkeypatch.setattr(fairdrop.oracle, "price_space", counting(fairdrop.oracle.price_space))
@@ -261,7 +299,7 @@ def random_masks(rng, n, count):
             for _ in range(count)]
 
 
-class TestPredictMany:
+class TestBatchedPass:
     def test_equals_exact_predictions_on_random_masks(self, fallbacks):
         rng = XorShift64Star(31)
         base = random_small_model(rng, (3, 4, 5, 3, 1))
@@ -273,8 +311,11 @@ class TestPredictMany:
         n = model.hidden_total
         for count in (1, 7, kernel.batch_size):
             masks = random_masks(rng, n, count)
-            assert np.array_equal(kernel.predict_many(keep_rows(masks, n)),
+            assert np.array_equal(batched_predictions(kernel, keep_rows(masks, n)),
                                   exact_predictions(kernel, masks))
+        data = signs_dataset(X)
+        expected = [reference_price(model, data, s, PRICE_PARAMS) for s in masks]
+        assert caller_prices(model, data, masks) == [expected] * 3
         assert fallbacks == []  # every mask was certified, none re-run
 
     @given(st.lists(st.integers(1, 5), min_size=2, max_size=4), st.integers(1, 12),
@@ -286,7 +327,7 @@ class TestPredictMany:
         kernel = MaskedForward(model, X)
         n = model.hidden_total
         masks = random_masks(rng, n, min(kernel.batch_size, 40))
-        assert np.array_equal(kernel.predict_many(keep_rows(masks, n)),
+        assert np.array_equal(batched_predictions(kernel, keep_rows(masks, n)),
                               exact_predictions(kernel, masks))
 
     def test_batch_size_shrinks_as_rows_grow(self):
@@ -294,9 +335,6 @@ class TestPredictMany:
         sizes = [MaskedForward(model, np.zeros((rows, 2))).batch_size
                  for rows in (1, 300, 2000, 10 ** 6)]
         assert sizes == sorted(sizes, reverse=True) and sizes[-1] == 1 < sizes[1]
-        kernel = MaskedForward(model, np.zeros((300, 2)))
-        with pytest.raises(ShapeError):
-            kernel.predict_many(np.ones((kernel.batch_size + 1, model.hidden_total)))
 
     @pytest.mark.parametrize("z", [-1e-17, -1e-13, -_SIGMOID_HALF_WINDOW])
     def test_logit_inside_the_slack_takes_the_exact_pass(self, fallbacks, z):
@@ -308,12 +346,14 @@ class TestPredictMany:
         data = fd.TabularDataset(np.array([[-z], [3.0], [3.0], [3.0]]), np.array([1, 0, 1, 0]),
                                  np.array([0, 0, 1, 1]), ("x",))
         kernel = MaskedForward(model, data.features)
-        preds = kernel.predict_many(np.ones((1, 1)))
+        preds = batched_predictions(kernel, np.ones((1, 1)))
         assert preds.tolist() == [kernel.predict().tolist()] == [[z == -1e-17] + [False] * 3]
         empty = DropoutState.empty(1)
-        price = fd.CostEvaluator(model, data, PRICE_PARAMS).price(empty)
-        assert tuple(price) == reference_price(model, data, empty, PRICE_PARAMS)
-        assert fallbacks == [1, 1]
+        expected = reference_price(model, data, empty, PRICE_PARAMS)
+        assert [prices[0] for prices in caller_prices(model, data, [empty])] == [expected] * 3
+        # price_space also prices the mask that drops the unit: its logits
+        # are the output bias, 0
+        assert fallbacks == [1] * 4
 
     @pytest.mark.parametrize("poison", [np.nan, np.inf])
     @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
@@ -321,16 +361,21 @@ class TestPredictMany:
         rng = XorShift64Star(14)
         model = random_small_model(rng, (3, 4, 5, 3, 1))
         X = 2.0 * rng.uniform_block(30 * 3).reshape(30, 3) - 1.0
+        data = signs_dataset(X)
         n = model.hidden_total
         for bit, (layer, unit) in enumerate(model.neuron_order):
             biases = [b.copy() for b in model.biases]
             biases[layer][unit] = poison
-            kernel = MaskedForward(fd.MlpModel(model.architecture, model.weights, biases), X)
+            poisoned = fd.MlpModel(model.architecture, model.weights, biases)
+            kernel = MaskedForward(poisoned, X)
             assert kernel._slack is None
             masks = [DropoutState.from_indices(n, (bit,)), DropoutState.from_indices(n, ()),
                      DropoutState.from_indices(n, ((bit + 1) % n,))]
-            assert np.array_equal(kernel.predict_many(keep_rows(masks, n)),
+            assert np.array_equal(batched_predictions(kernel, keep_rows(masks, n)),
                                   exact_predictions(kernel, masks))
+            evaluator = fd.CostEvaluator(poisoned, data, PRICE_PARAMS)
+            assert [tuple(evaluator.price(s)) for s in masks] == [
+                reference_price(poisoned, data, s, PRICE_PARAMS) for s in masks]
         assert len(fallbacks) == 3 * n
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
@@ -343,14 +388,22 @@ class TestPredictMany:
         n = model.hidden_total
         biases = [b.copy() for b in model.biases]
         biases[1][2] = np.nan
-        kernel = MaskedForward(fd.MlpModel(model.architecture, model.weights, biases), X)
+        poisoned = fd.MlpModel(model.architecture, model.weights, biases)
+        kernel = MaskedForward(poisoned, X)
         kernel._slack = np.full(30, _SIGMOID_HALF_WINDOW)
         bit = model.neuron_order.index((1, 2))
         masks = [DropoutState.from_indices(n, (bit,)), DropoutState.from_indices(n, (bit, 0)),
                  DropoutState.from_indices(n, (0,))]
-        preds = kernel.predict_many(keep_rows(masks, n))
+        keep = keep_rows(masks, n)
+        assert np.isnan(batched_logits(kernel, keep)).any(axis=1).all()
+        preds = batched_predictions(kernel, keep)
         assert np.array_equal(preds, exact_predictions(kernel, masks))
         assert preds[0].any()  # the dropped NaN unit does not blank the mask
+        data = signs_dataset(X)
+        evaluator = fd.CostEvaluator(poisoned, data, PRICE_PARAMS)
+        evaluator._forward._slack = kernel._slack
+        assert [tuple(evaluator.price(s)) for s in masks] == [
+            reference_price(poisoned, data, s, PRICE_PARAMS) for s in masks]
         assert len(fallbacks) == 3
 
     def test_bound_holds_against_exact_logits(self):
@@ -364,7 +417,7 @@ class TestPredictMany:
         n = model.hidden_total
         err64, err32 = ([Fraction(e) for e in err.tolist()] for err in kernel._errors)
         masks = [DropoutState(n, bits) for bits in range(0, 1 << n, 37)]
-        batched = kernel._batch_logits(keep_rows(masks, n)).copy()
+        batched = batched_logits(kernel, keep_rows(masks, n))
         for mask, fast in zip(masks, batched):
             dropped = model.masked_units_per_layer(mask)
             A = [[Fraction(a) * (u not in dropped[0]) for u, a in enumerate(row)]
@@ -403,7 +456,7 @@ class TestFloat32Pass:
         kernel = MaskedForward(model, data.features)
         err64, err32 = kernel._errors
         straddling = [0, 2]
-        fast = kernel._batch_logits(np.ones((1, 2)))[0].copy()
+        fast = batched_logits(kernel, np.ones((1, 2)))[0]
         assert kernel.logits()[straddling].tolist() == [-eps, -eps]
         assert (fast[straddling] > err64[straddling] + _SIGMOID_HALF_WINDOW).all()
         assert (eps > err64[straddling] + _SIGMOID_HALF_WINDOW).all()
@@ -414,26 +467,25 @@ class TestFloat32Pass:
         # state and under the one dropping both units (logit -3 * 2**-30);
         # dropping one unit moves them far out
         doubtful = 2
-        assert np.array_equal(kernel.predict_many(keep_rows(states, 2)),
+        assert np.array_equal(batched_predictions(kernel, keep_rows(states, 2)),
                               exact_predictions(kernel, states))
         assert np.array_equal(exact_predictions(kernel, states),
                               [reference_predictions(model, data.features, s) == 1
                                for s in states])
-        assert len(fallbacks) == doubtful
         expected = [reference_price(model, data, s, PRICE_PARAMS) for s in states]
         alone = (fast >= 0.0).astype(np.int64)  # what float32 alone would predict
         assert fd.f1(fd.confusion(alone, data.labels)) == 1.0 != expected[0][2]
         evaluator = fd.CostEvaluator(model, data, PRICE_PARAMS)
         assert [tuple(evaluator.price(s)) for s in states] == expected
-        assert len(fallbacks) == 2 * doubtful
+        assert len(fallbacks) == doubtful
         evaluator.prefetch(states)
         assert [tuple(evaluator.evaluate(s)) for s in states] == expected
-        assert len(fallbacks) == 3 * doubtful
+        assert len(fallbacks) == 2 * doubtful
         space = fairdrop.oracle.price_space(model, data, fd.SearchSpaceBounds(2, 0, 2),
                                             PRICE_PARAMS)
         assert list(zip(space.keys.tolist(), space.cost.tolist(), space.eod.tolist(),
                         space.f1.tolist())) == [(s.bits, *e) for s, e in zip(states, expected)]
-        assert len(fallbacks) == 4 * doubtful
+        assert len(fallbacks) == 3 * doubtful
 
     @pytest.mark.parametrize("case", ["activations", "weight", "output"])
     def test_model_past_float32_range_takes_the_exact_pass(self, fallbacks, case):
@@ -463,24 +515,23 @@ class TestFloat32Pass:
         assert kernel._errors is None and kernel._slack is None
         n = model.hidden_total
         states = [DropoutState(n, bits) for bits in range(0, 1 << n, 5)]
-        preds = kernel.predict_many(keep_rows(states, n))
+        preds = batched_predictions(kernel, keep_rows(states, n))
         assert np.array_equal(preds, exact_predictions(kernel, states))
         assert np.array_equal(preds, [reference_predictions(model, X, s) == 1 for s in states])
-        assert len(fallbacks) == len(states)
         expected = [reference_price(model, data, s, PRICE_PARAMS) for s in states]
         evaluator = fd.CostEvaluator(model, data, PRICE_PARAMS)
         assert [tuple(evaluator.price(s)) for s in states] == expected
-        assert len(fallbacks) == 2 * len(states)
+        assert len(fallbacks) == len(states)
         evaluator = fd.CostEvaluator(model, data, PRICE_PARAMS)
         evaluator.prefetch(states)
         assert [tuple(evaluator.evaluate(s)) for s in states] == expected
-        assert len(fallbacks) == 3 * len(states)
+        assert len(fallbacks) == 2 * len(states)
         space = fairdrop.oracle.price_space(model, data, fd.SearchSpaceBounds(n, 0, n),
                                             PRICE_PARAMS)
         priced = {bits: (c, None if e != e else e, f) for bits, c, e, f in zip(
             space.keys.tolist(), space.cost.tolist(), space.eod.tolist(), space.f1.tolist())}
         assert [priced[s.bits] for s in states] == expected
-        assert len(fallbacks) == 3 * len(states) + (1 << n)
+        assert len(fallbacks) == 2 * len(states) + (1 << n)
 
     def test_batched_pass_runs_in_float32(self, small_instance, monkeypatch):
         # a float32 block times a float64 indicator would copy the block up
@@ -507,7 +558,7 @@ class TestFloat32Pass:
                                     params)
         first, weight_stacks, out_stacks = evaluator._forward._buffers
         kept = [hidden for _, hidden in evaluator._recent]
-        for array in (first, *weight_stacks, *out_stacks, *kept, evaluator._out_row,
+        for array in (first, *weight_stacks, *out_stacks, *kept, evaluator._forward._rows,
                       evaluator._z, evaluator._indicator, *indicators):
             assert array.dtype == np.float32
         assert len(logits) >= 3 and set(logits) == {np.dtype(np.float32)}
