@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .dataset import (MIN_SYNTH_FEATURES, MIN_SYNTH_ROWS, DatasetSchema, SplitDataset,
                       TabularDataset, load_csv, split, synthesize_biased)
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_text, has_type
 from .model import (MlpArchitecture, MlpModel, TrainConfig, load_model, predict_batch,
                     save_model, train)
 from .oracle import (DEFAULT_ENUMERATION_BUDGET, EnumerationBudgetError, price_space,
@@ -86,17 +86,6 @@ _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string",
                list: "a list of integers"}
 
 
-def _has_type(value, kind) -> bool:
-    if isinstance(value, bool):
-        return False
-    if kind is float:
-        # NaN, the infinities and integers past float range all fail the bound
-        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-    if kind is list:
-        return isinstance(value, list) and all(_has_type(v, int) for v in value)
-    return isinstance(value, kind)
-
-
 def _with_defaults(raw, defaults: dict, path: str) -> dict:
     """``raw`` with omitted keys filled from ``defaults``, nested sections
     too; a key the table does not hold, or a value of another type than its
@@ -113,7 +102,7 @@ def _with_defaults(raw, defaults: dict, path: str) -> dict:
         if isinstance(default, dict) or (default is None and value is None):
             continue
         kind = _NULLABLE_TYPES[name(key)] if default is None else type(default)
-        if not _has_type(value, kind):
+        if not has_type(value, kind):
             raise CliError(f"config {name(key)} must be {_TYPE_NAMES[kind]}, got {value!r}")
     cfg = {}
     for key, default in defaults.items():

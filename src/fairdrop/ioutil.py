@@ -1,9 +1,10 @@
 """File helpers shared by model and schema files and the CLI: atomic writes,
-and integers and numbers read strictly from JSON documents."""
+and integers and numbers read strictly from JSON documents or configs."""
 
 from __future__ import annotations
 
 import os
+import sys
 import tempfile
 
 
@@ -44,3 +45,16 @@ def json_numbers(value, what: str):
         elif isinstance(item, bool) or not isinstance(item, (int, float)):
             raise ValueError(f"{what} must hold only numbers, got {item!r}")
     return value
+
+
+def has_type(value, kind) -> bool:
+    """Whether a config value is of ``kind``: ``int``, ``float`` (any finite
+    int or float), ``str`` or ``list`` (of ints).  A bool is none of them."""
+    if isinstance(value, bool):
+        return False
+    if kind is float:
+        # NaN, the infinities and integers past float range all fail the bound
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if kind is list:
+        return isinstance(value, list) and all(has_type(v, int) for v in value)
+    return isinstance(value, kind)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import SplitDataset, TabularDataset
-from .ioutil import atomic_write_text, json_integer, json_numbers
+from .ioutil import atomic_write_text, has_type, json_integer, json_numbers
 from .metrics import confusion, f1
 from .prng import XorShift64Star
 
@@ -445,14 +445,20 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.epochs < 1:
-            raise ValueError("epochs must be a positive integer")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be a positive integer")
-        if not 0.0 <= self.train_dropout_prob < 1.0:
-            raise ValueError("train_dropout_prob must lie in [0, 1)")
+        # The config rules of the CLI: no bools, NaNs, infinities or
+        # fractional counts.
+        if not (has_type(self.learning_rate, float) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be a positive finite number, "
+                             f"got {self.learning_rate!r}")
+        for name in ("epochs", "batch_size"):
+            value = getattr(self, name)
+            if not (has_type(value, int) and value >= 1):
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        if not (has_type(self.train_dropout_prob, float) and 0.0 <= self.train_dropout_prob < 1.0):
+            raise ValueError(f"train_dropout_prob must lie in [0, 1), "
+                             f"got {self.train_dropout_prob!r}")
+        if not has_type(self.seed, int):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
 
 def initialize_model(arch: MlpArchitecture, rng: XorShift64Star) -> MlpModel:

@@ -20,13 +20,15 @@ for bit:
   the first k slots in ascending order.
 
 Block draws (``uniform_block``, ``shuffle``) yield the same stream as the
-scalar calls, computed many states at a time.  The state update T is linear
-over GF(2), so a state 2**j steps ahead is T**(2**j) applied to the current
-one, and each T**(2**j) is stored as eight 256-entry tables, one per state
-byte: a jump is eight table lookups XORed together.  A block takes a short
-scalar run of states, then doubles it level by level,
-``x[k + 2**j] = T**(2**j) x[k]``, up to a chunk of 2**11 states; each later
-chunk is the one before it jumped ahead by a whole chunk.
+scalar calls, computed many states at a time.  A block is L = 2**10 lanes of
+K = 16 consecutive states; lane l runs from the state l*K steps past the
+block's start.  The state update T is linear over GF(2), so T**(K*2**j) is
+stored as eight 256-entry tables, one per state byte: a jump is eight table
+lookups XORed together.  The first block doubles its lane starts level by
+level, ``s[l + 2**j] = T**(K*2**j) s[l]``; each later block jumps the starts
+before it by T**(K*L).  K vectorised xorshift steps then advance every lane
+at once in a (K, L) scratch array, read out lane by lane, in stream order,
+into an output padded to whole lanes and cut to the count.
 """
 
 from __future__ import annotations
@@ -47,11 +49,12 @@ _U64 = np.dtype("<u8")
 _MULTIPLIER_U64 = np.uint64(_MULTIPLIER)
 _MAX_U64 = np.uint64(_MASK64)
 _ONE_U64 = np.uint64(1)
-_SHIFT_U64 = np.uint64(11)
+_SHIFT_11, _SHIFT_12, _SHIFT_25, _SHIFT_27 = (np.uint64(s) for s in (11, 12, 25, 27))
 _INV_2_53_F64 = np.float64(_INV_2_53)
-_SEED_RUN_BITS = 5   # a chunk starts with 2**5 scalar steps ...
-_CHUNK_BITS = 11     # ... and doubles up to 2**11 states
-_CHUNK = 1 << _CHUNK_BITS
+_LANE_BITS = 10
+_LANES = 1 << _LANE_BITS   # a block is L lanes ...
+_RUN = 16                  # ... of K consecutive states
+_BLOCK = _RUN * _LANES
 
 
 def _splitmix64(x: int) -> int:
@@ -95,40 +98,23 @@ def _apply(tables: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _jump_tables() -> tuple[np.ndarray, ...]:
-    """Tables of T**(2**j) for the doubling levels j of one chunk and, last,
-    for the jump by a whole chunk; built on first use and read-only."""
+    """Tables of T**(K * 2**j) for j = 0 .. log2(L): the doubling levels of
+    the lane starts and, last, the jump by a whole block; built on first use
+    and read-only."""
     images = []
     for i in range(64):
         x = 1 << i
-        for _ in range(1 << _SEED_RUN_BITS):
+        for _ in range(_RUN):
             x = _step(x)
         images.append(x)
     images = np.array(images, dtype=_U64)
     levels = []
-    for _ in range(_SEED_RUN_BITS, _CHUNK_BITS + 1):
+    for _ in range(_LANE_BITS + 1):
         levels.append(_byte_tables(images))
         # The images of M∘M are M applied to the images of M.
         images = _apply(levels[-1], images, np.empty_like(images))
         levels[-1].flags.writeable = False
     return tuple(levels)
-
-
-def _states_after(state: int, n: int) -> np.ndarray:
-    """The n (at most one chunk) states that follow ``state``, in order."""
-    seed = []
-    for _ in range(min(n, 1 << _SEED_RUN_BITS)):
-        state = _step(state)
-        seed.append(state)
-    out = np.empty(n, dtype=_U64)
-    size = len(seed)
-    out[:size] = np.array(seed, dtype=_U64)
-    for table in _jump_tables():
-        if size >= n:
-            break
-        step = min(size, n - size)
-        _apply(table, out[:step], out[size:size + step])
-        size += step
-    return out
 
 
 class XorShift64Star:
@@ -140,11 +126,7 @@ class XorShift64Star:
         self._state = _splitmix64(seed & _MASK64) or _GOLDEN
 
     def next_u64(self) -> int:
-        x = self._state
-        x ^= x >> 12
-        x = (x ^ (x << 25)) & _MASK64
-        x ^= x >> 27
-        self._state = x
+        self._state = x = _step(self._state)
         return (x * _MULTIPLIER) & _MASK64
 
     def random(self) -> float:
@@ -169,8 +151,8 @@ class XorShift64Star:
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle (descending index order)."""
-        for top in range(len(items), 1, -_CHUNK):
-            low = max(top - _CHUNK, 1)
+        for top in range(len(items), 1, -_BLOCK):
+            low = max(top - _BLOCK, 1)
             picks = self._randrange_block(np.arange(top, low, -1, dtype=np.uint64))
             for i, j in zip(range(top - 1, low - 1, -1), picks.tolist()):
                 items[i], items[j] = items[j], items[i]
@@ -185,28 +167,45 @@ class XorShift64Star:
             pool[i], pool[j] = pool[j], pool[i]
         return tuple(sorted(pool[:k]))
 
-    def _chunks(self, count: int):
-        """Yield (offset, states) for the next ``count`` states, in chunks.
+    def _blocks(self, count: int):
+        """Yield (offset, states) for the next ``count`` states, a block at a
+        time: ``states[k, l]`` is the state offset + l*K + k + 1 steps on.
 
-        Each chunk after the first is the one before it jumped ahead by a
-        whole chunk, so callers must not write to the states.
+        The last block may have fewer lanes, and its last lane may run past
+        ``count``.  ``states`` is scratch that the next block overwrites.
         """
-        states = None
-        for lo in range(0, count, _CHUNK):
-            n = min(_CHUNK, count - lo)
-            if states is None:
-                states = _states_after(self._state, n)
-            else:
-                states = _apply(_jump_tables()[-1], states[:n], np.empty(n, dtype=_U64))
-            self._state = int(states[-1])
+        tables = _jump_tables()
+        scratch = np.empty((_RUN, min(_LANES, -(-count // _RUN))), dtype=_U64)
+        spare = np.empty(scratch.shape[1], dtype=_U64)
+        for lo in range(0, count, _BLOCK):
+            n = min(_BLOCK, count - lo)
+            lanes = -(-n // _RUN)
+            states, t = scratch[:, :lanes], spare[:lanes]
+            if lo:   # the lane starts before, jumped on by a whole block
+                starts = _apply(tables[-1], starts[:lanes], np.empty(lanes, _U64))
+            else:    # lane 0 starts here; s[l + 2**j] = T**(K*2**j) s[l]
+                starts = np.full(lanes, self._state, dtype=_U64)
+                for j, table in enumerate(tables[:(lanes - 1).bit_length()]):
+                    size = min(1 << j, lanes - (1 << j))
+                    _apply(table, starts[:size], starts[1 << j:(1 << j) + size])
+            x = starts
+            for row in states:   # no op writes to x, the row before
+                np.right_shift(x, _SHIFT_12, out=row)
+                np.bitwise_xor(row, x, out=row)
+                np.left_shift(row, _SHIFT_25, out=t)
+                np.bitwise_xor(row, t, out=row)
+                np.right_shift(row, _SHIFT_27, out=t)
+                np.bitwise_xor(row, t, out=row)
+                x = row
+            self._state = int(states[(n - 1) % _RUN, (n - 1) // _RUN])
             yield lo, states
 
     def _u64_block(self, count: int) -> np.ndarray:
         """uint64 array of the next ``count`` ``next_u64`` outputs."""
-        out = np.empty(count, dtype=np.uint64)
-        for lo, states in self._chunks(count):
-            np.multiply(states, _MULTIPLIER_U64, out=out[lo:lo + len(states)])
-        return out
+        out = np.empty(-(-count // _RUN) * _RUN, dtype=np.uint64)
+        for lo, states in self._blocks(count):
+            np.multiply(states.T, _MULTIPLIER_U64, out=out[lo:lo + states.size].reshape(-1, _RUN))
+        return out[:count]
 
     def _randrange_block(self, bounds: np.ndarray) -> np.ndarray:
         """``randrange(m)`` for each uint64 m in ``bounds`` in turn.
@@ -231,10 +230,9 @@ class XorShift64Star:
 
     def uniform_block(self, count: int) -> np.ndarray:
         """float64 array of `count` sequential uniform [0, 1) draws."""
-        out = np.empty(count, dtype=np.float64)
-        scratch = np.empty(min(count, _CHUNK), dtype=np.uint64)
-        for lo, states in self._chunks(count):
-            u = np.multiply(states, _MULTIPLIER_U64, out=scratch[:len(states)])
-            np.right_shift(u, _SHIFT_U64, out=u)
-            np.multiply(u, _INV_2_53_F64, out=out[lo:lo + len(u)])
-        return out
+        out = np.empty(-(-count // _RUN) * _RUN, dtype=np.float64)
+        for lo, states in self._blocks(count):
+            np.multiply(states, _MULTIPLIER_U64, out=states)
+            np.right_shift(states, _SHIFT_11, out=states)
+            np.multiply(states.T, _INV_2_53_F64, out=out[lo:lo + states.size].reshape(-1, _RUN))
+        return out[:count]

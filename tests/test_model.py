@@ -610,11 +610,17 @@ class TestTrain:
          fd.TrainConfig(learning_rate=0.2, epochs=6, batch_size=50, train_dropout_prob=0.3,
                         seed=9),
          "3c0b45a1b34791c08a90c1a2ee0552ada7e5bb5b0ad080003dd13e07d955a6d9"),
-    ], ids=["census", "three-hidden-layers"])
+        ((10, 16, 16, 1), 10_000, 7, 1,
+         fd.TrainConfig(learning_rate=0.3, epochs=30, batch_size=128, train_dropout_prob=0.1,
+                        seed=1),
+         "8c8dd9d6fd211968325f8f51b3de4bf5d0d89c01f54d000fcae762e5973945e0"),
+    ], ids=["census", "three-hidden-layers", "benchmark"])
     def test_dropout_training_is_pinned(self, sizes, rows, data_seed, split_seed, cfg, digest):
         # SHA-256 of the weights and biases, pinned when every batch drew its
         # own dropout uniforms: one draw per epoch must give the same stream.
-        # The training splits (900 and 360 rows) end in a short batch.
+        # The training splits (900, 360 and 6,000 rows) end in a short batch.
+        # The benchmark instance's epochs draw 192,000 uniforms, many blocks
+        # of the generator's lane layout; the census epochs fit in one.
         data = fd.synthesize_biased(rows, sizes[0], 0.8, seed=data_seed)
         model = fd.train(fd.split(data, split_seed), MlpArchitecture(sizes), cfg)
         h = hashlib.sha256()
@@ -678,6 +684,22 @@ class TestTrain:
             fd.TrainConfig(learning_rate=0.1, epochs=0, batch_size=1)
         with pytest.raises(ValueError):
             fd.TrainConfig(learning_rate=0.1, epochs=1, batch_size=1, train_dropout_prob=1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", math.nan), ("learning_rate", math.inf), ("learning_rate", -math.inf),
+        ("learning_rate", True), ("learning_rate", "0.3"),
+        ("epochs", 2.5), ("epochs", 2.0), ("epochs", True),
+        ("batch_size", 8.5), ("batch_size", False),
+        ("train_dropout_prob", math.nan), ("train_dropout_prob", False),
+        ("seed", 1.5), ("seed", True),
+    ])
+    def test_config_rejects_what_the_cli_rejects(self, field, value):
+        # Before these checks a NaN rate ended in a misleading TrainingError,
+        # a fractional count in a TypeError inside train, and epochs=True
+        # trained for one epoch.
+        fields = dict(learning_rate=0.3, epochs=2, batch_size=8, train_dropout_prob=0.1, seed=1)
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            fd.TrainConfig(**{**fields, field: value})
 
 
 class TestSerialization:

@@ -1,12 +1,20 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fairdrop.dataset import split, synthesize_biased
-from fairdrop.prng import _CHUNK, XorShift64Star
+from fairdrop.prng import _LANES, _RUN, XorShift64Star
 
 TOP = 2**64 - 1   # rejected by randrange(m) unless m divides 2**64
+K, L = _RUN, _LANES   # a block is L lanes of K consecutive states
+# Draw counts at the edges of the lane layout, in the order the tests take
+# them: none, one, around one lane, fewer states than lanes, around one
+# block, and several blocks plus a tail that ends inside a lane.
+LANE_COUNTS = (0, 1, K - 1, K, K + 1, 100, L - 1, K * L - 1, K * L, K * L + 1,
+               3 * K * L + 5 * K + 7)
 
 
 def reference_shuffle(rng, items):
@@ -118,12 +126,58 @@ def test_uniform_block_is_the_scalar_stream(seed):
     # One pair of generators runs through every count in turn, so blocks
     # also start from the states that earlier blocks left behind.
     block_rng, scalar_rng = XorShift64Star(seed), XorShift64Star(seed)
-    for count in (0, 1, 2, 31, 32, 33, _CHUNK - 1, _CHUNK, _CHUNK + 1, 100_003):
+    for count in LANE_COUNTS:
         block = block_rng.uniform_block(count)
         scalar = np.array([scalar_rng.random() for _ in range(count)], dtype=np.float64)
         assert block.dtype == np.float64
         assert block.tobytes() == scalar.tobytes(), count
         assert block_rng.next_u64() == scalar_rng.next_u64(), count
+
+
+@pytest.mark.parametrize("seed", [0, 2**63 + 5])
+def test_u64_block_is_the_scalar_stream(seed):
+    block_rng, scalar_rng = XorShift64Star(seed), XorShift64Star(seed)
+    for count in LANE_COUNTS:
+        block = block_rng._u64_block(count)
+        assert block.dtype == np.uint64
+        assert block.tolist() == [scalar_rng.next_u64() for _ in range(count)], count
+        assert block_rng.next_u64() == scalar_rng.next_u64(), count
+
+
+@pytest.mark.parametrize("draws", LANE_COUNTS)
+def test_shuffle_at_lane_edges_is_the_scalar_pass(draws):
+    # Shuffling n items draws n - 1 bounded integers.
+    block_rng, scalar_rng = XorShift64Star(draws), XorShift64Star(draws)
+    shuffled, expected = list(range(draws + 1)), list(range(draws + 1))
+    block_rng.shuffle(shuffled)
+    reference_shuffle(scalar_rng, expected)
+    assert shuffled == expected
+    assert block_rng.next_u64() == scalar_rng.next_u64()
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(-2**63, 2**64 - 1), count=st.integers(0, 3 * K * L))
+def test_any_block_is_the_scalar_stream(seed, count):
+    block_rng, scalar_rng = XorShift64Star(seed), XorShift64Star(seed)
+    block = block_rng.uniform_block(count)
+    assert block.tolist() == [scalar_rng.random() for _ in range(count)]
+    assert block_rng.next_u64() == scalar_rng.next_u64()
+
+
+@pytest.mark.parametrize("draw, count", [("uniform_block", 192_000), ("_u64_block", 6_000)])
+def test_block_scratch_stays_bounded(draw, count):
+    # The traced peak (numpy reports its buffers to tracemalloc) is the
+    # output plus a bounded scratch: no temporary grows with the count.
+    rng = XorShift64Star(1)
+    getattr(rng, draw)(count)   # builds the cached jump tables untraced
+    tracemalloc.start()
+    try:
+        out = getattr(rng, draw)(count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out) == count
+    assert peak <= out.nbytes + 512 * 1024
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 1_000, 10_007])
