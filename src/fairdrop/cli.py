@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import io
 import json
 import math
@@ -29,8 +30,8 @@ from .model import (MlpArchitecture, MlpModel, TrainConfig, load_model, predict_
                     save_model, train)
 from .oracle import (DEFAULT_ENUMERATION_BUDGET, EnumerationBudgetError, price_space,
                      single_neuron_baseline, split_reports)
-from .search import (SearchConfig, SearchResult, SearchSpaceBounds, baseline_cost_params,
-                     run_search, write_trace_csv)
+from .search import (CostParams, SearchConfig, SearchResult, SearchSpaceBounds,
+                     baseline_cost_params, run_search, write_trace_csv)
 
 DEFAULT_SEEDS = list(range(1, 11))
 # What an omitted config key resolves to (the README's example config); a key
@@ -258,14 +259,6 @@ def _pct(value) -> str:
     return "undefined" if value == "undefined" else f"{100.0 * value:.3f}%"
 
 
-def _load_instance(cfg: dict, data: TabularDataset, seed: int) -> tuple[SplitDataset, MlpModel]:
-    parts = split(data, seed)
-    path = model_path(cfg, seed)
-    if not os.path.exists(path):
-        raise CliError(f"model file {path} not found; run `train` first")
-    return parts, load_model(path)
-
-
 def _say_if_one_class(seed: int, model: MlpModel, parts: SplitDataset) -> None:
     """A stderr line naming the seed when the unmasked model predicts one
     class for every validation row: its baseline EOD is then 0, and so is
@@ -276,14 +269,24 @@ def _say_if_one_class(seed: int, model: MlpModel, parts: SplitDataset) -> None:
               file=sys.stderr)
 
 
-def _repair_one(cfg: dict, data: TabularDataset, seed: int,
-                p: float | None = None) -> tuple[SearchResult, dict]:
-    """One seed's search: its result and its report record."""
-    parts, model = _load_instance(cfg, data, seed)
+def _instance(cfg: dict, data: TabularDataset,
+              seed: int) -> tuple[SplitDataset, MlpModel, CostParams]:
+    """One seed's split, its model file, and the cost anchored to the
+    unmasked model at the config's p and t, set up once per seed."""
+    parts = split(data, seed)
+    path = model_path(cfg, seed)
+    if not os.path.exists(path):
+        raise CliError(f"model file {path} not found; run `train` first")
+    model = load_model(path)
     _say_if_one_class(seed, model, parts)
     s = cfg["search"]
-    params = baseline_cost_params(model, parts.validation,
-                                  p=float(s["p"] if p is None else p), t=float(s["t"]))
+    return parts, model, baseline_cost_params(model, parts.validation,
+                                              p=float(s["p"]), t=float(s["t"]))
+
+
+def _repair_one(cfg: dict, seed: int, parts: SplitDataset, model: MlpModel,
+                params: CostParams) -> tuple[SearchResult, dict]:
+    """One seed's search under ``params``: its result and its report record."""
     if params.f1_baseline == 0:
         print(f"seed {seed}: the unmasked model's validation F1 is 0, so every mask "
               f"meets the F1 floor", file=sys.stderr)
@@ -303,7 +306,6 @@ def _repair_one(cfg: dict, data: TabularDataset, seed: int,
         "initial_cost": result.initial_cost,
         "success": result.success,
         "evaluations": result.evaluations,
-        "baseline": split_reports(model, parts.validation, parts.test),
         "repaired": split_reports(model, parts.validation, parts.test, result.best_state),
     }
 
@@ -316,7 +318,9 @@ def cmd_repair(args) -> int:
     alg = cfg["search"]["alg_type"]
     records = []
     for seed in cfg["seeds"]:
-        result, record = _repair_one(cfg, data, seed)
+        parts, model, params = _instance(cfg, data, seed)
+        result, record = _repair_one(cfg, seed, parts, model, params)
+        record["baseline"] = split_reports(model, parts.validation, parts.test)
         trace_file = os.path.join(out, f"trace_seed{seed}_{alg}.csv")
         write_trace_csv(trace_file, result.trace)
         record["trace_file"] = os.path.basename(trace_file)
@@ -364,9 +368,13 @@ def cmd_sweep(args) -> int:
     out = cfg["output_dir"]
     os.makedirs(out, exist_ok=True)
     rows = ["p,seed,validation_eod,test_eod,success"]
+    instances = {}  # seed -> _instance(...): the anchor depends on the seed, not on p
     for p in p_values:
         for seed in cfg["seeds"]:
-            _, rec = _repair_one(cfg, data, seed, p=p)
+            if seed not in instances:
+                instances[seed] = _instance(cfg, data, seed)
+            parts, model, params = instances[seed]
+            _, rec = _repair_one(cfg, seed, parts, model, dataclasses.replace(params, p=p))
             val_eod = rec["repaired"]["validation"]["eod"]
             test_eod = rec["repaired"]["test"]["eod"]
             rows.append(",".join((
@@ -419,10 +427,7 @@ def cmd_oracle(args) -> int:
     out = cfg["output_dir"]
     os.makedirs(out, exist_ok=True)
     seed = args.seed if args.seed is not None else cfg["seeds"][0]
-    parts, model = _load_instance(cfg, data, seed)
-    _say_if_one_class(seed, model, parts)
-    s = cfg["search"]
-    params = baseline_cost_params(model, parts.validation, p=float(s["p"]), t=float(s["t"]))
+    parts, model, params = _instance(cfg, data, seed)
     config = search_config(cfg, seed, model.hidden_total, params)
     if sa_run is not None:
         _check_sa_run(sa_run, args.sa_result, seed, params, config.bounds)

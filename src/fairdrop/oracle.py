@@ -22,7 +22,6 @@ merged by min / addition.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -170,14 +169,6 @@ def _distinct_text(column: np.ndarray, nan: str = "nan") -> np.ndarray:
     return np.array(text, dtype=object)[inverse]
 
 
-def _combinations(items: int, k: int) -> np.ndarray:
-    """All k-subsets of range(items) as rows (subsets, k), in
-    ``itertools.combinations`` order."""
-    count = math.comb(items, k)
-    flat = itertools.chain.from_iterable(itertools.combinations(range(items), k))
-    return np.fromiter(flat, np.intp, count * k).reshape(count, k)
-
-
 def _position_bits(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Per bit position i out of n, ``1 << i`` and its mirror image
     ``1 << (top - i)``: uint64 with top 63, or Python ints in object arrays
@@ -222,10 +213,10 @@ def price_space(model: MlpModel, validation_data: TabularDataset, bounds: Search
 
     A mask splits into a *prefix*, its bits in every hidden layer but the
     last, and a *suffix*, its bits in the last hidden layer (the positions
-    come from the model's ``neuron_order``).  Prefixes go by weight w; the
-    suffixes that pair with weight w stream from ``itertools.combinations``
-    in blocks.  For each block, its output rows
-    (``MaskedForward._output_rows``) are built once, and each prefix of
+    come from the model's ``neuron_order``).  Prefixes go by weight w; they
+    and the suffixes that pair with weight w stream from ``_subset_blocks``
+    in ``itertools.combinations`` order.  For each suffix block, its output
+    rows (``MaskedForward._output_rows``) are built once, and each prefix of
     weight w runs through the hidden layers, many prefixes per batch of
     ``MaskedForward``'s batched pass, to its last-hidden-layer activations;
     one float32 GEMM of the block's rows against them gives the logits of
@@ -241,11 +232,11 @@ def price_space(model: MlpModel, validation_data: TabularDataset, bounds: Search
     tie-break and the dump follow.
 
     Memory: beside the per-state columns (the keys; until the sort, an
-    order key and the weight; four int32 counts; the permutation) and the
-    prefixes of one weight, a suffix block's logits (which then carry its
-    0/1 predictions), a prefix batch's layer outputs, and all that
-    ``cell_costs`` holds for one chunk of states each come to about
-    ``_BATCH_ELEMENTS`` values (float32 in the block and the batch).
+    order key and the weight; four int32 counts; the permutation), a suffix
+    block's logits (which then carry its 0/1 predictions), a prefix batch's
+    layer outputs, and all that ``cell_costs`` holds for one chunk of
+    states each come to about ``_BATCH_ELEMENTS`` values (float32 in the
+    block and the batch).
     Nothing of it is a setting.
     """
     total = _check_budget(bounds, budget)
@@ -273,18 +264,17 @@ def price_space(model: MlpModel, validation_data: TabularDataset, bounds: Search
 
     f = 0
     for w in range(max(0, bounds.n_l - h), min(bounds.n_u, len(prefix_bits)) + 1):
-        prefixes = prefix_bits[_combinations(len(prefix_bits), w)]
         suffix_sizes = range(max(0, bounds.n_l - w), min(h, bounds.n_u - w) + 1)
         for dropped in _subset_blocks(h, suffix_sizes, block):
             m = len(dropped)
             suffix_key, suffix_order = _set_keys(dropped, bits[last], mirror_bits[last])
             suffix_weight = w + dropped.sum(axis=1)
             out_rows = kernel._output_rows(~dropped)
-            for first in range(0, len(prefixes), kernel.batch_size):
-                batch = prefixes[first:first + kernel.batch_size]
+            for batch in _subset_blocks(len(prefix_bits), range(w, w + 1), kernel.batch_size):
                 keep = np.ones((len(batch), n))
-                keep[np.arange(len(batch))[:, None], batch] = 0.0
-                prefix_key, prefix_order = _set_keys(keep == 0.0, bits, mirror_bits)
+                keep[:, prefix_bits] = ~batch
+                prefix_key, prefix_order = _set_keys(batch, bits[prefix_bits],
+                                                     mirror_bits[prefix_bits])
                 span = slice(f, f + len(batch) * m)
                 keys[span] = (prefix_key[:, None] | suffix_key).ravel()
                 order_key[span] = (prefix_order[:, None] & suffix_order).ravel()

@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import TabularDataset
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_text, has_type
 from .metrics import (cell_costs, cell_metrics, group_label_indicator, group_label_key,
                       positive_cells, prediction_metrics)
 from .model import MaskedForward, MlpModel, predict_batch
@@ -61,11 +61,12 @@ class SearchSpaceBounds:
     n_u: int
 
     def __post_init__(self):
-        if self.n_total < 1:
-            raise SearchSpaceError(f"n_total must be positive, got {self.n_total}")
-        if not 0 <= self.n_l <= self.n_u <= self.n_total:
-            raise SearchSpaceError(f"need 0 <= n_l <= n_u <= {self.n_total}, "
-                                   f"got n_l={self.n_l}, n_u={self.n_u}")
+        if not (has_type(self.n_total, int) and self.n_total >= 1):
+            raise SearchSpaceError(f"n_total must be a positive integer, got {self.n_total!r}")
+        if not (has_type(self.n_l, int) and has_type(self.n_u, int)
+                and 0 <= self.n_l <= self.n_u <= self.n_total):
+            raise SearchSpaceError(f"need integers 0 <= n_l <= n_u <= {self.n_total}, "
+                                   f"got n_l={self.n_l!r}, n_u={self.n_u!r}")
 
     def size(self) -> int:
         """Number of states, sum of C(n_total, k) for k in [n_l, n_u]."""
@@ -134,14 +135,15 @@ class CostParams:
     f1_baseline: float
 
     def __post_init__(self):
-        if not 0 <= self.p < math.inf:
-            raise ValueError("penalty multiplier p must be finite and >= 0")
-        if not 0.0 < self.t < 1.0:
-            raise ValueError("threshold multiplier t must lie in (0, 1)")
-        if not 0.0 <= self.eod_baseline <= 1.0:
-            raise ValueError("eod_baseline must lie in [0, 1]")
-        if not 0.0 <= self.f1_baseline <= 1.0:
-            raise ValueError("f1_baseline must lie in [0, 1]")
+        # The config rules of the CLI: no bools, NaNs or infinities.
+        if not (has_type(self.p, float) and self.p >= 0):
+            raise ValueError(f"penalty multiplier p must be finite and >= 0, got {self.p!r}")
+        if not (has_type(self.t, float) and 0.0 < self.t < 1.0):
+            raise ValueError(f"threshold multiplier t must lie in (0, 1), got {self.t!r}")
+        for name in ("eod_baseline", "f1_baseline"):
+            value = getattr(self, name)
+            if not (has_type(value, float) and 0.0 <= value <= 1.0):
+                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
     @property
     def f1_floor(self) -> float:
@@ -203,7 +205,6 @@ class CostEvaluator:
     """
 
     def __init__(self, model: MlpModel, validation_data: TabularDataset, params: CostParams):
-        self.model = model
         self.params = params
         self._forward = forward = MaskedForward(model, validation_data.features)
         self._key = group_label_key(validation_data.labels, validation_data.protected)
@@ -489,23 +490,34 @@ class SearchConfig:
     t0_sample_size: int = 100
 
     def __post_init__(self):
+        # The config rules of the CLI: no bools, NaNs, infinities or
+        # fractional counts.
         if self.alg_type not in ALG_TYPES:
             raise ValueError(f"alg_type must be one of {ALG_TYPES}, got {self.alg_type!r}")
+        if not has_type(self.seed, int):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.max_iterations is None and self.time_limit_s is None:
             raise ValueError("set max_iterations and/or time_limit_s")
-        if self.max_iterations is not None and self.max_iterations < 0:
-            raise ValueError("max_iterations must be >= 0")
-        if self.time_limit_s is not None and not 0 < self.time_limit_s < math.inf:
-            raise ValueError("time_limit_s must be positive and finite")
+        if self.max_iterations is not None and not (has_type(self.max_iterations, int)
+                                                    and self.max_iterations >= 0):
+            raise ValueError(f"max_iterations must be an integer >= 0, "
+                             f"got {self.max_iterations!r}")
+        if self.time_limit_s is not None and not (has_type(self.time_limit_s, float)
+                                                  and self.time_limit_s > 0):
+            raise ValueError(f"time_limit_s must be positive and finite, "
+                             f"got {self.time_limit_s!r}")
         if self.t0_mode not in T0_MODES:
             raise ValueError(f"t0_mode must be one of {T0_MODES}, got {self.t0_mode!r}")
-        if self.t0_mode == "explicit" and (self.t0_value is None
-                                           or not 0 < self.t0_value < math.inf):
-            raise ValueError("explicit t0_mode needs a positive, finite t0_value")
-        if not 0.0 < self.target_acceptance < 1.0:
-            raise ValueError("target_acceptance must lie in (0, 1)")
-        if self.t0_sample_size < 1:
-            raise ValueError("t0_sample_size must be >= 1")
+        if self.t0_mode == "explicit" and not (has_type(self.t0_value, float)
+                                               and self.t0_value > 0):
+            raise ValueError(f"explicit t0_mode needs a positive, finite t0_value, "
+                             f"got {self.t0_value!r}")
+        if not (has_type(self.target_acceptance, float) and 0.0 < self.target_acceptance < 1.0):
+            raise ValueError(f"target_acceptance must lie in (0, 1), "
+                             f"got {self.target_acceptance!r}")
+        if not (has_type(self.t0_sample_size, int) and self.t0_sample_size >= 1):
+            raise ValueError(f"t0_sample_size must be >= 1 and an integer, "
+                             f"got {self.t0_sample_size!r}")
 
 
 @dataclass(frozen=True)
@@ -534,7 +546,6 @@ class SearchResult:
     best_state: DropoutState
     best_cost: float
     best_eod: float | None
-    best_f1: float
     success: bool
     trace: tuple[TraceRecord, ...]
     evaluations: int
@@ -629,7 +640,6 @@ def run_search(model: MlpModel, validation_data: TabularDataset,
         best_state=best,
         best_cost=best_cost,
         best_eod=best_eval.eod,
-        best_f1=best_eval.f1,
         success=best_eval.f1 >= params.f1_floor,
         trace=tuple(trace),
         evaluations=evaluator.evaluations,

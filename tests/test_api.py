@@ -87,9 +87,12 @@ def test_deleted_name_is_gone(module, dotted):
         resolve(module, dotted)
 
 
-def test_deleted_fields_are_gone():
+def test_deleted_fields_are_gone(small_instance):
+    parts, model, params = small_instance
     assert [f.name for f in dataclasses.fields(fairdrop.search.DropoutState)] == ["n", "bits"]
-    assert "config" not in {f.name for f in dataclasses.fields(fairdrop.search.SearchResult)}
+    result_fields = {f.name for f in dataclasses.fields(fairdrop.search.SearchResult)}
+    assert not {"config", "best_f1"} & result_fields
+    assert not hasattr(fairdrop.CostEvaluator(model, parts.validation, params), "model")
     split_fields = {f.name for f in dataclasses.fields(fairdrop.SplitDataset)}
     assert not {"fractions", "split_seed"} & split_fields
 

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -280,6 +281,60 @@ class TestSweep:
         with open(out / "sweep.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [float(r["p"]) for r in rows] == [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
+
+    def test_each_seed_is_split_loaded_and_anchored_once(self, trained, monkeypatch):
+        config, out = trained
+        calls = Counter()
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return wrapper
+        for name in ("split", "load_model", "baseline_cost_params"):
+            monkeypatch.setattr(fairdrop.cli, name, counted(name, getattr(fairdrop.cli, name)))
+        assert run_cli(["sweep", "--config", config, "--p-values", "0.5,1.0,3.0"]) == 0
+        assert calls == {"split": 2, "load_model": 2, "baseline_cost_params": 2}
+
+    def test_rows_equal_repair_at_each_p(self, trained):
+        # the anchor is the seed's, whatever p prices the run: a row priced
+        # under the config's anchor at p equals a repair run with --p p
+        config, out = trained
+        p_values = [0.5, 1.0, 3.0]
+        assert run_cli(["sweep", "--config", config,
+                        "--p-values", ",".join(map(str, p_values))]) == 0
+        with open(out / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+
+        def text(eod):
+            return eod if eod == "undefined" else repr(eod)
+        expected = []
+        for p in p_values:
+            assert run_cli(["repair", "--config", config, "--p", p]) in (0, 3)
+            for seed in (1, 2):
+                run = json.loads((out / f"repair_seed{seed}_sa.json").read_text())["run"]
+                assert run["p"] == p
+                expected.append({"p": repr(p), "seed": str(seed),
+                                 "validation_eod": text(run["repaired"]["validation"]["eod"]),
+                                 "test_eod": text(run["repaired"]["test"]["eod"]),
+                                 "success": "1" if run["success"] else "0"})
+        assert rows == expected
+
+    def test_one_class_line_once_per_seed(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        write_config(config, search={"t0_mode": "worst_case"})
+        out = tmp_path / "out"
+        out.mkdir()
+        # seed 1 predicts 0 for every row, so its F1 is 0; seed 2 predicts 1
+        (out / "model_seed1.json").write_text(
+            json.dumps(model_document(hidden=8, output_bias=-1000.0)))
+        (out / "model_seed2.json").write_text(json.dumps(model_document(hidden=8)))
+        assert run_cli(["sweep", "--config", config, "--p-values", "1.0,2.0"]) == 0
+        f1_zero = ("seed 1: the unmasked model's validation F1 is 0, "
+                   "so every mask meets the F1 floor\n")
+        assert capsys.readouterr().err == (
+            "seed 1: the unmasked model predicts 0 for every validation row\n" + f1_zero
+            + "seed 2: the unmasked model predicts 1 for every validation row\n" + f1_zero)
 
     def test_failed_runs_flagged_not_omitted(self, tmp_path):
         config = tmp_path / "config.json"

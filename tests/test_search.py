@@ -1,4 +1,5 @@
 import math
+import re
 import time
 import warnings
 from collections import Counter, deque
@@ -723,6 +724,47 @@ class TestRunSearch:
             with pytest.raises(ValueError, match="positive, finite t0_value"):
                 SearchConfig(alg_type="sa", bounds=b, cost_params=PARAMS, seed=1,
                              max_iterations=5, t0_mode="explicit", t0_value=value)
+
+
+class TestConfigRejectsWhatTheCliRejects:
+    """The search dataclasses take the CLI's config rules: no bools, NaNs,
+    infinities, strings or fractional counts.  Before these checks
+    max_iterations=2.5 ran three iterations, max_iterations=True ran one and
+    seed=1.5 ended in a TypeError inside the generator."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_total", 8.0), ("n_total", True), ("n_l", 1.5), ("n_l", True), ("n_u", 3.0),
+        ("n_u", "3"),
+    ])
+    def test_bounds(self, field, value):
+        fields = dict(n_total=8, n_l=1, n_u=3)
+        named = (f"^n_total must .*, got {re.escape(repr(value))}$" if field == "n_total"
+                 else rf"\b{field}={re.escape(repr(value))}(,|$)")
+        with pytest.raises(SearchSpaceError, match=named):
+            SearchSpaceBounds(**{**fields, field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("p", True), ("p", "3"), ("t", True), ("t", math.nan), ("eod_baseline", True),
+        ("eod_baseline", math.nan), ("f1_baseline", False), ("f1_baseline", "0.5"),
+    ])
+    def test_cost_params(self, field, value):
+        fields = dict(p=3.0, t=0.98, eod_baseline=0.1, f1_baseline=0.68)
+        with pytest.raises(ValueError, match=rf"\b{field} must .*, got {re.escape(repr(value))}$"):
+            CostParams(**{**fields, field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 1.5), ("seed", True), ("seed", "1"),
+        ("max_iterations", 2.5), ("max_iterations", 2.0), ("max_iterations", True),
+        ("time_limit_s", True), ("time_limit_s", "1"),
+        ("t0_value", True), ("t0_value", "2"),
+        ("target_acceptance", True), ("target_acceptance", math.nan),
+        ("t0_sample_size", 2.5), ("t0_sample_size", True),
+    ])
+    def test_search_config(self, field, value):
+        fields = dict(alg_type="sa", bounds=SearchSpaceBounds(8, 1, 3), cost_params=PARAMS,
+                      seed=1, max_iterations=5, t0_mode="explicit", t0_value=1.0)
+        with pytest.raises(ValueError, match=rf"\b{field}\b.*, got {re.escape(repr(value))}$"):
+            SearchConfig(**{**fields, field: value})
 
 
 class TestTraceCsv:
