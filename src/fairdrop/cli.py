@@ -144,16 +144,18 @@ def default_n_u(n_l: int, hidden_total: int) -> int:
 
 
 def build_dataset(cfg: dict) -> TabularDataset:
-    ds = cfg["dataset"]
-    if "synth" in ds:
+    """The dataset of the config's one source: ``synth``, or ``csv`` with
+    ``schema``.  A null path counts as absent."""
+    ds = {key: value for key, value in cfg["dataset"].items() if value is not None}
+    if ds.keys() == {"synth"}:
         s = ds["synth"]
         return synthesize_biased(int(s["n_rows"]), int(s["n_features"]),
                                  float(s["bias_strength"]), int(s["seed"]))
-    if "csv" in ds:
-        if "schema" not in ds:
-            raise CliError("dataset.csv needs a companion dataset.schema path")
+    if ds.keys() == {"csv", "schema"}:
         return load_csv(ds["csv"], DatasetSchema.load(ds["schema"]))
-    raise CliError("config needs dataset.synth parameters or dataset.csv + dataset.schema")
+    given = ", ".join(f"dataset.{key}" for key in ds) or "none"
+    raise CliError("config dataset needs exactly one source, dataset.synth or "
+                   f"dataset.csv + dataset.schema; given: {given}")
 
 
 def model_path(cfg: dict, seed: int) -> str:

@@ -13,10 +13,9 @@ evaluation's.  The cost dump renders each distinct value once.  The
 single-neuron-drop baseline is the best state of the weight-1 window, priced
 by the same pass: the strongest repair a one-neuron method could ever reach.
 
-Every reduction is order-independent: the optimum carries a deterministic
-tie-break (smallest canonical state key), and census counters are plain sums,
-so enumeration chunks may be processed in any order or concurrently and
-merged by min / addition.
+The columns ascend by state key, so the dump lists the states in key order
+and the optimum's tie-break (the smallest state key) is the first minimum;
+census counters are plain sums.
 """
 
 from __future__ import annotations
@@ -104,8 +103,8 @@ class StateCensus:
 
 @dataclass(frozen=True, eq=False)
 class PricedSpace:
-    """Every state of a bounded space priced once, as columns in ``iter_states``
-    order: the state keys (bits), cost, EOD (NaN where undefined) and F1."""
+    """Every state of a bounded space priced once, as columns in ascending
+    key order: the state keys (bits), cost, EOD (NaN where undefined) and F1."""
 
     n_total: int
     f1_floor: float
@@ -118,9 +117,10 @@ class PricedSpace:
         return DropoutState(n=self.n_total, bits=bits)
 
     def best(self) -> tuple[DropoutState, float]:
-        """Global optimum; cost ties break to the smallest canonical state key."""
-        optimal = self.cost.min()
-        return self._state(int(self.keys[self.cost == optimal].min())), float(optimal)
+        """Global optimum; cost ties break to the smallest state key, which
+        ascending keys make the first minimum."""
+        i = int(self.cost.argmin())
+        return self._state(int(self.keys[i])), float(self.cost[i])
 
     def census(self, good_margin: float = 0.05) -> StateCensus:
         """Classify every state against the global optimum."""
@@ -169,27 +169,19 @@ def _distinct_text(column: np.ndarray, nan: str = "nan") -> np.ndarray:
     return np.array(text, dtype=object)[inverse]
 
 
-def _position_bits(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per bit position i out of n, ``1 << i`` and its mirror image
-    ``1 << (top - i)``: uint64 with top 63, or Python ints in object arrays
-    with top n - 1 when n > 64."""
+def _position_bits(n: int) -> np.ndarray:
+    """``1 << i`` per bit position i out of n: uint64, or Python ints in an
+    object array when n > 64."""
     if n > 64:
-        return (np.array([1 << i for i in range(n)], dtype=object),
-                np.array([1 << (n - 1 - i) for i in range(n)], dtype=object))
-    i = np.arange(n, dtype=np.uint64)
-    return np.uint64(1) << i, np.uint64(1) << (np.uint64(63) - i)
+        return np.array([1 << i for i in range(n)], dtype=object)
+    return np.uint64(1) << np.arange(n, dtype=np.uint64)
 
 
-def _set_keys(dropped: np.ndarray, bits: np.ndarray,
-              mirror_bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The state key and an order key of each set of bit positions, given
-    as rows of a boolean matrix whose columns have the ``_position_bits``
-    ``bits`` and ``mirror_bits``.  The key sums the set's bits; the order
-    key complements the sum of its mirror bits, so that sets of one weight
-    sort in ``itertools.combinations`` order.  Keys of disjoint sets
-    combine by OR, order keys by AND."""
-    return (np.where(dropped, bits, 0).sum(axis=1),
-            ~np.where(dropped, mirror_bits, 0).sum(axis=1))
+def _set_keys(dropped: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """The state key of each set of bit positions, given as rows of a
+    boolean matrix whose columns have the ``_position_bits`` ``bits``: the
+    sum of the set's bits.  Keys of disjoint sets combine by OR."""
+    return np.where(dropped, bits, 0).sum(axis=1)
 
 
 def _subset_blocks(items: int, sizes: range, block: int) -> Iterator[np.ndarray]:
@@ -228,15 +220,13 @@ def price_space(model: MlpModel, validation_data: TabularDataset, bounds: Search
     within the slack goes through the exact pass.  A second float32
     GEMM, of the block's 0/1 predictions against ``group_label_indicator``,
     counts the cells exactly, and ``cell_costs`` prices them.  Last, one
-    permutation puts the columns in ``iter_states`` order, which ``best``'s
-    tie-break and the dump follow.
+    ``argsort`` puts the columns in ascending key order.
 
-    Memory: beside the per-state columns (the keys; until the sort, an
-    order key and the weight; four int32 counts; the permutation), a suffix
-    block's logits (which then carry its 0/1 predictions), a prefix batch's
-    layer outputs, and all that ``cell_costs`` holds for one chunk of
-    states each come to about ``_BATCH_ELEMENTS`` values (float32 in the
-    block and the batch).
+    Memory: beside the per-state columns (the keys, four int32 counts and
+    the permutation), a suffix block's logits (which then carry its 0/1
+    predictions), a prefix batch's layer outputs, and all that
+    ``cell_costs`` holds for one chunk of states each come to about
+    ``_BATCH_ELEMENTS`` values (float32 in the block and the batch).
     Nothing of it is a setting.
     """
     total = _check_budget(bounds, budget)
@@ -246,15 +236,13 @@ def price_space(model: MlpModel, validation_data: TabularDataset, bounds: Search
     kernel = MaskedForward(model, validation_data.features)
     indicator = group_label_indicator(validation_data.labels, validation_data.protected)
     rows = kernel._first.shape[0]
-    bits, mirror_bits = _position_bits(n)
+    bits = _position_bits(n)
     last, prefix_bits = kernel.suffix_bits, kernel.prefix_bits
     h = len(last)
 
     block = max(1, _BATCH_ELEMENTS // max(rows, h + 1))
     logits = np.empty((block, rows), dtype=np.float32)
     keys = np.empty(total, dtype=bits.dtype)
-    order_key = np.empty_like(keys)
-    weight = np.empty(total, dtype=np.min_scalar_type(n))
     positives = np.empty((total, 4), dtype=np.int32)
 
     def full_keep(i):  # keep factors of the block's suffix i joined to prefix b
@@ -267,18 +255,14 @@ def price_space(model: MlpModel, validation_data: TabularDataset, bounds: Search
         suffix_sizes = range(max(0, bounds.n_l - w), min(h, bounds.n_u - w) + 1)
         for dropped in _subset_blocks(h, suffix_sizes, block):
             m = len(dropped)
-            suffix_key, suffix_order = _set_keys(dropped, bits[last], mirror_bits[last])
-            suffix_weight = w + dropped.sum(axis=1)
+            suffix_key = _set_keys(dropped, bits[last])
             out_rows = kernel._output_rows(~dropped)
             for batch in _subset_blocks(len(prefix_bits), range(w, w + 1), kernel.batch_size):
                 keep = np.ones((len(batch), n))
                 keep[:, prefix_bits] = ~batch
-                prefix_key, prefix_order = _set_keys(batch, bits[prefix_bits],
-                                                     mirror_bits[prefix_bits])
+                prefix_key = _set_keys(batch, bits[prefix_bits])
                 span = slice(f, f + len(batch) * m)
                 keys[span] = (prefix_key[:, None] | suffix_key).ravel()
-                order_key[span] = (prefix_order[:, None] & suffix_order).ravel()
-                weight[span] = np.tile(suffix_weight, len(batch))
                 hidden = None if out_rows is None else kernel._batch_hidden(keep)
                 for b in range(len(batch)):
                     z = None if hidden is None else np.matmul(out_rows, hidden[b], out=logits[:m])
@@ -286,8 +270,7 @@ def price_space(model: MlpModel, validation_data: TabularDataset, bounds: Search
                     np.copyto(logits[:m], kernel._certified(z, m, full_keep))
                     positives[f:f + m] = logits[:m] @ indicator
                     f += m
-    order = np.lexsort((order_key, weight))
-    del order_key, weight
+    order = np.argsort(keys)
     totals = indicator.sum(axis=0)
     penalty = params.p * params.eod_baseline
     cost, eod, f1s = np.empty((3, total))

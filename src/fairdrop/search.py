@@ -322,14 +322,6 @@ def random_state(bounds: SearchSpaceBounds, rng: XorShift64Star) -> DropoutState
     return DropoutState.from_indices(bounds.n_total, rng.sample_indices(bounds.n_total, k))
 
 
-def valid_flip_positions(state: DropoutState, bounds: SearchSpaceBounds) -> list[int]:
-    """Bit positions whose flip keeps the weight inside [n_l, n_u]."""
-    can_raise = state.weight + 1 <= bounds.n_u
-    can_lower = state.weight - 1 >= bounds.n_l
-    return [i for i in range(state.n)
-            if (can_lower if state.bits >> i & 1 else can_raise)]
-
-
 def _nth_set_bit(bits: int, r: int) -> int:
     """Position of the r-th (from 0) lowest set bit of ``bits``."""
     for _ in range(r):
@@ -341,9 +333,11 @@ def generate_neighbor(state: DropoutState, bounds: SearchSpaceBounds,
                       rng: XorShift64Star) -> DropoutState:
     """Uniform draw over the in-bounds Hamming-distance-1 neighbors.
 
-    One ``randrange`` over ``valid_flip_positions(state, bounds)``, without
-    building the list: every position when the weight can both rise and
-    fall, else the set bits (only lowering) or the unset bits (only raising).
+    A flip may set a bit when the weight can rise (weight + 1 <= n_u) and
+    clear one when it can fall (weight - 1 >= n_l).  One ``randrange`` over
+    those positions, without building their list: every position when the
+    weight can both rise and fall, else the set bits (only lowering) or the
+    unset bits (only raising).
     """
     can_raise = state.weight + 1 <= bounds.n_u
     can_lower = state.weight - 1 >= bounds.n_l

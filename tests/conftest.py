@@ -81,6 +81,19 @@ def reference_price(model: fd.MlpModel, data: fd.TabularDataset, state, params) 
     return penalized_cost(eod, f1_s, params), eod, f1_s
 
 
+def valid_flip_positions(state: fd.DropoutState, bounds: fd.SearchSpaceBounds) -> list[int]:
+    """The bit positions ``generate_neighbor`` draws from, found by flipping
+    each one: a flip that lowers the weight must not take it below n_l, and
+    one that raises it must not take it above n_u.  From a state inside the
+    bounds, these are the flips that keep the weight inside them."""
+    flips = []
+    for i in range(state.n):
+        weight = state.flip(i).weight
+        if (bounds.n_l <= weight) if weight < state.weight else (weight <= bounds.n_u):
+            flips.append(i)
+    return flips
+
+
 def model_document(hidden: int = 2, output_bias: float = 0.0) -> dict:
     """A valid model file's document for a [6, hidden, 1] model: every hidden
     unit sums the six inputs, and the output sums the hidden units plus

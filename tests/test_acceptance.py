@@ -20,7 +20,9 @@ from fairdrop.prng import XorShift64Star
 from fairdrop.search import (CostParams, SearchConfig, SearchSpaceBounds,
                              TemperatureSchedule, _fit_temperature, _mean_acceptance,
                              _sample_positive_transitions, CostEvaluator,
-                             penalized_cost, valid_flip_positions)
+                             penalized_cost)
+
+from conftest import valid_flip_positions
 
 SEARCH_SEEDS = tuple(range(1, 11))
 

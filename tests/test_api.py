@@ -42,6 +42,7 @@ DELETED = [
     ("metrics", "cell_counts"),
     ("model", "MaskedForward.predict_many"),
     ("model", "MaskedForward._batch_logits"),
+    ("search", "valid_flip_positions"),
 ]
 
 # perfbench/tracer.py wraps these by name (a missing one stops a traced run
@@ -64,7 +65,7 @@ KEPT = [
     ("search", "CostParams"), ("search", "SearchConfig"), ("search", "SearchSpaceBounds"),
     ("search", "TemperatureSchedule"), ("search", "_fit_temperature"),
     ("search", "_mean_acceptance"), ("search", "_sample_positive_transitions"),
-    ("search", "penalized_cost"), ("search", "valid_flip_positions"),
+    ("search", "penalized_cost"),
 ]
 
 

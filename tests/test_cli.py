@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import json
 import math
 import os
@@ -508,7 +509,30 @@ class TestFlagValidation:
         assert not (tmp_path / "out").exists()
 
 
+# sha256 of the census instance's cost dump over the window [1, 5], per CLI
+# seed: the dump as first written in ``itertools.combinations`` order, with
+# its data rows sorted.  Putting the rows in key order changed no value.
+CENSUS_DUMP_SHA256 = {
+    1: "4685188f917fdb1f70872d84c39a8f27128219e7ca92cc0f3aacfb2e6fa1e26f",
+    8: "51a1c4d3c7a862e4c3d3ae258ec86216adeeba259a192b94e36d1707d874cfed",
+}
+
+
 class TestOracleCommand:
+    @pytest.mark.parametrize("seed", sorted(CENSUS_DUMP_SHA256))
+    def test_census_dump_ascends_by_key_and_is_pinned(self, tmp_path, seed):
+        workload = workloads.Workload(workloads.CENSUS_INSTANCE, {"n_l": 1, "n_u": 5}, None,
+                                      seeds=1, setups=1)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(workload.config([seed], str(tmp_path / "out"))))
+        assert run_cli(["train", "--config", path]) == 0
+        assert run_cli(["oracle", "--config", path, "--dump-costs"]) == 0
+        dump = (tmp_path / "out" / "oracle_costs.csv").read_bytes()
+        keys = [line.split(b",")[0] for line in dump.splitlines()[1:]]
+        assert len(keys) == sum(math.comb(16, k) for k in range(1, 6))
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert hashlib.sha256(dump).hexdigest() == CENSUS_DUMP_SHA256[seed]
+
     def test_report_and_delta(self, trained):
         config, out = trained
         run_cli(["repair", "--config", config, "--seeds", "1"])
@@ -618,6 +642,46 @@ class TestCsvConfigPath:
         assert run_cli(["repair", "--config", config]) in (0, 3)
         doc = json.loads((tmp_path / "out" / "repair_seed1_sa.json").read_text())
         assert doc["run"]["best_cost"] <= doc["run"]["initial_cost"]
+
+
+class TestDatasetSource:
+    SYNTH = {"n_rows": 600, "n_features": 6, "bias_strength": 0.8, "seed": 21}
+
+    @pytest.mark.parametrize("dataset, given", [
+        ({"csv": "x.csv", "schema": None}, "given: dataset.csv"),
+        ({"csv": None, "schema": None}, "given: none"),
+        ({"schema": "x.json"}, "given: dataset.schema"),
+        ({}, "given: none"),
+        ({"synth": SYNTH, "csv": "nope.csv", "schema": "nope.json"},
+         "given: dataset.synth, dataset.csv, dataset.schema"),
+        ({"synth": SYNTH, "csv": "nope.csv"}, "given: dataset.synth, dataset.csv"),
+    ], ids=["null_schema", "null_csv_and_schema", "schema_alone", "empty", "two_sources",
+            "synth_and_csv"])
+    def test_not_exactly_one_source_is_operational_error(self, tmp_path, capsys, dataset,
+                                                         given):
+        config = tmp_path / "config.json"
+        cfg = write_config(config)
+        cfg["dataset"] = dataset
+        config.write_text(json.dumps(cfg))
+        assert run_cli(["train", "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config dataset needs exactly one source")
+        assert given in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_null_csv_beside_synth_trains_as_synth_alone(self, tmp_path):
+        models = []
+        for name, dataset in (("plain", {"synth": self.SYNTH}),
+                              ("nulls", {"synth": self.SYNTH, "csv": None, "schema": None})):
+            config = tmp_path / f"{name}.json"
+            write_config(config, seeds=[1], output_dir=str(tmp_path / name))
+            cfg = json.loads(config.read_text())
+            cfg["dataset"] = dataset
+            config.write_text(json.dumps(cfg))
+            assert run_cli(["train", "--config", config]) == 0
+            models.append((tmp_path / name / "model_seed1.json").read_bytes())
+        assert models[0] == models[1]
 
 
 class TestTimeLimitFlag:

@@ -133,12 +133,17 @@ class TestEnumerateBest:
         assert cost == pytest.approx(PINNED_OPTIMAL_COST, abs=1e-12)
 
 
+def by_key(bounds) -> list:
+    """``iter_states``, sorted by state key: the order of ``PricedSpace``'s columns."""
+    return sorted(iter_states(bounds), key=lambda s: s.bits)
+
+
 def assert_columns_equal_evaluator(model, data, bounds, params, step=1) -> PricedSpace:
-    """``price_space``'s columns, in ``iter_states`` order, equal to
+    """``price_space``'s columns, in ascending key order, equal to
     ``CostEvaluator.evaluate`` on every ``step``-th state."""
     space = price_space(model, data, bounds, params)
     evaluator = CostEvaluator(model, data, params)
-    states = list(iter_states(bounds))
+    states = by_key(bounds)
     assert space.keys.tolist() == [s.bits for s in states]
     for i in range(0, len(states), step):
         ev = evaluator.evaluate(states[i])
@@ -169,7 +174,7 @@ class TestPriceSpace:
         b = SearchSpaceBounds(70, 1, 1)
         space = price_space(model, data, b, params)
         evaluator = CostEvaluator(model, data, params)
-        states = list(iter_states(b))
+        states = by_key(b)
         assert [row[0] for row in space.rows()] == [s.key_hex() for s in states]
         state, cost = space.best()
         assert cost == min(evaluator.evaluate(s).cost for s in states)
@@ -181,7 +186,29 @@ class TestPriceSpace:
         params = fd.baseline_cost_params(model, data, p=3.0, t=0.98)
         b = SearchSpaceBounds(70, 0, 2)
         space = assert_columns_equal_evaluator(model, data, b, params, step=23)
-        assert [row[0] for row in space.rows()] == [s.key_hex() for s in iter_states(b)]
+        assert [row[0] for row in space.rows()] == [s.key_hex() for s in by_key(b)]
+
+    @pytest.mark.parametrize("sizes, n_l, n_u", [((3, 8, 8, 1), 1, 5), ((3, 40, 30, 1), 0, 2)],
+                             ids=["census_size", "object_keys"])
+    def test_rows_ascend_by_key_and_cover_the_space(self, sizes, n_l, n_u):
+        model = random_small_model(XorShift64Star(47), sizes)
+        data = tiny_data(seed=48)
+        params = fd.baseline_cost_params(model, data, p=3.0, t=0.98)
+        bounds = SearchSpaceBounds(model.hidden_total, n_l, n_u)
+        space = price_space(model, data, bounds, params)
+        assert space.keys.dtype == (object if bounds.n_total > 64 else np.uint64)
+        keys = [int(key, 16) for key, *_ in space.rows()]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert len(keys) == bounds.size() and set(keys) == {s.bits for s in iter_states(bounds)}
+
+    @pytest.mark.parametrize("n, keys", [(4, [1, 2, 4, 6, 9]),
+                                         (70, [3, 5, 1 << 64, 1 << 64 | 1, 1 << 69])],
+                             ids=["uint64_keys", "object_keys"])
+    def test_best_breaks_a_cost_tie_to_the_smallest_key(self, n, keys):
+        cost = np.array([0.5, 0.2, 0.3, 0.2, 0.2])
+        keys = np.array(keys, dtype=np.uint64 if n <= 64 else object)
+        space = PricedSpace(n, 0.5, keys, cost, cost.copy(), np.ones(5))
+        assert space.best() == (DropoutState(n, int(keys[1])), 0.2)
 
     def test_reductions_match_the_wrappers(self, small_instance):
         parts, model, params = small_instance
@@ -233,7 +260,7 @@ class TestFactoredPricing:
         space = price_space(poisoned, data, bounds, params)
         assert len(exact_calls) == bounds.size()
         clean = CostEvaluator(model, data, params)
-        for i, state in enumerate(iter_states(bounds)):
+        for i, state in enumerate(by_key(bounds)):
             if state.bits >> bit & 1:
                 assert (space.cost[i], space.f1[i]) == tuple(clean.evaluate(state))[::2]
             else:

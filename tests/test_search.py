@@ -15,10 +15,9 @@ from fairdrop.search import (CostEvaluator, CostParams, DropoutState, SearchConf
                              SearchSpaceBounds, SearchSpaceError, TemperatureSchedule,
                              _estimate_t0, _fit_temperature, _mean_acceptance,
                              _sample_positive_transitions, generate_neighbor, penalized_cost,
-                             random_state, trace_csv_text, valid_flip_positions,
-                             worst_case_t0)
+                             random_state, trace_csv_text, worst_case_t0)
 
-from conftest import random_small_model, reference_price
+from conftest import random_small_model, reference_price, valid_flip_positions
 
 PARAMS = CostParams(p=3.0, t=0.98, eod_baseline=0.10, f1_baseline=0.68)
 
