@@ -148,9 +148,7 @@ def build_dataset(cfg: dict) -> TabularDataset:
     ``schema``.  A null path counts as absent."""
     ds = {key: value for key, value in cfg["dataset"].items() if value is not None}
     if ds.keys() == {"synth"}:
-        s = ds["synth"]
-        return synthesize_biased(int(s["n_rows"]), int(s["n_features"]),
-                                 float(s["bias_strength"]), int(s["seed"]))
+        return synthesize_biased(**ds["synth"])
     if ds.keys() == {"csv", "schema"}:
         return load_csv(ds["csv"], DatasetSchema.load(ds["schema"]))
     given = ", ".join(f"dataset.{key}" for key in ds) or "none"
@@ -163,21 +161,14 @@ def model_path(cfg: dict, seed: int) -> str:
 
 
 def search_config(cfg: dict, seed: int, hidden_total: int, params) -> SearchConfig:
-    s = cfg["search"]
-    n_l = int(s["n_l"])
-    n_u = int(s["n_u"]) if s["n_u"] is not None else default_n_u(n_l, hidden_total)
-    return SearchConfig(
-        alg_type=s["alg_type"],
-        bounds=SearchSpaceBounds(n_total=hidden_total, n_l=n_l, n_u=n_u),
-        cost_params=params,
-        seed=seed,
-        max_iterations=(None if s.get("max_iterations") is None else int(s["max_iterations"])),
-        time_limit_s=(None if s.get("time_limit_s") is None else float(s["time_limit_s"])),
-        t0_mode=s["t0_mode"],
-        t0_value=s.get("t0_value"),
-        target_acceptance=float(s["target_acceptance"]),
-        t0_sample_size=int(s["t0_sample_size"]),
-    )
+    """The config's search section as a ``SearchConfig``; ``p`` and ``t``
+    come in through ``params``."""
+    s = {key: value for key, value in cfg["search"].items() if key not in ("p", "t")}
+    n_l, n_u = s.pop("n_l"), s.pop("n_u")
+    if n_u is None:
+        n_u = default_n_u(n_l, hidden_total)
+    return SearchConfig(**s, bounds=SearchSpaceBounds(hidden_total, n_l, n_u),
+                        cost_params=params, seed=seed)
 
 
 def write_json(path, payload: dict) -> None:
@@ -230,19 +221,11 @@ def cmd_train(args) -> int:
     data = build_dataset(cfg)
     out = cfg["output_dir"]
     os.makedirs(out, exist_ok=True)
-    hidden = [int(h) for h in cfg["model"]["hidden_sizes"]]
-    arch = MlpArchitecture(tuple([data.features.shape[1]] + hidden + [1]))
-    tr = cfg["model"]["train"]
+    arch = MlpArchitecture((data.features.shape[1], *cfg["model"]["hidden_sizes"], 1))
     per_seed = {}
     for seed in cfg["seeds"]:
         parts = split(data, seed)
-        model = train(parts, arch, TrainConfig(
-            learning_rate=float(tr["learning_rate"]),
-            epochs=int(tr["epochs"]),
-            batch_size=int(tr["batch_size"]),
-            train_dropout_prob=float(tr["train_dropout_prob"]),
-            seed=seed,
-        ))
+        model = train(parts, arch, TrainConfig(**cfg["model"]["train"], seed=seed))
         _say_if_one_class(seed, model, parts)
         path = model_path(cfg, seed)
         save_model(model, path)
@@ -435,7 +418,7 @@ def cmd_oracle(args) -> int:
         _check_sa_run(sa_run, args.sa_result, seed, params, config.bounds)
     try:
         space = price_space(model, parts.validation, config.bounds, params,
-                            budget=int(cfg["oracle"]["budget"]))
+                            budget=cfg["oracle"]["budget"])
     except EnumerationBudgetError as exc:
         print(f"refusing to enumerate: {exc}", file=sys.stderr)
         return 1

@@ -243,7 +243,7 @@ def load_csv(path, schema: DatasetSchema) -> TabularDataset:
     A header that does not match ``schema.column_names`` exactly is rejected,
     which also stops already-encoded output from being encoded twice.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

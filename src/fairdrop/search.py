@@ -100,10 +100,6 @@ class DropoutState:
         return self.bits.bit_count()
 
     @classmethod
-    def empty(cls, n: int) -> "DropoutState":
-        return cls(n=n, bits=0)
-
-    @classmethod
     def from_indices(cls, n: int, indices) -> "DropoutState":
         bits = 0
         for i in indices:
@@ -200,8 +196,8 @@ class CostEvaluator:
     (``MaskedForward._output_rows``) against that layer, certified as in
     the batched pass (``MaskedForward._certified``: a mask with any logit
     it cannot vouch for takes the exact pass), one ``bincount`` of eight
-    cells and the cost formula.  ``prefetch`` prices
-    many masks ahead in one factored pass for ``evaluate`` to take.
+    cells and the cost formula.  ``evaluate_many`` prices many masks in
+    one factored pass.
     """
 
     def __init__(self, model: MlpModel, validation_data: TabularDataset, params: CostParams):
@@ -219,7 +215,6 @@ class CostEvaluator:
         self._recent = [(None, np.ones((1, units + 1, len(self._key)), dtype=np.float32))
                         for _ in range(2)]
         self._cache: dict[int, CostEvaluation] = {}
-        self._prefetched: dict[int, CostEvaluation] = {}
         self.evaluations = 0
 
     def price(self, state: DropoutState) -> CostEvaluation:
@@ -247,59 +242,58 @@ class CostEvaluator:
             recent.reverse()
         return recent[0][1][0]
 
-    def prefetch(self, states) -> None:
-        """Price those of ``states`` that are not memoized in one factored
-        pass, for ``evaluate`` to take instead of pricing them; the states
-        prefetched before and not taken are dropped.
+    def evaluate_many(self, states) -> list[CostEvaluation]:
+        """``evaluate`` of each of ``states``, in order, with those not
+        memoized priced in one factored pass: they are memoized and counted
+        in the order that evaluating them one by one would.
 
-        The states are grouped by prefix.  Each prefix runs through the
-        hidden layers once, many prefixes per batch of the batched pass,
-        and one float32 GEMM of its members' output rows against its last
-        hidden layer gives the group's logits, certified a whole batch of
-        prefixes at once as in ``price``.  One more GEMM against
+        The fresh states are grouped by prefix.  Each prefix runs through
+        the hidden layers once, many prefixes per batch of the batched
+        pass, and one float32 GEMM of its members' output rows against its
+        last hidden layer gives the group's logits, certified a whole batch
+        of prefixes at once as in ``price``.  One more GEMM against
         ``group_label_indicator`` counts the cells, and ``cell_costs``
         prices them: the values ``price`` gives.
         """
-        groups: dict[int, dict[int, DropoutState]] = {}
-        for s in states:
-            if s.bits not in self._cache:
-                groups.setdefault(s.bits & self._prefix_mask, {})[s.bits] = s
-        self._prefetched = {}
-        if not groups:
-            return
-        # the states by prefix, each group one slice of them
-        fresh = [s for group in groups.values() for s in group.values()]
-        ends = np.cumsum([len(group) for group in groups.values()]).tolist()
-        forward = self._forward
-        keep = np.array([forward.keep(s) for s in fresh])
-        rows = forward._output_rows(keep[:, forward.suffix_bits])
-        starts = [0, *ends[:-1]]
-        positives = np.empty((len(fresh), 4))
-        for first in range(0, len(ends), forward.batch_size):
-            batch = slice(first, first + forward.batch_size)
-            lo, hi = starts[first], ends[batch][-1]
-            z = None
-            if rows is not None:
-                hidden = forward._batch_hidden(keep[starts[batch]])
-                z = np.empty((hi - lo, len(self._key)), dtype=np.float32)
-                for b, (start, end) in enumerate(zip(starts[batch], ends[batch])):
-                    np.matmul(rows[start:end], hidden[b], out=z[start - lo:end - lo])
-            preds = forward._certified(z, hi - lo, lambda m: keep[lo + m])
-            positives[lo:hi] = preds @ self._indicator
-        params = self.params
-        cost, eod, f1s = cell_costs(positive_cells(positives, self._indicator.sum(axis=0)),
-                                    params.f1_floor, params.p * params.eod_baseline)
-        self._prefetched = {
-            s.bits: CostEvaluation(cost=c, eod=None if math.isnan(e) else e, f1=f)
-            for s, c, e, f in zip(fresh, cost.tolist(), eod.tolist(), f1s.tolist())}
+        states = list(states)
+        fresh = {s.bits: s for s in states if s.bits not in self._cache}
+        if fresh:
+            groups: dict[int, list[DropoutState]] = {}
+            for s in fresh.values():
+                groups.setdefault(s.bits & self._prefix_mask, []).append(s)
+            # the states by prefix, each group one slice of them
+            grouped = [s for group in groups.values() for s in group]
+            ends = np.cumsum([len(group) for group in groups.values()]).tolist()
+            forward = self._forward
+            keep = np.array([forward.keep(s) for s in grouped])
+            rows = forward._output_rows(keep[:, forward.suffix_bits])
+            starts = [0, *ends[:-1]]
+            positives = np.empty((len(grouped), 4))
+            for first in range(0, len(ends), forward.batch_size):
+                batch = slice(first, first + forward.batch_size)
+                lo, hi = starts[first], ends[batch][-1]
+                z = None
+                if rows is not None:
+                    hidden = forward._batch_hidden(keep[starts[batch]])
+                    z = np.empty((hi - lo, len(self._key)), dtype=np.float32)
+                    for b, (start, end) in enumerate(zip(starts[batch], ends[batch])):
+                        np.matmul(rows[start:end], hidden[b], out=z[start - lo:end - lo])
+                preds = forward._certified(z, hi - lo, lambda m: keep[lo + m])
+                positives[lo:hi] = preds @ self._indicator
+            params = self.params
+            cost, eod, f1s = cell_costs(positive_cells(positives, self._indicator.sum(axis=0)),
+                                        params.f1_floor, params.p * params.eod_baseline)
+            priced = {s.bits: CostEvaluation(cost=c, eod=None if math.isnan(e) else e, f1=f)
+                      for s, c, e, f in zip(grouped, cost.tolist(), eod.tolist(), f1s.tolist())}
+            self._cache.update((bits, priced[bits]) for bits in fresh)
+            self.evaluations += len(fresh)
+        return [self._cache[s.bits] for s in states]
 
     def evaluate(self, state: DropoutState) -> CostEvaluation:
         hit = self._cache.get(state.bits)
         if hit is not None:
             return hit
-        result = self._prefetched.pop(state.bits, None)
-        if result is None:
-            result = self.price(state)
+        result = self.price(state)
         self._cache[state.bits] = result
         self.evaluations += 1
         return result
@@ -409,35 +403,30 @@ def _sample_positive_transitions(evaluator: CostEvaluator, bounds: SearchSpaceBo
     """Up to ``sample_size`` positive cost deltas of random transitions, out
     of at most max(100, 10 * sample_size) of them.
 
-    Transitions are drawn ahead in chunks of max(8, deltas still wanted),
-    and the chunk's states are priced in one factored pass
-    (``CostEvaluator.prefetch``).  The chunk's pairs are then taken in
-    order, each through ``evaluate``, until enough deltas are found, and
-    the generator is set back to where the last pair taken left it: the
-    deltas, the draws after them and the evaluator's memo and count are
-    those of drawing and pricing one pair at a time.  Drawing stops early,
-    between chunks, once ``time.perf_counter()`` passes ``deadline``.
+    Transitions are drawn in chunks of as many pairs as deltas are still
+    wanted (or draws left, if fewer), so a chunk never holds a pair that
+    drawing one pair at a time would not have drawn, and each chunk's
+    states are priced in one ``CostEvaluator.evaluate_many``: the deltas,
+    the draws after them and the evaluator's memo and count are those of
+    drawing and pricing one pair at a time.  Drawing stops early, between
+    chunks, once ``time.perf_counter()`` passes ``deadline``.
     """
     deltas: list[float] = []
     draws = max(100, 10 * sample_size)
     while draws > 0 and len(deltas) < sample_size:
         if deadline is not None and time.perf_counter() > deadline:
             break
-        pairs = []
-        for _ in range(min(draws, max(8, sample_size - len(deltas)))):
+        pairs = min(draws, sample_size - len(deltas))
+        draws -= pairs
+        states = []
+        for _ in range(pairs):
             s = random_state(bounds, rng)
-            pairs.append((s, generate_neighbor(s, bounds, rng), rng._state))
-        evaluator.prefetch(state for s, s_next, _ in pairs for state in (s_next, s))
-        for s, s_next, after in pairs:
-            if len(deltas) >= sample_size:
-                break
-            draws -= 1
-            resume = after
-            d = evaluator.evaluate(s_next).cost - evaluator.evaluate(s).cost
+            states += (generate_neighbor(s, bounds, rng), s)
+        costs = [e.cost for e in evaluator.evaluate_many(states)]
+        for cost_next, cost in zip(costs[::2], costs[1::2]):
+            d = cost_next - cost
             if math.isfinite(d) and d > 0.0:
                 deltas.append(d)
-        rng._state = resume
-    evaluator.prefetch(())  # drops the priced states no pair took
     return deltas
 
 
@@ -544,7 +533,6 @@ class SearchResult:
     trace: tuple[TraceRecord, ...]
     evaluations: int
     t0: float
-    initial_state: DropoutState
     initial_cost: float
 
 
@@ -576,7 +564,6 @@ def run_search(model: MlpModel, validation_data: TabularDataset,
     current_cost = evaluator.evaluate(current).cost
     best = current
     best_cost = current_cost
-    initial = current
     initial_cost = current_cost
 
     if config.t0_mode == "explicit":
@@ -638,7 +625,6 @@ def run_search(model: MlpModel, validation_data: TabularDataset,
         trace=tuple(trace),
         evaluations=evaluator.evaluations,
         t0=t0,
-        initial_state=initial,
         initial_cost=initial_cost,
     )
 

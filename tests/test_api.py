@@ -43,6 +43,8 @@ DELETED = [
     ("model", "MaskedForward.predict_many"),
     ("model", "MaskedForward._batch_logits"),
     ("search", "valid_flip_positions"),
+    ("search", "CostEvaluator.prefetch"),
+    ("search", "DropoutState.empty"),
 ]
 
 # perfbench/tracer.py wraps these by name (a missing one stops a traced run
@@ -92,7 +94,7 @@ def test_deleted_fields_are_gone(small_instance):
     parts, model, params = small_instance
     assert [f.name for f in dataclasses.fields(fairdrop.search.DropoutState)] == ["n", "bits"]
     result_fields = {f.name for f in dataclasses.fields(fairdrop.search.SearchResult)}
-    assert not {"config", "best_f1"} & result_fields
+    assert not {"config", "best_f1", "initial_state"} & result_fields
     assert not hasattr(fairdrop.CostEvaluator(model, parts.validation, params), "model")
     split_fields = {f.name for f in dataclasses.fields(fairdrop.SplitDataset)}
     assert not {"fractions", "split_seed"} & split_fields
@@ -112,13 +114,22 @@ def test_predict_batch_bound_once():
 def _referenced_names(tree: ast.AST) -> set[str]:
     """The names code in ``tree`` reads, calls or imports: every name, every
     attribute, every imported name; docstrings are string constants, so
-    they do not count."""
+    they do not count, and neither do attributes of a module from outside
+    the project (``np.empty`` does not name ``DropoutState.empty``)."""
+    foreign = {alias.asname or alias.name.partition(".")[0]
+               for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names
+               if alias.name.partition(".")[0] not in ("fairdrop", "perfbench")}
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if not (isinstance(root, ast.Name) and root.id in foreign):
+                names.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name)
     return names

@@ -117,6 +117,41 @@ class TestTrain:
     def test_missing_config_is_operational_error(self, tmp_path):
         assert run_cli(["train", "--config", tmp_path / "absent.json"]) == 1
 
+    def test_csv_with_byte_order_mark_trains(self, tmp_path):
+        # spreadsheet exports often start a UTF-8 file with a byte-order mark
+        assert run_cli(["synth", "--out", tmp_path, "--n-rows", 600, "--n-features", 6,
+                        "--seed", 21]) == 0
+        plain = tmp_path / "synthetic.csv"
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        models = []
+        for data in (plain, bom):
+            config = tmp_path / f"{data.stem}.json"
+            cfg = write_config(config, dataset={"csv": str(data), "schema": str(
+                tmp_path / "synthetic_schema.json")}, output_dir=str(tmp_path / data.stem))
+            del cfg["dataset"]["synth"]
+            config.write_text(json.dumps(cfg))
+            assert run_cli(["train", "--config", config]) == 0
+            models.append((tmp_path / data.stem / "model_seed1.json").read_bytes())
+        assert models[0] == models[1]
+
+    def test_float_settings_written_as_integers_train_and_repair_alike(self, tmp_path):
+        files = []
+        for one, zero in ((1.0, 0.0), (1, 0)):
+            out = tmp_path / f"out_{one!r}"
+            config = tmp_path / f"config_{one!r}.json"
+            write_config(config, output_dir=str(out), seeds=[1],
+                         dataset={"synth": {"n_rows": 600, "n_features": 6,
+                                            "bias_strength": one, "seed": 21}},
+                         model={"hidden_sizes": [8],
+                                "train": {"learning_rate": one, "epochs": 10,
+                                          "batch_size": 64, "train_dropout_prob": zero}})
+            assert run_cli(["train", "--config", config]) == 0
+            assert run_cli(["repair", "--config", config]) in (0, 3)
+            files.append([(out / name).read_bytes()
+                          for name in ("model_seed1.json", "trace_seed1_sa.csv")])
+        assert files[0] == files[1]
+
     def test_one_class_model_is_said_on_stderr(self, tmp_path, capsys):
         # the [8] models predict both classes; one epoch leaves the deep,
         # narrow [5, 4, 5] models predicting 0 for every validation row

@@ -170,6 +170,15 @@ class TestLoadCsv:
             col = data.features[:, list(data.feature_names).index("amount")]
             assert np.array_equal(col, np.zeros(3))
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path, csv_3rows):
+        # spreadsheet exports often start a UTF-8 file with a byte-order mark
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + csv_3rows.read_bytes())
+        plain, bom = (fd.load_csv(p, make_schema()) for p in (csv_3rows, path))
+        assert bom.feature_names == plain.feature_names
+        for field in ("features", "labels", "protected"):
+            assert np.array_equal(getattr(bom, field), getattr(plain, field))
+
     def test_header_mismatch_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         write_csv(path, [("a", "b"), ("1", "2")])

@@ -65,7 +65,7 @@ class TestForward:
     def test_empty_mask_identical_to_none(self):
         model = random_small_model(XorShift64Star(1), (3, 4, 4, 1))
         x = np.array([0.3, -0.7, 1.5])
-        assert proba(model, x, DropoutState.empty(8))[0] == proba(model, x)[0]
+        assert proba(model, x, DropoutState(8, 0))[0] == proba(model, x)[0]
 
     def test_all_ones_mask_gives_sigmoid_of_output_bias(self):
         rng = XorShift64Star(2)
@@ -91,7 +91,7 @@ class TestForward:
                                  np.array([0, 0, 1, 1]), ("a", "b"))
         kernel = MaskedForward(model, data.features)
         evaluator = fd.CostEvaluator(model, data, PRICE_PARAMS)
-        for mask in (DropoutState.empty(5), DropoutState.empty(1)):
+        for mask in (DropoutState(5, 0), DropoutState(1, 0)):
             for run in (kernel.logits, kernel.predict, evaluator.price):
                 with pytest.raises(ShapeError):
                     run(mask)
@@ -147,7 +147,7 @@ class TestPredictBatch:
         model = random_small_model(XorShift64Star(6), (2, 3, 3, 1))
         X = 2.0 * XorShift64Star(8).uniform_block(20).reshape(10, 2) - 1.0
         assert np.array_equal(fd.predict_batch(model, X),
-                              fd.predict_batch(model, X, DropoutState.empty(6)))
+                              fd.predict_batch(model, X, DropoutState(6, 0)))
 
 
 class TestThreshold:
@@ -246,18 +246,17 @@ def batched_predictions(kernel, keep) -> np.ndarray:
 
 def caller_prices(model, data, states) -> list[list[tuple]]:
     """(cost, EOD, F1) of each of ``states`` as ``CostEvaluator.price``,
-    ``CostEvaluator.prefetch`` and ``fairdrop.oracle.price_space`` (over the
-    whole space) give them, in that order."""
+    ``CostEvaluator.evaluate_many`` and ``fairdrop.oracle.price_space``
+    (over the whole space) give them, in that order."""
     evaluator = fd.CostEvaluator(model, data, PRICE_PARAMS)
     priced = [tuple(evaluator.price(s)) for s in states]
     evaluator = fd.CostEvaluator(model, data, PRICE_PARAMS)
-    evaluator.prefetch(states)
-    prefetched = [tuple(evaluator.evaluate(s)) for s in states]
+    many = [tuple(e) for e in evaluator.evaluate_many(states)]
     n = model.hidden_total
     space = fairdrop.oracle.price_space(model, data, fd.SearchSpaceBounds(n, 0, n), PRICE_PARAMS)
     table = {bits: (c, None if e != e else e, f) for bits, c, e, f in zip(
         space.keys.tolist(), space.cost.tolist(), space.eod.tolist(), space.f1.tolist())}
-    return [priced, prefetched, [table[s.bits] for s in states]]
+    return [priced, many, [table[s.bits] for s in states]]
 
 
 def signs_dataset(X) -> fd.TabularDataset:
@@ -269,7 +268,7 @@ def signs_dataset(X) -> fd.TabularDataset:
 
 @pytest.fixture
 def fallbacks(monkeypatch):
-    """How many masks ``CostEvaluator.price`` or ``prefetch``, or
+    """How many masks ``CostEvaluator.price`` or ``evaluate_many``, or
     ``fairdrop.oracle.price_space``, re-ran through the exact pass; the
     exact pass that ``predict`` runs is not counted."""
     calls, running = [], []
@@ -289,7 +288,8 @@ def fallbacks(monkeypatch):
         return counted
     monkeypatch.setattr(MaskedForward, "_exact", counted_exact)
     monkeypatch.setattr(fd.CostEvaluator, "price", counting(fd.CostEvaluator.price))
-    monkeypatch.setattr(fd.CostEvaluator, "prefetch", counting(fd.CostEvaluator.prefetch))
+    monkeypatch.setattr(fd.CostEvaluator, "evaluate_many",
+                        counting(fd.CostEvaluator.evaluate_many))
     monkeypatch.setattr(fairdrop.oracle, "price_space", counting(fairdrop.oracle.price_space))
     return calls
 
@@ -348,7 +348,7 @@ class TestBatchedPass:
         kernel = MaskedForward(model, data.features)
         preds = batched_predictions(kernel, np.ones((1, 1)))
         assert preds.tolist() == [kernel.predict().tolist()] == [[z == -1e-17] + [False] * 3]
-        empty = DropoutState.empty(1)
+        empty = DropoutState(1, 0)
         expected = reference_price(model, data, empty, PRICE_PARAMS)
         assert [prices[0] for prices in caller_prices(model, data, [empty])] == [expected] * 3
         # price_space also prices the mask that drops the unit: its logits
@@ -478,8 +478,7 @@ class TestFloat32Pass:
         evaluator = fd.CostEvaluator(model, data, PRICE_PARAMS)
         assert [tuple(evaluator.price(s)) for s in states] == expected
         assert len(fallbacks) == doubtful
-        evaluator.prefetch(states)
-        assert [tuple(evaluator.evaluate(s)) for s in states] == expected
+        assert [tuple(e) for e in evaluator.evaluate_many(states)] == expected
         assert len(fallbacks) == 2 * doubtful
         space = fairdrop.oracle.price_space(model, data, fd.SearchSpaceBounds(2, 0, 2),
                                             PRICE_PARAMS)
@@ -523,8 +522,7 @@ class TestFloat32Pass:
         assert [tuple(evaluator.price(s)) for s in states] == expected
         assert len(fallbacks) == len(states)
         evaluator = fd.CostEvaluator(model, data, PRICE_PARAMS)
-        evaluator.prefetch(states)
-        assert [tuple(evaluator.evaluate(s)) for s in states] == expected
+        assert [tuple(e) for e in evaluator.evaluate_many(states)] == expected
         assert len(fallbacks) == 2 * len(states)
         space = fairdrop.oracle.price_space(model, data, fd.SearchSpaceBounds(n, 0, n),
                                             PRICE_PARAMS)
@@ -553,7 +551,7 @@ class TestFloat32Pass:
         monkeypatch.setattr(fairdrop.oracle, "group_label_indicator", spy_indicator)
         evaluator = fd.CostEvaluator(model, parts.validation, params)
         evaluator.price(DropoutState.from_indices(n, (0, 9)))
-        evaluator.prefetch(DropoutState.from_indices(n, (b, 15 - b)) for b in range(8))
+        evaluator.evaluate_many(DropoutState.from_indices(n, (b, 15 - b)) for b in range(8))
         fairdrop.oracle.price_space(model, parts.validation, fd.SearchSpaceBounds(n, 1, 2),
                                     params)
         first, weight_stacks, out_stacks = evaluator._forward._buffers

@@ -60,7 +60,7 @@ class TestDropoutState:
         assert s.bits >> 1 & 1 == 1 and s.bits >> 0 & 1 == 0
 
     def test_flip(self):
-        s = DropoutState.empty(4).flip(2)
+        s = DropoutState(4, 0).flip(2)
         assert s.indices() == (2,)
         assert s.flip(2).weight == 0
 
@@ -71,7 +71,7 @@ class TestDropoutState:
     def test_key_hex_width(self):
         assert DropoutState.from_indices(16, (0,)).key_hex() == "0001"
         assert DropoutState.from_indices(16, range(16)).key_hex() == "ffff"
-        assert DropoutState.empty(5).key_hex() == "00"
+        assert DropoutState(5, 0).key_hex() == "00"
 
 
 class TestCostFunction:
@@ -98,7 +98,7 @@ class TestCostFunction:
     def test_empty_mask_cost_is_baseline_eod(self, small_instance):
         parts, model, params = small_instance
         evaluator = CostEvaluator(model, parts.validation, params)
-        c = evaluator.evaluate(DropoutState.empty(model.hidden_total)).cost
+        c = evaluator.evaluate(DropoutState(model.hidden_total, 0)).cost
         assert c == pytest.approx(params.eod_baseline, abs=1e-12)
 
     def test_cost_lower_bound_is_eod(self, small_instance):
@@ -121,6 +121,26 @@ class TestCostFunction:
         again = evaluator.evaluate(s)
         assert first == again
         assert evaluator.evaluations == 1
+
+    def test_evaluate_many_memoizes_as_evaluate_would(self, small_instance):
+        parts, model, params = small_instance
+        n = model.hidden_total
+        # x and z share their first-layer bits, so the factored pass prices
+        # them next to each other, out of the order in which they come
+        x, y, z, b = (DropoutState.from_indices(n, ix)
+                      for ix in ((1, 3), (2, 9), (1, 3, 12), (0, 14)))
+        batched, sequential = (CostEvaluator(model, parts.validation, params) for _ in range(2))
+        memoized = batched.evaluate(b)
+        sequential.evaluate(b)
+        states = [x, y, b, z, x, y]
+        got = batched.evaluate_many(states)
+        assert got == [sequential.evaluate(s) for s in states]
+        assert got == [batched.price(s) for s in states]
+        assert got[2] is memoized
+        assert batched.evaluations == sequential.evaluations == 4
+        assert list(batched._cache) == list(sequential._cache) == [s.bits for s in (b, x, y, z)]
+        assert batched.evaluate_many([z, x]) == [got[3], got[0]]
+        assert batched.evaluate_many([]) == [] and batched.evaluations == 4
 
     def test_params_validation(self):
         for p in (-1.0, math.nan, math.inf):
@@ -198,18 +218,18 @@ def walk(n: int, rng: XorShift64Star, steps: int) -> list[DropoutState]:
 
 def assert_prices_along(model, data, params, states, clean=None):
     """Prices of ``states`` from one evaluator, in turn, and from one
-    ``prefetch`` of them equal a fresh evaluator's price of each state and
-    the reference's; ``clean`` is the model those two price, when not
+    ``evaluate_many`` of them equal a fresh evaluator's price of each state
+    and the reference's; ``clean`` is the model those two price, when not
     ``model``."""
     clean = clean or model
-    walker, batched = CostEvaluator(model, data, params), CostEvaluator(model, data, params)
-    batched.prefetch(states)
+    walker = CostEvaluator(model, data, params)
+    batched = CostEvaluator(model, data, params).evaluate_many(states)
     seen = set()
-    for state in states:
+    for state, many in zip(states, batched):
         want = CostEvaluator(clean, data, params).price(state)
         assert tuple(want) == reference_price(clean, data, state, params), state.key_hex()
         assert walker.price(state) == want, state.key_hex()
-        assert batched.evaluate(state) == want, state.key_hex()
+        assert many == want, state.key_hex()
         seen.add(want)
     # prices that vary along the walk, so that a stale hidden layer shows
     assert len(seen) > 10
@@ -413,25 +433,26 @@ def sequential_transitions(evaluator, bounds, rng, sample_size):
 
 
 class TestChunkedTransitionSampling:
-    """The sampler draws transitions ahead in chunks and prices each chunk in
-    one factored pass; what it finds, the draws after it and the evaluator's
-    memo must be those of drawing and pricing one pair at a time."""
+    """The sampler draws transitions in chunks and prices each chunk in one
+    ``evaluate_many``; what it finds, the draws after it and the evaluator's
+    memo must be those of drawing and pricing one pair at a time, and every
+    pair it draws is one that drawing one at a time takes."""
 
     @staticmethod
     def sample_both(instance, bounds, sample_size, seed, monkeypatch):
         """The chunked and the sequential sampler on evaluators and generators
         of their own: the deltas, the pairs drawn one at a time, and the
-        pairs of each chunk."""
+        pairs of each chunk, which must sum to the pairs drawn one at a
+        time."""
         model, data, params = instance
         chunks = []
-        prefetch = CostEvaluator.prefetch
+        evaluate_many = CostEvaluator.evaluate_many
 
         def counted(self, states):
             states = list(states)
-            if states:
-                chunks.append(len(states) // 2)
-            return prefetch(self, states)
-        monkeypatch.setattr(CostEvaluator, "prefetch", counted)
+            chunks.append(len(states) // 2)
+            return evaluate_many(self, states)
+        monkeypatch.setattr(CostEvaluator, "evaluate_many", counted)
         chunked, sequential = (CostEvaluator(model, data, params) for _ in range(2))
         rng, reference_rng = XorShift64Star(seed), XorShift64Star(seed)
         deltas = _sample_positive_transitions(chunked, bounds, rng, sample_size)
@@ -440,16 +461,17 @@ class TestChunkedTransitionSampling:
         assert [rng.next_u64() for _ in range(4)] == [reference_rng.next_u64() for _ in range(4)]
         assert chunked.evaluations == sequential.evaluations
         assert list(chunked._cache) == list(sequential._cache)
-        assert chunked._prefetched == {}
+        assert sum(chunks) == drawn
         return deltas, drawn, chunks
 
-    def test_sample_size_reached_mid_chunk(self, small_instance, monkeypatch):
+    def test_sample_size_reached_after_several_chunks(self, small_instance, monkeypatch):
         parts, model, params = small_instance
         bounds = SearchSpaceBounds(16, 2, 5)
         deltas, drawn, chunks = self.sample_both((model, parts.validation, params), bounds,
                                                  30, 8, monkeypatch)
         assert len(deltas) == 30
-        assert len(chunks) > 1 and sum(chunks) > drawn  # the last chunk was cut short
+        # each chunk draws only the pairs still wanted, so none is cut short
+        assert len(chunks) > 1 and chunks[0] == 30 and chunks[-1] < chunks[0]
         t0 = _estimate_t0(CostEvaluator(model, parts.validation, params), bounds,
                           XorShift64Star(8), 0.75, 30)
         assert t0 == _fit_temperature(deltas, 0.75)
@@ -603,7 +625,6 @@ class TestRunSearch:
         parts, model, params = small_instance
         res = run(model, parts.validation, params, "sa", 3, 0)
         assert res.trace == ()
-        assert res.best_state == res.initial_state
         assert res.best_cost == res.initial_cost
 
     def test_sa_matches_enumeration_on_tiny_space(self):
@@ -678,17 +699,19 @@ class TestRunSearch:
 
     def test_time_limit_covers_temperature_estimation(self, small_instance, monkeypatch):
         parts, model, params = small_instance
-        price, prefetch = CostEvaluator.price, CostEvaluator.prefetch
+        price, evaluate_many = CostEvaluator.price, CostEvaluator.evaluate_many
 
         def slow_price(self, state):
             time.sleep(0.002)
             return price(self, state)
 
-        def slow_prefetch(self, states):  # the path T0 fitting prices its chunks by
-            prefetch(self, states)
-            time.sleep(0.002 * len(self._prefetched))
+        def slow_evaluate_many(self, states):  # the path T0 fitting prices its chunks by
+            before = self.evaluations
+            evaluations = evaluate_many(self, states)
+            time.sleep(0.002 * (self.evaluations - before))
+            return evaluations
         monkeypatch.setattr(CostEvaluator, "price", slow_price)
-        monkeypatch.setattr(CostEvaluator, "prefetch", slow_prefetch)
+        monkeypatch.setattr(CostEvaluator, "evaluate_many", slow_evaluate_many)
         # unbounded, fitting T0 would price hundreds of masks: over a second
         limit = 0.3
         config = SearchConfig(alg_type="sa", bounds=SearchSpaceBounds(model.hidden_total, 2, 5),
