@@ -50,7 +50,7 @@ DEFAULT_CONFIG = {
     },
     "search": {
         "alg_type": "sa", "p": 3.0, "t": 0.98, "n_l": 2,
-        "n_u": None,  # None -> 25% of hidden neurons, at least n_l + 1
+        "n_u": None,  # None -> 25% of hidden neurons, at least n_l + 1, at most all
         "max_iterations": None, "time_limit_s": None,  # both None -> 20,000 iterations
         "t0_mode": "ben_ameur", "t0_value": None,
         "target_acceptance": 0.75, "t0_sample_size": 100,
@@ -140,7 +140,7 @@ def resolve_config(raw: dict, args) -> dict:
 
 
 def default_n_u(n_l: int, hidden_total: int) -> int:
-    return max(n_l + 1, math.ceil(0.25 * hidden_total))
+    return min(hidden_total, max(n_l + 1, math.ceil(0.25 * hidden_total)))
 
 
 def build_dataset(cfg: dict) -> TabularDataset:
@@ -381,7 +381,7 @@ def cmd_sweep(args) -> int:
 
 def _sa_run(path) -> dict:
     """The ``run`` record of a result file that ``repair`` wrote, which must
-    hold a numeric ``best_cost``."""
+    hold a finite numeric ``best_cost``."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -389,8 +389,8 @@ def _sa_run(path) -> dict:
         raise CliError(f"--sa-result {path} is not valid JSON: {exc}") from exc
     run = doc.get("run") if isinstance(doc, dict) else None
     cost = run.get("best_cost") if isinstance(run, dict) else None
-    if isinstance(cost, bool) or not isinstance(cost, (int, float)):
-        raise CliError(f"--sa-result {path} is not a repair result: no numeric best_cost")
+    if not has_type(cost, float):  # also NaN and the infinities
+        raise CliError(f"--sa-result {path} is not a repair result: no finite best_cost")
     return run
 
 

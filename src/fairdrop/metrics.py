@@ -7,11 +7,12 @@ and surface as ``None``; they are never silently replaced with 0, and any
 metric depending on an undefined rate is itself ``None``.
 
 ``confusion``, ``fairness``, ``f1`` and ``accuracy`` are the plain reference
-implementations.  ``prediction_metrics``, the EOD/F1/accuracy triple that
-search, oracle and reports share, reads all three off the eight counts of
-(group, label, prediction) cells, which one ``bincount`` yields.  For a
-block of masks, one GEMM against ``group_label_indicator`` yields the four
-cells of predicted positives, and ``cell_costs`` prices every mask at once.
+implementations.  Search, oracle and reports count a mask's outcome one
+way: its predicted positives per (group, label), the 0/1 predictions times
+``group_label_indicator``, read against the split's rows per (group, label).
+``cell_metrics`` reads the EOD/F1/accuracy triple off one mask's counts
+(``prediction_metrics`` from 0/1 predictions), and ``cell_costs`` prices a
+block of masks at once.
 """
 
 from __future__ import annotations
@@ -151,26 +152,18 @@ class PredictionMetrics(NamedTuple):
         }
 
 
-def group_label_key(labels, protected) -> np.ndarray:
-    """``4 * protected + 2 * label`` per row, both checked to be 0/1 vectors of
-    one length.  Adding a row's 0/1 prediction gives its cell in
-    ``cell_metrics``'s eight counts."""
-    y = _as_binary("labels", labels)
-    a = _as_binary("protected", protected)
-    if len(y) != len(a):
-        raise ValueError(f"length mismatch: labels={len(y)}, protected={len(a)}")
-    return 4 * a + 2 * y
-
-
-def cell_metrics(cells) -> PredictionMetrics:
-    """EOD, F1 and accuracy from ``np.bincount(key + preds, minlength=8)``
-    with ``key`` from ``group_label_key``: cell 4*g + 2*y + p counts the rows
-    of group g with label y predicted p.  Same formulas as ``confusion``,
-    ``fairness``, ``f1`` and ``accuracy``, so the values are identical."""
-    c = np.asarray(cells).tolist()
-    counts = ConfusionCounts(tp=c[3] + c[7], tn=c[0] + c[4], fp=c[1] + c[5], fn=c[2] + c[6])
-    tpr = [_rate(c[base + 3], c[base + 2] + c[base + 3]) for base in (0, 4)]
-    fpr = [_rate(c[base + 1], c[base] + c[base + 1]) for base in (0, 4)]
+def cell_metrics(positives, totals) -> PredictionMetrics:
+    """EOD, F1 and accuracy from a mask's predicted positives per (group,
+    label) and the split's rows per (group, label), both in the column
+    order of ``group_label_indicator``.  Same formulas as ``confusion``,
+    ``fairness``, ``f1`` and ``accuracy`` on the same integer counts, so the
+    values are identical."""
+    p = np.asarray(positives).astype(np.int64).tolist()
+    t = np.asarray(totals).astype(np.int64).tolist()
+    tp, fp = p[1] + p[3], p[0] + p[2]
+    counts = ConfusionCounts(tp=tp, tn=t[0] + t[2] - fp, fp=fp, fn=t[1] + t[3] - tp)
+    tpr = [_rate(p[col], t[col]) for col in (1, 3)]
+    fpr = [_rate(p[col], t[col]) for col in (0, 2)]
     eod = (None if None in tpr or None in fpr
            else max(abs(tpr[0] - tpr[1]), abs(fpr[0] - fpr[1])))
     return PredictionMetrics(eod=eod, f1=f1(counts), accuracy=accuracy(counts))
@@ -178,57 +171,45 @@ def cell_metrics(cells) -> PredictionMetrics:
 
 def group_label_indicator(labels, protected) -> np.ndarray:
     """(rows, 4) 0/1 matrix whose column 2g + y marks the rows of group g
-    with label y.  A (masks, rows) 0/1 block of predictions times it gives
+    with label y; labels and protected bits are checked to be 0/1 vectors of
+    one length.  A (masks, rows) 0/1 block of predictions times it gives
     each mask's predicted positives per (group, label), exactly: it is
     float32, whose 24-bit significand holds every count, below 2**24 rows,
-    and float64 from there.  ``positive_cells`` completes the positives into
-    the eight cells."""
-    key = group_label_key(labels, protected)
-    dtype = np.float32 if len(key) < 1 << 24 else np.float64
-    return (key[:, None] == np.arange(0, 8, 2)).astype(dtype)
+    and float64 from there."""
+    y = _as_binary("labels", labels)
+    a = _as_binary("protected", protected)
+    if len(y) != len(a):
+        raise ValueError(f"length mismatch: labels={len(y)}, protected={len(a)}")
+    dtype = np.float32 if len(y) < 1 << 24 else np.float64
+    return ((2 * a + y)[:, None] == np.arange(4)).astype(dtype)
 
 
-def positive_cells(positives: np.ndarray, totals: np.ndarray) -> np.ndarray:
-    """``cell_metrics``'s eight counts (masks, 8) from each mask's predicted
-    positives per (group, label) and the rows per (group, label), in the
-    column order of ``group_label_indicator``: cell 4g + 2y + 1 holds the
-    positives and cell 4g + 2y the rest of the rows."""
-    cells = np.empty((len(positives), 8))
-    cells[:, 1::2] = positives
-    np.subtract(totals, positives, out=cells[:, 0::2])
-    return cells
-
-
-def cell_costs(cells: np.ndarray, f1_floor: float,
+def cell_costs(positives: np.ndarray, totals: np.ndarray, f1_floor: float,
                penalty: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(cost, EOD, F1) columns for a (masks, 8) block of cell counts.
+    """(cost, EOD, F1) columns for a (masks, 4) block of predicted positives
+    per (group, label), on a split whose four (group, label) ``totals`` are
+    all positive, so that every rate and F1 is defined.
 
-    EOD is NaN where ``cell_metrics`` reads ``None`` and the cost is then
-    ``inf``; otherwise the cost is EOD plus ``penalty`` when F1 falls below
-    ``f1_floor``.  Counts convert to float64 exactly and each value comes
-    from the same correctly rounded operations as in ``cell_metrics``, so
-    the columns equal its values.  A zero denominator is raised to 1: its
-    numerator is 0 too, which gives F1 its 0.0 and a rate that is then
-    marked undefined.
+    The cost is EOD plus ``penalty`` when F1 falls below ``f1_floor``.
+    Counts convert to float64 exactly and each value comes from the same
+    correctly rounded operations as in ``cell_metrics``, so the columns
+    equal its values.
     """
-    c = cells.T.astype(np.float64)
-    positives, negatives = c[2::4] + c[3::4], c[0::4] + c[1::4]
-    tpr = c[3::4] / np.maximum(positives, 1.0)
-    fpr = c[1::4] / np.maximum(negatives, 1.0)
+    p = np.asarray(positives, dtype=np.float64).T
+    t = np.asarray(totals, dtype=np.float64)
+    tpr = p[1::2] / t[1::2, None]
+    fpr = p[0::2] / t[0::2, None]
     eod = np.maximum(np.abs(tpr[0] - tpr[1]), np.abs(fpr[0] - fpr[1]))
-    undefined = (positives.min(axis=0) == 0) | (negatives.min(axis=0) == 0)
-    eod[undefined] = np.nan
-    tp = c[3] + c[7]
-    f1s = 2.0 * tp / np.maximum(2.0 * tp + (c[1] + c[5]) + (c[2] + c[6]), 1.0)
-    cost = eod + np.where(f1s < f1_floor, penalty, 0.0)
-    cost[undefined] = np.inf
-    return cost, eod, f1s
+    tp = p[1] + p[3]
+    f1s = 2.0 * tp / (2.0 * tp + (p[0] + p[2]) + (t[1] + t[3] - tp))
+    return eod + np.where(f1s < f1_floor, penalty, 0.0), eod, f1s
 
 
 def prediction_metrics(preds, labels, protected) -> PredictionMetrics:
-    """The metrics search, oracle and reports share, from 0/1 predictions."""
+    """``cell_metrics`` of 0/1 predictions on a split, as reports give them:
+    an empty (group, label) cell makes EOD ``None``."""
     p = _as_binary("preds", preds)
-    key = group_label_key(labels, protected)
-    if len(p) != len(key):
-        raise ValueError(f"length mismatch: preds={len(p)}, labels={len(key)}")
-    return cell_metrics(np.bincount(key + p, minlength=8))
+    indicator = group_label_indicator(labels, protected)
+    if len(p) != len(indicator):
+        raise ValueError(f"length mismatch: preds={len(p)}, labels={len(indicator)}")
+    return cell_metrics(p @ indicator, indicator.sum(axis=0))

@@ -206,7 +206,7 @@ class MaskedForward:
         self.prefix_bits = np.concatenate([np.empty(0, np.intp), *self._bits[:-1]])
         self.suffix_bits = self._bits[-1]
         widest = max(model.architecture.layer_sizes[2:])
-        self.batch_size = max(1, _BATCH_ELEMENTS // (n * widest))
+        self.batch_size = max(1, _BATCH_ELEMENTS // max(1, n * widest))
         self._capacity = 0  # masks the batched pass's buffers hold
         self._rows = np.empty((0, len(self.suffix_bits) + 1), dtype=np.float32)
 

@@ -7,11 +7,12 @@ floor) and the per-state cost dump are reductions over them.  The pricing is
 factored (``price_space``): the hidden layers before the last run once per
 *prefix* (a mask's bits in them), the output layer is one GEMM per block of
 *suffixes* (bits in the last hidden layer) sharing a prefix, and one more
-GEMM against the (group, label) indicator counts the cells, each logit
-certified as in the searches' batched pass, so every value equals one search
-evaluation's.  The cost dump renders each distinct value once.  The
-single-neuron-drop baseline is the best state of the weight-1 window, priced
-by the same pass: the strongest repair a one-neuron method could ever reach.
+GEMM against the (group, label) indicator counts each mask's predicted
+positives per (group, label), each logit certified as in the searches'
+batched pass, so every value equals one search evaluation's.  The cost dump
+renders each distinct value once.  The single-neuron-drop baseline is the
+best state of the weight-1 window, priced by the same pass: the strongest
+repair a one-neuron method could ever reach.
 
 The columns ascend by state key, so the dump lists the states in key order
 and the optimum's tie-break (the smallest state key) is the first minimum;
@@ -27,10 +28,10 @@ from typing import Iterator
 import numpy as np
 
 from .dataset import TabularDataset
-from .metrics import cell_costs, group_label_indicator, positive_cells, prediction_metrics
+from .metrics import cell_costs, prediction_metrics
 from .model import _BATCH_ELEMENTS, MaskedForward, MlpModel, predict_batch
 from .search import (CostParams, DropoutState, SearchSpaceBounds, SearchSpaceError,
-                     key_hex_format)
+                     key_hex_format, split_indicator)
 
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
 
@@ -104,7 +105,7 @@ class StateCensus:
 @dataclass(frozen=True, eq=False)
 class PricedSpace:
     """Every state of a bounded space priced once, as columns in ascending
-    key order: the state keys (bits), cost, EOD (NaN where undefined) and F1."""
+    key order: the state keys (bits), cost, EOD and F1."""
 
     n_total: int
     f1_floor: float
@@ -151,21 +152,20 @@ class PricedSpace:
 
     def csv_text(self) -> str:
         """The per-state cost dump: ``state_key_hex,cost,eod,f1`` rows, each
-        value its ``repr`` (an undefined EOD reads ``undefined``).  Each
-        column holds few distinct values, so each is rendered once."""
-        columns = (self.key_hex(), _distinct_text(self.cost),
-                   _distinct_text(self.eod, nan="undefined"), _distinct_text(self.f1))
+        value its ``repr``.  Each column holds few distinct values, so each
+        is rendered once."""
+        columns = (self.key_hex(), *map(_distinct_text, (self.cost, self.eod, self.f1)))
         return "state_key_hex,cost,eod,f1\n" + "".join(map("{},{},{},{}\n".format, *columns))
 
 
 _HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
 
 
-def _distinct_text(column: np.ndarray, nan: str = "nan") -> np.ndarray:
-    """``repr`` of each value of a float column, and ``nan`` for NaN,
-    computed once per distinct bit pattern."""
+def _distinct_text(column: np.ndarray) -> np.ndarray:
+    """``repr`` of each value of a float column, computed once per distinct
+    bit pattern."""
     distinct, inverse = np.unique(column.view(np.uint64), return_inverse=True)
-    text = [repr(v) if v == v else nan for v in distinct.view(np.float64).tolist()]
+    text = [repr(v) for v in distinct.view(np.float64).tolist()]
     return np.array(text, dtype=object)[inverse]
 
 
@@ -218,23 +218,26 @@ def price_space(model: MlpModel, validation_data: TabularDataset, bounds: Search
     block instead of holding every suffix.  Every row is certified one
     prefix at a time (``MaskedForward._certified``): a mask with any row
     within the slack goes through the exact pass.  A second float32
-    GEMM, of the block's 0/1 predictions against ``group_label_indicator``,
-    counts the cells exactly, and ``cell_costs`` prices them.  Last, one
-    ``argsort`` puts the columns in ascending key order.
+    GEMM, of the block's 0/1 predictions against ``split_indicator``'s
+    (group, label) indicator, counts each mask's predicted positives per
+    (group, label) exactly.  Last, one ``argsort`` puts the counts in
+    ascending key order, and ``cell_costs`` prices them against the split's
+    totals.  A split with an empty (group, label) cell is rejected before
+    any pricing.
 
     Memory: beside the per-state columns (the keys, four int32 counts and
     the permutation), a suffix block's logits (which then carry its 0/1
-    predictions), a prefix batch's layer outputs, and all that
-    ``cell_costs`` holds for one chunk of states each come to about
-    ``_BATCH_ELEMENTS`` values (float32 in the block and the batch).
+    predictions) and a prefix batch's layer outputs each come to about
+    ``_BATCH_ELEMENTS`` values (float32), and all that ``cell_costs`` holds
+    for one chunk of states to about a quarter of that.
     Nothing of it is a setting.
     """
     total = _check_budget(bounds, budget)
     n = bounds.n_total
     if n != model.hidden_total:
         raise SearchSpaceError(f"bounds cover {n} neurons, model has {model.hidden_total}")
+    indicator, totals = split_indicator(validation_data)
     kernel = MaskedForward(model, validation_data.features)
-    indicator = group_label_indicator(validation_data.labels, validation_data.protected)
     rows = kernel._first.shape[0]
     bits = _position_bits(n)
     last, prefix_bits = kernel.suffix_bits, kernel.prefix_bits
@@ -271,14 +274,12 @@ def price_space(model: MlpModel, validation_data: TabularDataset, bounds: Search
                     positives[f:f + m] = logits[:m] @ indicator
                     f += m
     order = np.argsort(keys)
-    totals = indicator.sum(axis=0)
     penalty = params.p * params.eod_baseline
     cost, eod, f1s = np.empty((3, total))
-    chunk = _BATCH_ELEMENTS // 64  # cell_costs holds some eight arrays of 8 * chunk values
+    chunk = _BATCH_ELEMENTS // 64  # cell_costs holds some sixteen arrays of chunk values
     for s in range(0, total, chunk):
-        cells = positive_cells(positives[order[s:s + chunk]], totals)
         cost[s:s + chunk], eod[s:s + chunk], f1s[s:s + chunk] = cell_costs(
-            cells, params.f1_floor, penalty)
+            positives[order[s:s + chunk]], totals, params.f1_floor, penalty)
     return PricedSpace(n, params.f1_floor, keys[order], cost, eod, f1s)
 
 

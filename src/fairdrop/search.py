@@ -31,8 +31,7 @@ import numpy as np
 
 from .dataset import TabularDataset
 from .ioutil import atomic_write_text, has_type
-from .metrics import (cell_costs, cell_metrics, group_label_indicator, group_label_key,
-                      positive_cells, prediction_metrics)
+from .metrics import cell_costs, cell_metrics, group_label_indicator
 from .model import MaskedForward, MlpModel, predict_batch
 from .prng import XorShift64Star
 
@@ -172,8 +171,21 @@ def penalized_cost(eod_s: float | None, f1_s: float, params: CostParams) -> floa
 
 class CostEvaluation(NamedTuple):
     cost: float
-    eod: float | None
+    eod: float
     f1: float
+
+
+def split_indicator(data: TabularDataset) -> tuple[np.ndarray, np.ndarray]:
+    """``group_label_indicator`` of a split that masks are priced on, and
+    its rows per (group, label).  Each EOD denominator is one of these
+    totals, so EOD is undefined for every mask or for none: a split with an
+    empty (group, label) cell is rejected here, before any pricing."""
+    indicator = group_label_indicator(data.labels, data.protected)
+    totals = indicator.sum(axis=0)
+    if totals.min() == 0:
+        raise ValueError("baseline EOD undefined: a protected group lacks "
+                         "positive or negative labels in the validation split")
+    return indicator, totals
 
 
 class CostEvaluator:
@@ -183,8 +195,9 @@ class CostEvaluator:
     runtime, while walks revisit states constantly; the cache is scoped to
     one evaluator (one run), never shared.  Everything that does not depend
     on the mask is done once, when the evaluator is built: the labels and
-    protected bits are checked and folded into one cell key per row, and the
-    forward pass caches its first hidden layer (``MaskedForward``).
+    protected bits are checked and folded into ``split_indicator``'s
+    (group, label) indicator and totals, and the forward pass caches its
+    first hidden layer (``MaskedForward``).
 
     A mask's *prefix* is its bits in every hidden layer but the last
     (``MaskedForward.prefix_bits``, from the model's ``neuron_order``).
@@ -195,24 +208,24 @@ class CostEvaluator:
     layer.  A price is then one float32 GEMV of the mask's output row
     (``MaskedForward._output_rows``) against that layer, certified as in
     the batched pass (``MaskedForward._certified``: a mask with any logit
-    it cannot vouch for takes the exact pass), one ``bincount`` of eight
-    cells and the cost formula.  ``evaluate_many`` prices many masks in
-    one factored pass.
+    it cannot vouch for takes the exact pass), one GEMV of the predictions
+    against the indicator, which counts the mask's predicted positives per
+    (group, label), and the cost formula.  ``evaluate_many`` prices many
+    masks in one factored pass.
     """
 
     def __init__(self, model: MlpModel, validation_data: TabularDataset, params: CostParams):
         self.params = params
+        self._indicator, self._totals = split_indicator(validation_data)
         self._forward = forward = MaskedForward(model, validation_data.features)
-        self._key = group_label_key(validation_data.labels, validation_data.protected)
-        self._cell = np.empty_like(self._key)
-        self._indicator = group_label_indicator(validation_data.labels, validation_data.protected)
         self._prefix_mask = sum(1 << bit for bit in forward.prefix_bits.tolist())
         units = len(forward.suffix_bits)
-        self._z = np.empty((1, len(self._key)), dtype=np.float32)
+        rows = len(self._indicator)
+        self._z = np.empty((1, rows), dtype=np.float32)
         # (prefix, its last hidden layer as MaskedForward._batch_hidden lays it
         # out), most recent first; the batched pass's own buffers are
         # overwritten by its next call, so they are never kept
-        self._recent = [(None, np.ones((1, units + 1, len(self._key)), dtype=np.float32))
+        self._recent = [(None, np.ones((1, units + 1, rows), dtype=np.float32))
                         for _ in range(2)]
         self._cache: dict[int, CostEvaluation] = {}
         self.evaluations = 0
@@ -227,8 +240,7 @@ class CostEvaluator:
             z = self._z
             np.matmul(rows[0], self._hidden(state.bits & self._prefix_mask, keep), out=z[0])
         preds = forward._certified(z, 1, lambda _: keep)
-        np.add(self._key, preds[0], out=self._cell)
-        m = cell_metrics(np.bincount(self._cell, minlength=8))
+        m = cell_metrics(preds[0] @ self._indicator, self._totals)
         return CostEvaluation(cost=penalized_cost(m.eod, m.f1, self.params), eod=m.eod, f1=m.f1)
 
     def _hidden(self, prefix: int, keep: np.ndarray) -> np.ndarray:
@@ -252,8 +264,8 @@ class CostEvaluator:
         pass, and one float32 GEMM of its members' output rows against its
         last hidden layer gives the group's logits, certified a whole batch
         of prefixes at once as in ``price``.  One more GEMM against
-        ``group_label_indicator`` counts the cells, and ``cell_costs``
-        prices them: the values ``price`` gives.
+        the indicator counts each state's predicted positives per (group,
+        label), and ``cell_costs`` prices them: the values ``price`` gives.
         """
         states = list(states)
         fresh = {s.bits: s for s in states if s.bits not in self._cache}
@@ -275,16 +287,16 @@ class CostEvaluator:
                 z = None
                 if rows is not None:
                     hidden = forward._batch_hidden(keep[starts[batch]])
-                    z = np.empty((hi - lo, len(self._key)), dtype=np.float32)
+                    z = np.empty((hi - lo, len(self._indicator)), dtype=np.float32)
                     for b, (start, end) in enumerate(zip(starts[batch], ends[batch])):
                         np.matmul(rows[start:end], hidden[b], out=z[start - lo:end - lo])
                 preds = forward._certified(z, hi - lo, lambda m: keep[lo + m])
                 positives[lo:hi] = preds @ self._indicator
             params = self.params
-            cost, eod, f1s = cell_costs(positive_cells(positives, self._indicator.sum(axis=0)),
-                                        params.f1_floor, params.p * params.eod_baseline)
-            priced = {s.bits: CostEvaluation(cost=c, eod=None if math.isnan(e) else e, f1=f)
-                      for s, c, e, f in zip(grouped, cost.tolist(), eod.tolist(), f1s.tolist())}
+            cost, eod, f1s = cell_costs(positives, self._totals, params.f1_floor,
+                                        params.p * params.eod_baseline)
+            priced = {s.bits: CostEvaluation(*values)
+                      for s, *values in zip(grouped, cost.tolist(), eod.tolist(), f1s.tolist())}
             self._cache.update((bits, priced[bits]) for bits in fresh)
             self.evaluations += len(fresh)
         return [self._cache[s.bits] for s in states]
@@ -302,11 +314,8 @@ class CostEvaluator:
 def baseline_cost_params(model: MlpModel, validation_data: TabularDataset,
                          p: float, t: float) -> CostParams:
     """CostParams anchored to the unmasked model's validation EOD and F1."""
-    m = prediction_metrics(predict_batch(model, validation_data),
-                           validation_data.labels, validation_data.protected)
-    if m.eod is None:
-        raise ValueError("baseline EOD undefined: a protected group lacks "
-                         "positive or negative labels in the validation split")
+    indicator, totals = split_indicator(validation_data)
+    m = cell_metrics(predict_batch(model, validation_data) @ indicator, totals)
     return CostParams(p=p, t=t, eod_baseline=m.eod, f1_baseline=m.f1)
 
 
@@ -424,9 +433,8 @@ def _sample_positive_transitions(evaluator: CostEvaluator, bounds: SearchSpaceBo
             states += (generate_neighbor(s, bounds, rng), s)
         costs = [e.cost for e in evaluator.evaluate_many(states)]
         for cost_next, cost in zip(costs[::2], costs[1::2]):
-            d = cost_next - cost
-            if math.isfinite(d) and d > 0.0:
-                deltas.append(d)
+            if cost_next > cost:
+                deltas.append(cost_next - cost)
     return deltas
 
 
@@ -528,7 +536,7 @@ class TraceRecord:
 class SearchResult:
     best_state: DropoutState
     best_cost: float
-    best_eod: float | None
+    best_eod: float
     success: bool
     trace: tuple[TraceRecord, ...]
     evaluations: int
@@ -544,7 +552,7 @@ def run_search(model: MlpModel, validation_data: TabularDataset,
     then the temperature-estimation transitions (ben_ameur mode only), then
     per iteration the neighbor draw and, for annealing uphill moves, the
     acceptance draw.  Downhill or equal-cost moves are always accepted; the
-    random walk accepts every finite-cost candidate.  The best state tracks
+    random walk accepts every candidate.  The best state tracks
     every evaluated candidate with cost <= the incumbent best, so the most
     recent tie wins.  Success means the best state's validation F1 stayed at
     or above t * F1_baseline.
@@ -587,20 +595,15 @@ def run_search(model: MlpModel, validation_data: TabularDataset,
         candidate = generate_neighbor(current, bounds, rng)
         candidate_cost = evaluator.evaluate(candidate).cost
 
-        if not math.isfinite(candidate_cost):
-            accepted = False  # undefined-EOD states are never entered, even by RW
+        delta = candidate_cost - current_cost
+        if delta <= 0.0 or config.alg_type == "rw":
+            accepted = True
         else:
-            delta = candidate_cost - current_cost
-            if delta <= 0.0:
-                accepted = True
-            elif config.alg_type == "rw":
-                accepted = True
-            else:
-                accepted = math.exp(-delta / temperature) >= rng.random()
+            accepted = math.exp(-delta / temperature) >= rng.random()
         if accepted:
             current = candidate
             current_cost = candidate_cost
-        if math.isfinite(candidate_cost) and candidate_cost <= best_cost:
+        if candidate_cost <= best_cost:
             best = candidate
             best_cost = candidate_cost
 

@@ -45,6 +45,8 @@ DELETED = [
     ("search", "valid_flip_positions"),
     ("search", "CostEvaluator.prefetch"),
     ("search", "DropoutState.empty"),
+    ("metrics", "positive_cells"),
+    ("metrics", "group_label_key"),
 ]
 
 # perfbench/tracer.py wraps these by name (a missing one stops a traced run

@@ -392,6 +392,12 @@ def readme_example_config() -> dict:
 
 
 class TestConfig:
+    @pytest.mark.parametrize("n_l, hidden_total, n_u", [(2, 32, 8), (2, 8, 3), (7, 8, 8),
+                                                         (8, 8, 8), (0, 1, 1)])
+    def test_default_n_u(self, n_l, hidden_total, n_u):
+        # 25% of the neurons, at least n_l + 1, at most all of them
+        assert default_n_u(n_l, hidden_total) == n_u
+
     def test_readme_example_is_what_omitted_keys_resolve_to(self):
         example = readme_example_config()
         resolved = resolve_config({"dataset": {"synth": {}}}, argparse.Namespace())
@@ -605,7 +611,9 @@ class TestOracleCommand:
         assert len(dump.splitlines()) == cardinality + 1
 
     @pytest.mark.parametrize("text", ["{}", "[1]", '{"run": {"best_cost": "x"}}', "{not json",
-                                      '{"best_cost": 0.1}'])
+                                      '{"best_cost": 0.1}', '{"run": {"best_cost": NaN}}',
+                                      '{"run": {"best_cost": Infinity}}',
+                                      '{"run": {"best_cost": -Infinity}}'])
     def test_sa_result_without_best_cost_fails_before_enumerating(self, trained, capsys,
                                                                   monkeypatch, text):
         config, out = trained
@@ -648,6 +656,18 @@ class TestOracleCommand:
         assert json.loads((out / "oracle_report.json").read_text())["cardinality"] == 56
         assert run_cli(["repair", "--config", config, "--n-l", 3, "--n-u", 3]) == 1
         assert ("error: state of weight 3 has no neighbors within bounds (3, 3)"
+                in capsys.readouterr().err)
+
+    def test_default_n_u_stops_at_every_neuron(self, trained, capsys):
+        # n_u omitted: n_l + 1 would exceed the model's 8 neurons
+        config, out = trained
+        write_config(config, search={"n_u": None})
+        capsys.readouterr()
+        assert run_cli(["oracle", "--config", config, "--n-l", 8]) == 0
+        report = json.loads((out / "oracle_report.json").read_text())
+        assert (report["cardinality"], report["optimal_state_hex"]) == (1, "ff")
+        assert run_cli(["repair", "--config", config, "--n-l", 8]) == 1
+        assert ("error: state of weight 8 has no neighbors within bounds (8, 8)"
                 in capsys.readouterr().err)
 
     def test_budget_refusal_clean(self, tmp_path, capsys):

@@ -1,13 +1,11 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from fairdrop.metrics import (ConfusionCounts, accuracy, cell_costs, cell_metrics, confusion, f1,
-                              fairness, group_label_indicator, positive_cells,
-                              prediction_metrics)
+                              fairness, group_label_indicator, prediction_metrics)
 from fairdrop.search import CostParams, penalized_cost
 
 
@@ -231,15 +229,26 @@ class TestPredictionMetrics:
         with pytest.raises(ValueError):
             prediction_metrics(preds, labels, prot)
 
+    @given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=1, max_size=40),
+           st.integers(0, 2 ** 32 - 1))
+    def test_eod_undefined_for_every_prediction_or_none(self, rows, seed):
+        # each EOD denominator is a (group, label) row total, so whether EOD is
+        # undefined depends on the split alone: pricing checks the split once
+        labels, protected = np.array(rows).T
+        draws = np.random.default_rng(seed).integers(0, 2, size=(5, len(rows)))
+        preds = [np.zeros(len(rows), int), np.ones(len(rows), int), *draws]
+        undefined = [prediction_metrics(p, labels, protected).eod is None for p in preds]
+        empty_cell = len(set(rows)) < 4
+        assert undefined == [empty_cell] * len(preds)
 
-def assert_cell_costs_equal_reference(cells, params):
-    cost, eod, f1s = cell_costs(np.asarray(cells), params.f1_floor,
+
+def assert_cell_costs_equal_reference(positives, totals, params):
+    cost, eod, f1s = cell_costs(np.asarray(positives), np.asarray(totals), params.f1_floor,
                                 params.p * params.eod_baseline)
-    for row, c, e, f in zip(cells, cost.tolist(), eod.tolist(), f1s.tolist()):
-        m = cell_metrics(row)
-        assert f == m.f1
+    for row, c, e, f in zip(positives, cost.tolist(), eod.tolist(), f1s.tolist()):
+        m = cell_metrics(row, totals)
+        assert (e, f) == (m.eod, m.f1)
         assert c == penalized_cost(m.eod, m.f1, params)
-        assert math.isnan(e) if m.eod is None else e == m.eod
 
 
 PARAMS = [CostParams(p=3.0, t=0.98, eod_baseline=0.2, f1_baseline=0.6),
@@ -249,19 +258,21 @@ PARAMS = [CostParams(p=3.0, t=0.98, eod_baseline=0.2, f1_baseline=0.6),
 
 class TestCellCosts:
     @pytest.mark.parametrize("params", PARAMS)
-    def test_equals_cell_metrics_on_every_zero_pattern(self, params):
-        # each of the eight cells empty or not: every way a rate's or F1's
-        # denominator can be zero (all eight empty is no rows at all)
-        patterns = np.array(list(itertools.product((0, 1), repeat=8))[1:])
-        counts = np.random.default_rng(3).integers(1, 40, size=patterns.shape)
-        assert_cell_costs_equal_reference(patterns * counts, params)
+    def test_equals_cell_metrics_on_every_extreme_pattern(self, params):
+        # each (group, label) count none, some or all of its rows: every
+        # way a rate can be 0 or 1, and F1 0 (no true positives)
+        totals = np.array([7, 3, 5, 9])
+        patterns = np.array(list(itertools.product((0, 1, 2), repeat=4)))
+        positives = np.where(patterns == 2, totals, patterns * (totals // 2))
+        assert_cell_costs_equal_reference(positives, totals, params)
 
-    @given(st.lists(st.lists(st.integers(0, 6), min_size=8, max_size=8).filter(any),
+    @given(st.lists(st.integers(1, 6), min_size=4, max_size=4),
+           st.lists(st.lists(st.integers(0, 6), min_size=4, max_size=4),
                     min_size=1, max_size=30),
            st.sampled_from(PARAMS))
-    def test_equals_cell_metrics_on_drawn_counts(self, cells, params):
+    def test_equals_cell_metrics_on_drawn_counts(self, totals, positives, params):
         # small counts: many ties with the F1 floor and between group rates
-        assert_cell_costs_equal_reference(cells, params)
+        assert_cell_costs_equal_reference(np.minimum(positives, totals), totals, params)
 
     @given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=1, max_size=40),
            st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
@@ -269,7 +280,8 @@ class TestCellCosts:
         labels, protected = np.array(rows).T
         key = 4 * protected + 2 * labels
         preds = np.random.default_rng(seed).integers(0, 2, size=(masks, len(rows))) == 1
-        expected = [np.bincount(key + p, minlength=8) for p in preds]
+        cells = np.array([np.bincount(key + p, minlength=8) for p in preds])
         indicator = group_label_indicator(labels, protected)
-        cells = positive_cells(preds @ indicator, indicator.sum(axis=0))
-        assert np.array_equal(cells, expected)
+        assert np.array_equal(preds @ indicator, cells[:, 1::2])
+        assert np.array_equal(indicator.sum(axis=0), cells[0, 0::2] + cells[0, 1::2])
+

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 import fairdrop as fd
 import fairdrop.oracle
+import fairdrop.search
 from fairdrop.model import (_SIGMOID_HALF_WINDOW, MaskedForward, MlpArchitecture,
                             ModelFormatError, ShapeError, TrainingError, _sigmoid,
                             default_neuron_order, initialize_model)
@@ -142,6 +143,12 @@ class TestPredictBatch:
         model = random_small_model(XorShift64Star(5), (2, 3, 1))
         X = np.zeros((7, 2))
         assert fd.predict_batch(model, X).shape == (7,)
+
+    @pytest.mark.parametrize("sizes", [(2, 3, 1), (2, 3, 4, 1)])
+    def test_zero_rows(self, sizes):
+        model = random_small_model(XorShift64Star(5), sizes)
+        preds = fd.predict_batch(model, np.empty((0, 2)))
+        assert preds.dtype == np.int64 and preds.shape == (0,)
 
     def test_empty_mask_equals_all_zeros_mask(self):
         model = random_small_model(XorShift64Star(6), (2, 3, 3, 1))
@@ -538,7 +545,7 @@ class TestFloat32Pass:
         n = model.hidden_total
         logits, indicators = [], []
         certified = MaskedForward._certified
-        indicator = fairdrop.oracle.group_label_indicator
+        indicator = fairdrop.search.group_label_indicator
 
         def spy_certified(self, z, count, keep_of):
             logits.append(z.dtype)
@@ -548,7 +555,7 @@ class TestFloat32Pass:
             indicators.append(indicator(*args))
             return indicators[-1]
         monkeypatch.setattr(MaskedForward, "_certified", spy_certified)
-        monkeypatch.setattr(fairdrop.oracle, "group_label_indicator", spy_indicator)
+        monkeypatch.setattr(fairdrop.search, "group_label_indicator", spy_indicator)
         evaluator = fd.CostEvaluator(model, parts.validation, params)
         evaluator.price(DropoutState.from_indices(n, (0, 9)))
         evaluator.evaluate_many(DropoutState.from_indices(n, (b, 15 - b)) for b in range(8))

@@ -299,8 +299,7 @@ class TestCostDump:
         lines = ["state_key_hex,cost,eod,f1\n"]
         for bits, c, eod, f1_s in zip(space.keys.tolist(), space.cost.tolist(),
                                       space.eod.tolist(), space.f1.tolist()):
-            eod_text = "undefined" if math.isnan(eod) else repr(eod)
-            lines.append(f"{DropoutState(space.n_total, bits).key_hex()},{c!r},{eod_text},"
+            lines.append(f"{DropoutState(space.n_total, bits).key_hex()},{c!r},{eod!r},"
                          f"{f1_s!r}\n")
         return "".join(lines)
 
@@ -310,18 +309,23 @@ class TestCostDump:
         assert space.csv_text() == self.row_by_row(space)
         assert [row[0] for row in space.rows()] == space.key_hex()
 
-    def test_undefined_eod_inf_cost_and_wide_keys(self):
-        # group 1 has no positive label, so every EOD is undefined
+    def test_empty_group_label_cell_rejected_and_wide_keys(self, monkeypatch):
         model = random_small_model(XorShift64Star(41), (3, 40, 30, 1))
         v = tiny_data(seed=42)
-        data = fd.TabularDataset(v.features, np.where(v.protected == 1, 0, v.labels),
-                                 v.protected, v.feature_names)
         params = CostParams(p=3.0, t=0.98, eod_baseline=0.2, f1_baseline=0.5)
-        space = price_space(model, data, SearchSpaceBounds(70, 0, 2), params)
-        assert np.isnan(space.eod).all() and np.isinf(space.cost).all()
+        space = price_space(model, v, SearchSpaceBounds(70, 0, 2), params)
         text = space.csv_text()
         assert text == self.row_by_row(space)
-        assert ",inf,undefined," in text and len(text.splitlines()[-1].split(",")[0]) == 18
+        assert len(text.splitlines()[-1].split(",")[0]) == 18
+        # group 1 has no positive label, so every EOD would be undefined
+        data = fd.TabularDataset(v.features, np.where(v.protected == 1, 0, v.labels),
+                                 v.protected, v.feature_names)
+        priced = []
+        monkeypatch.setattr(MaskedForward, "__init__", lambda *a: priced.append(1))
+        with pytest.raises(ValueError, match="^baseline EOD undefined: a protected group "
+                                             "lacks positive or negative labels"):
+            price_space(model, data, SearchSpaceBounds(70, 0, 2), params)
+        assert priced == []
 
     @pytest.mark.parametrize("n", [1, 5, 63, 64])
     def test_key_widths(self, n):

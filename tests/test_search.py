@@ -181,20 +181,25 @@ class TestCostEvaluatorExactness:
         for state in states:
             assert tuple(evaluator.price(state)) == reference_price(model, data, state, PARAMS)
 
-    def test_undefined_eod_prices_infinite(self, small_instance):
+    @pytest.mark.parametrize("group,label", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_split_with_an_empty_group_label_cell_rejected_before_pricing(
+            self, small_instance, monkeypatch, group, label):
+        # with no row of (group, label), every mask's EOD is undefined
         parts, model, params = small_instance
         v = parts.validation
-        # group 1 keeps no positive label: its TPR, hence EOD, is undefined
-        labels = np.where(v.protected == 1, 0, v.labels)
+        labels = np.where(v.protected == group, 1 - label, v.labels)
         data = fd.TabularDataset(v.features, labels, v.protected, v.feature_names)
-        evaluator = CostEvaluator(model, data, params)
-        rng = XorShift64Star(5)
-        b = SearchSpaceBounds(model.hidden_total, 0, 6)
-        for _ in range(50):
-            state = random_state(b, rng)
-            ev = evaluator.price(state)
-            assert ev.cost == math.inf and ev.eod is None
-            assert tuple(ev) == reference_price(model, data, state, params)
+        with pytest.raises(ValueError) as baseline:
+            fd.baseline_cost_params(model, data, p=3.0, t=0.98)
+        priced = []
+        monkeypatch.setattr(MaskedForward, "__init__", lambda *a: priced.append(1))
+        config = SearchConfig(alg_type="rw", bounds=SearchSpaceBounds(16, 0, 6),
+                              cost_params=params, seed=1, max_iterations=5)
+        for attempt in (lambda: CostEvaluator(model, data, params),
+                        lambda: fd.run_search(model, data, config)):
+            with pytest.raises(ValueError, match=re.escape(str(baseline.value))):
+                attempt()
+        assert "baseline EOD undefined" in str(baseline.value) and priced == []
 
     @pytest.mark.parametrize("column", ["labels", "protected"])
     def test_non_binary_vectors_rejected_at_construction(self, small_instance, column):
