@@ -15,10 +15,12 @@ import argparse
 import copy
 import dataclasses
 import io
+import itertools
 import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -26,8 +28,10 @@ from . import __version__
 from .dataset import (MIN_SYNTH_FEATURES, MIN_SYNTH_ROWS, DatasetSchema, SplitDataset,
                       TabularDataset, load_csv, split, synthesize_biased)
 from .ioutil import atomic_write_text, has_type
-from .model import (MlpArchitecture, MlpModel, TrainConfig, load_model, predict_batch,
-                    save_model, train)
+from .model import MlpArchitecture, MlpModel, TrainConfig, load_model, save_model, train
+# Unused; three tests pin it: test_install_wraps_every_binding_and_uninstall_restores_them,
+# test_predict_batch_bound_once and test_dump_costs_prices_each_state_once.
+from .model import predict_batch  # noqa: F401
 from .oracle import (DEFAULT_ENUMERATION_BUDGET, EnumerationBudgetError, price_space,
                      single_neuron_baseline, split_reports)
 from .search import (CostParams, SearchConfig, SearchResult, SearchSpaceBounds,
@@ -136,6 +140,9 @@ def resolve_config(raw: dict, args) -> dict:
         raise CliError("seeds list must not be empty")
     if len(set(cfg["seeds"])) != len(cfg["seeds"]):
         raise CliError(f"seeds list must not repeat a seed, got {cfg['seeds']}")
+    if cfg["oracle"]["good_margin"] < 0:
+        raise CliError(f"config oracle.good_margin must be >= 0, "
+                       f"got {cfg['oracle']['good_margin']!r}")
     return cfg
 
 
@@ -216,22 +223,28 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
+def _setup(args) -> tuple[dict, TabularDataset, str]:
+    """A command's resolved config, its dataset, and its output directory,
+    created."""
     cfg = resolve_config(load_config(args.config), args)
     data = build_dataset(cfg)
-    out = cfg["output_dir"]
-    os.makedirs(out, exist_ok=True)
+    os.makedirs(cfg["output_dir"], exist_ok=True)
+    return cfg, data, cfg["output_dir"]
+
+
+def cmd_train(args) -> int:
+    cfg, data, out = _setup(args)
     arch = MlpArchitecture((data.features.shape[1], *cfg["model"]["hidden_sizes"], 1))
     per_seed = {}
     for seed in cfg["seeds"]:
         parts = split(data, seed)
         model = train(parts, arch, TrainConfig(**cfg["model"]["train"], seed=seed))
-        _say_if_one_class(seed, model, parts)
         path = model_path(cfg, seed)
         save_model(model, path)
         per_seed[str(seed)] = {"model_file": os.path.basename(path),
                                **split_reports(model, parts.validation, parts.test)}
         v, t = per_seed[str(seed)]["validation"], per_seed[str(seed)]["test"]
+        _say_if_nothing_to_repair(seed, v["eod"])
         print(f"seed {seed}: val EOD {_pct(v['eod'])} F1 {v['f1']:.3f} acc {v['accuracy']:.3f} "
               f"| test EOD {_pct(t['eod'])} F1 {t['f1']:.3f} acc {t['accuracy']:.3f}")
     write_json(os.path.join(out, "train_report.json"),
@@ -244,14 +257,13 @@ def _pct(value) -> str:
     return "undefined" if value == "undefined" else f"{100.0 * value:.3f}%"
 
 
-def _say_if_one_class(seed: int, model: MlpModel, parts: SplitDataset) -> None:
-    """A stderr line naming the seed when the unmasked model predicts one
-    class for every validation row: its baseline EOD is then 0, and so is
-    the penalty that anchors the cost, so the run has nothing to repair."""
-    preds = predict_batch(model, parts.validation)
-    if preds.min() == preds.max():
-        print(f"seed {seed}: the unmasked model predicts {preds[0]} for every validation row",
-              file=sys.stderr)
+def _say_if_nothing_to_repair(seed: int, eod) -> None:
+    """A stderr line naming the seed when the unmasked model's validation
+    EOD is 0 (as when it predicts one class for every row): so is the
+    penalty that anchors the cost, so the run has nothing to repair."""
+    if eod == 0:
+        print(f"seed {seed}: the unmasked model's validation EOD is 0, "
+              "so there is nothing to repair", file=sys.stderr)
 
 
 def _instance(cfg: dict, data: TabularDataset,
@@ -263,10 +275,10 @@ def _instance(cfg: dict, data: TabularDataset,
     if not os.path.exists(path):
         raise CliError(f"model file {path} not found; run `train` first")
     model = load_model(path)
-    _say_if_one_class(seed, model, parts)
     s = cfg["search"]
-    return parts, model, baseline_cost_params(model, parts.validation,
-                                              p=float(s["p"]), t=float(s["t"]))
+    params = baseline_cost_params(model, parts.validation, p=float(s["p"]), t=float(s["t"]))
+    _say_if_nothing_to_repair(seed, params.eod_baseline)
+    return parts, model, params
 
 
 def _repair_one(cfg: dict, seed: int, parts: SplitDataset, model: MlpModel,
@@ -276,7 +288,12 @@ def _repair_one(cfg: dict, seed: int, parts: SplitDataset, model: MlpModel,
         print(f"seed {seed}: the unmasked model's validation F1 is 0, so every mask "
               f"meets the F1 floor", file=sys.stderr)
     config = search_config(cfg, seed, model.hidden_total, params)
-    result = run_search(model, parts.validation, config)
+    # each warning of the search (e.g. the T0 fallback) becomes a seed line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # not once per source line: each seed says its own
+        result = run_search(model, parts.validation, config)
+    for warning in caught:
+        print(f"seed {seed}: {warning.message}", file=sys.stderr)
     dropped = model.masked_units_per_layer(result.best_state)
     return result, {
         "seed": seed,
@@ -296,10 +313,7 @@ def _repair_one(cfg: dict, seed: int, parts: SplitDataset, model: MlpModel,
 
 
 def cmd_repair(args) -> int:
-    cfg = resolve_config(load_config(args.config), args)
-    data = build_dataset(cfg)
-    out = cfg["output_dir"]
-    os.makedirs(out, exist_ok=True)
+    cfg, data, out = _setup(args)
     alg = cfg["search"]["alg_type"]
     records = []
     for seed in cfg["seeds"]:
@@ -324,16 +338,12 @@ def cmd_repair(args) -> int:
         "successes": sum(1 for r in records if r["success"]),
         "runs": len(records),
     }
-    for phase in ("validation", "test"):
-        for metric in ("eod", "f1", "accuracy"):
-            base_vals = [r["baseline"][phase][metric] for r in records
-                         if r["baseline"][phase][metric] != "undefined"]
-            rep_vals = [r["repaired"][phase][metric] for r in records
-                        if r["repaired"][phase][metric] != "undefined"]
-            if base_vals:
-                summary[f"baseline_{phase}_{metric}"] = mean_ci(base_vals)
-            if rep_vals:
-                summary[f"repaired_{phase}_{metric}"] = mean_ci(rep_vals)
+    for kind, phase, metric in itertools.product(("baseline", "repaired"), ("validation", "test"),
+                                                 ("eod", "f1", "accuracy")):
+        values = [r[kind][phase][metric] for r in records
+                  if r[kind][phase][metric] != "undefined"]
+        if values:
+            summary[f"{kind}_{phase}_{metric}"] = mean_ci(values)
     write_json(os.path.join(out, f"repair_summary_{alg}.json"), summary)
 
     if "repaired_validation_eod" in summary and "baseline_validation_eod" in summary:
@@ -347,11 +357,8 @@ def cmd_repair(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = resolve_config(load_config(args.config), args)
+    cfg, data, out = _setup(args)
     p_values = args.p_values or list(DEFAULT_SWEEP_P_VALUES)
-    data = build_dataset(cfg)
-    out = cfg["output_dir"]
-    os.makedirs(out, exist_ok=True)
     rows = ["p,seed,validation_eod,test_eod,success"]
     instances = {}  # seed -> _instance(...): the anchor depends on the seed, not on p
     for p in p_values:
@@ -406,11 +413,8 @@ def _check_sa_run(run: dict, path, seed: int, params, bounds) -> None:
 
 
 def cmd_oracle(args) -> int:
-    cfg = resolve_config(load_config(args.config), args)
     sa_run = _sa_run(args.sa_result) if args.sa_result else None
-    data = build_dataset(cfg)
-    out = cfg["output_dir"]
-    os.makedirs(out, exist_ok=True)
+    cfg, data, out = _setup(args)
     seed = args.seed if args.seed is not None else cfg["seeds"][0]
     parts, model, params = _instance(cfg, data, seed)
     config = search_config(cfg, seed, model.hidden_total, params)

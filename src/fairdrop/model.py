@@ -534,8 +534,8 @@ def train(data: SplitDataset, arch: MlpArchitecture, cfg: TrainConfig) -> MlpMod
                     acts.append(A)
                 z = (A @ weights[-1].T + biases[-1]).ravel()
 
-                loss = float(np.mean(np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))))
-                if not np.isfinite(loss):
+                # a non-finite logit is what makes the cross-entropy non-finite
+                if not np.isfinite(z).all():
                     raise TrainingError(f"non-finite loss at epoch {_epoch}; "
                                         "lower the learning rate")
 

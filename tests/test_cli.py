@@ -13,12 +13,18 @@ import pytest
 
 import fairdrop
 import fairdrop.cli
+import fairdrop.model
 import fairdrop.oracle
 import fairdrop.search
 from fairdrop.cli import default_n_u, main, mean_ci, resolve_config
 from perfbench import checks, workloads
 
 from conftest import MALFORMED_MODEL_FILES, MALFORMED_SCHEMA_FILES, model_document
+
+
+# The stderr line of a seed whose unmasked model has validation EOD 0.
+NOTHING_TO_REPAIR = ("seed {}: the unmasked model's validation EOD is 0, "
+                     "so there is nothing to repair\n")
 
 
 def run_cli(args):
@@ -154,7 +160,8 @@ class TestTrain:
 
     def test_one_class_model_is_said_on_stderr(self, tmp_path, capsys):
         # the [8] models predict both classes; one epoch leaves the deep,
-        # narrow [5, 4, 5] models predicting 0 for every validation row
+        # narrow [5, 4, 5] models predicting 0 for every validation row, so
+        # their validation EOD is 0
         config = tmp_path / "config.json"
         write_config(config)
         assert run_cli(["train", "--config", config]) == 0
@@ -163,9 +170,7 @@ class TestTrain:
                                     "train": {"learning_rate": 0.5, "epochs": 1,
                                               "batch_size": 64, "train_dropout_prob": 0.0}})
         assert run_cli(["train", "--config", config]) == 0
-        assert capsys.readouterr().err == (
-            "seed 1: the unmasked model predicts 0 for every validation row\n"
-            "seed 2: the unmasked model predicts 0 for every validation row\n")
+        assert capsys.readouterr().err == NOTHING_TO_REPAIR.format(1) + NOTHING_TO_REPAIR.format(2)
 
 
 class TestRepair:
@@ -231,13 +236,60 @@ class TestRepair:
         f1_zero = ("" if calls[0][0] == "oracle" else
                    "seed 1: the unmasked model's validation F1 is 0, "
                    "so every mask meets the F1 floor\n")
-        assert capsys.readouterr().err == (
-            "seed 1: the unmasked model predicts 0 for every validation row\n" + f1_zero
-            + "seed 2: the unmasked model predicts 1 for every validation row\n")
+        assert capsys.readouterr().err == (NOTHING_TO_REPAIR.format(1) + f1_zero
+                                           + NOTHING_TO_REPAIR.format(2))
         if calls[0][0] == "repair":
             run = json.loads((out / "repair_seed1_sa.json").read_text())["run"]
             assert run["baseline"]["validation"]["f1"] == 0.0
             assert run["success"] is True
+
+    def test_t0_fallback_is_a_seed_line(self, tmp_path, capsys, recwarn):
+        # every logit stays negative under every mask, so every state prices
+        # alike and T0 fitting finds no uphill pair: it falls back to the
+        # worst-case bound (1 + 3.0 * 0) * (4 - 2)
+        config = tmp_path / "config.json"
+        write_config(config, search={"t0_mode": "ben_ameur"}, seeds=[1])
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "model_seed1.json").write_text(
+            json.dumps(model_document(hidden=8, output_bias=-1000.0)))
+        assert run_cli(["repair", "--config", config]) == 0
+        err = capsys.readouterr().err
+        assert err == (NOTHING_TO_REPAIR.format(1)
+                       + "seed 1: the unmasked model's validation F1 is 0, "
+                       "so every mask meets the F1 floor\n"
+                       "seed 1: no cost-increasing transition found while estimating the "
+                       "initial temperature within its draw and time budget; "
+                       "using the worst-case bound 2.0\n")
+        assert "UserWarning" not in err
+        assert not recwarn.list
+        run = json.loads((out / "repair_seed1_sa.json").read_text())["run"]
+        assert run["t0"] == 2.0
+
+    def test_kernels_built_per_command(self, tmp_path, monkeypatch):
+        # one MaskedForward per pass over a split: train scores each epoch's
+        # snapshot and reports both splits; repair anchors the cost, searches
+        # and reports both splits before and after; oracle anchors the cost,
+        # prices the space, scans the single-neuron window and reports its
+        # best drop on both splits
+        built = []
+        original = fairdrop.model.MaskedForward.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+        monkeypatch.setattr(fairdrop.model.MaskedForward, "__init__", counting)
+        config = tmp_path / "config.json"
+        epochs = 5
+        write_config(config, model={"hidden_sizes": [8],
+                                    "train": {"learning_rate": 0.5, "epochs": epochs,
+                                              "batch_size": 64, "train_dropout_prob": 0.0}},
+                     search={"max_iterations": 50})
+        for argv, per_seed, seeds in ((["train"], epochs + 2, 2), (["repair"], 6, 2),
+                                      (["oracle"], 5, 1)):
+            built.clear()
+            assert run_cli(argv + ["--config", config]) in (0, 3)
+            assert len(built) == per_seed * seeds, argv
 
 
 class TestRepairAgainstReference:
@@ -368,9 +420,8 @@ class TestSweep:
         assert run_cli(["sweep", "--config", config, "--p-values", "1.0,2.0"]) == 0
         f1_zero = ("seed 1: the unmasked model's validation F1 is 0, "
                    "so every mask meets the F1 floor\n")
-        assert capsys.readouterr().err == (
-            "seed 1: the unmasked model predicts 0 for every validation row\n" + f1_zero
-            + "seed 2: the unmasked model predicts 1 for every validation row\n" + f1_zero)
+        assert capsys.readouterr().err == (NOTHING_TO_REPAIR.format(1) + f1_zero
+                                           + NOTHING_TO_REPAIR.format(2) + f1_zero)
 
     def test_failed_runs_flagged_not_omitted(self, tmp_path):
         config = tmp_path / "config.json"
@@ -625,6 +676,17 @@ class TestOracleCommand:
                         "--sa-result", sa_result]) == 1
         err = capsys.readouterr().err
         assert f"error: --sa-result {sa_result} is not" in err
+        assert enumerated == []
+        assert not (out / "oracle_report.json").exists()
+
+    def test_negative_good_margin_fails_before_enumerating(self, trained, capsys, monkeypatch):
+        config, out = trained
+        write_config(config, oracle={"good_margin": -0.1})
+        enumerated = []
+        monkeypatch.setattr(fairdrop.cli, "price_space", lambda *a, **k: enumerated.append(1))
+        assert run_cli(["oracle", "--config", config, "--seed", "1"]) == 1
+        assert ("error: config oracle.good_margin must be >= 0, got -0.1"
+                in capsys.readouterr().err)
         assert enumerated == []
         assert not (out / "oracle_report.json").exists()
 
