@@ -305,16 +305,16 @@ def split(data: TabularDataset, seed: int) -> SplitDataset:
     XorShift64Star(seed).shuffle(order)
     n_train = int(0.6 * n)
     n_val = int(0.2 * n)
-    parts = (sorted(order[:n_train]),
-             sorted(order[n_train:n_train + n_val]),
-             sorted(order[n_train + n_val:]))
+    part_of = np.empty(n, dtype=np.int8)  # each row's part: 0 train, 1 validation, 2 test
+    part_of[order] = np.repeat(np.arange(3, dtype=np.int8), [n_train, n_val, n - n_train - n_val])
+    parts = [np.flatnonzero(part_of == k) for k in range(3)]
     return SplitDataset(
         train=data.subset(parts[0]),
         validation=data.subset(parts[1]),
         test=data.subset(parts[2]),
-        train_indices=tuple(parts[0]),
-        validation_indices=tuple(parts[1]),
-        test_indices=tuple(parts[2]),
+        train_indices=tuple(parts[0].tolist()),
+        validation_indices=tuple(parts[1].tolist()),
+        test_indices=tuple(parts[2].tolist()),
     )
 
 

@@ -10,7 +10,8 @@ rows, caches the first hidden layer and has two passes: the exact one, which
 zeroes the dropped activations by assignment, for training's validation
 scoring and reports; and a batched one, whose hidden layers and output
 rows search and enumeration pair in GEMMs of their own, behind a certified
-error bound that sends any prediction it cannot vouch for to the exact pass.
+error bound that sends any prediction it cannot vouch for to the exact pass:
+first on the doubtful rows alone, then, if those do not settle, on all.
 
 Hidden neurons carry a fixed total order (the ``neuron_order`` bijection)
 that maps mask bit positions to (layer, unit) pairs; the order is set at
@@ -184,8 +185,9 @@ class MaskedForward:
     (``suffix_bits``); ``CostEvaluator`` and the oracle pair the two in
     GEMMs of their own.  Their logits give the exact pass's predictions
     behind a certified error bound (``_slack``) that covers both passes'
-    rounding: ``_certified`` sends every mask it cannot vouch for through
-    the exact pass.
+    rounding: ``_certified`` runs the exact pass's operations on the rows it
+    cannot vouch for (the row check, ``_settled``), and sends a mask whose
+    rows that does not settle through the whole exact pass.
     """
 
     def __init__(self, model: MlpModel, features: np.ndarray):
@@ -218,19 +220,27 @@ class MaskedForward:
             return np.ones(n)
         if mask.n != n:
             raise ShapeError(f"mask covers {mask.n} neurons, model has {n}")
-        dropped = np.frombuffer(mask.bits.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-        return 1.0 - np.unpackbits(dropped, count=n, bitorder="little")
+        return self.keep_rows([mask.bits])[0]
+
+    def keep_rows(self, keys) -> np.ndarray:
+        """Keep factors (masks, bits) of the masks with integer ``keys``, all
+        from one ``np.unpackbits`` over the keys' little-endian bytes."""
+        n = self.model.hidden_total
+        width = (n + 7) // 8
+        dropped = np.frombuffer(b"".join(key.to_bytes(width, "little") for key in keys),
+                                dtype=np.uint8).reshape(-1, width)
+        return 1.0 - np.unpackbits(dropped, axis=1, count=n, bitorder="little")
 
     def logits(self, mask=None) -> np.ndarray:
         """Output-unit logits (pre-sigmoid), one per row, under ``mask``."""
         return self._exact(self.keep(mask))
 
-    def _exact(self, keep: np.ndarray) -> np.ndarray:
-        """Logits of the exact pass for the mask given as one row of keep
-        factors: a dropped unit is zeroed by assignment, so it never
-        reaches the output, even when it is NaN or infinite."""
+    def _exact(self, keep: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        """Logits of the exact pass on every row, or on ``rows``, for the mask
+        given as one row of keep factors: a dropped unit is zeroed by
+        assignment, so it never reaches the output, even if NaN or infinite."""
         model = self.model
-        A = self._first
+        A = self._first if rows is None else self._first[rows]
         last = len(model.weights) - 2
         for i, (W, b) in enumerate(zip(model.weights[1:], model.biases[1:])):
             dropped = keep[self._bits[i]] == 0.0
@@ -360,23 +370,44 @@ class MaskedForward:
         """Predictions (masks, rows) of ``count`` masks from their logits
         ``z`` of a float32 batched pass in any summation order.  A row is
         trusted only when its logit lies farther from 0 than its ``_slack``;
-        a mask with any row within it, or any NaN, goes through the exact
-        pass on the keep factors ``keep_of(m)``, as does every mask when
+        the rows of a mask within it, or NaN, take the row check
+        (``_settled``) on the keep factors ``keep_of(m)``, and a mask it does
+        not settle goes through the exact pass, as does every mask when
         there is no slack (``z`` is then None: a caller skips the batched
         pass).
         When every logit clears the widest slack, no row needs its own
         test.  ``z`` is overwritten."""
+        doubtful = None
         if z is None:
             preds = np.empty((count, self._first.shape[0]), dtype=bool)
             unsafe = range(count)
         else:
             preds = z >= 0.0
             np.abs(z, out=z)
-            unsafe = (() if z.min() > self._widest_slack  # False when z holds a NaN
-                      else np.flatnonzero(~(z > self._slack).all(axis=1)))
+            unsafe = ()
+            if not z.min() > self._widest_slack:  # also when z holds a NaN
+                doubtful = ~(z > self._slack)
+                unsafe = np.flatnonzero(doubtful.any(axis=1))
         for m in unsafe:
-            preds[m] = _threshold(self._exact(keep_of(m)))
+            keep = keep_of(m)
+            if doubtful is None or not self._settled(keep, np.flatnonzero(doubtful[m]), preds[m]):
+                preds[m] = _threshold(self._exact(keep))
         return preds
+
+    def _settled(self, keep: np.ndarray, rows: np.ndarray, preds: np.ndarray) -> bool:
+        """Whether the exact pass's operations on ``rows`` alone settle those
+        rows of the mask with keep factors ``keep``; if so, their predictions
+        go into ``preds``.  ``err64`` bounds these operations too, in any
+        summation order, so a row logit farther from 0 than twice it plus
+        the sigmoid window has the whole exact pass's logit on its side of 0
+        and outside the window, where ``_threshold`` predicts by its sign."""
+        if self._errors is None:
+            return False
+        z = self._exact(keep, rows)
+        if not (np.abs(z) > 2.0 * self._errors[0][rows] + _SIGMOID_HALF_WINDOW).all():  # or NaN
+            return False
+        preds[rows] = z > 0.0
+        return True
 
     def _batch_hidden(self, keep: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Last hidden layer's float32 activations (masks, units + 1, rows)

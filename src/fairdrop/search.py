@@ -21,6 +21,7 @@ given explicitly.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 import warnings
@@ -175,6 +176,18 @@ class CostEvaluation(NamedTuple):
     f1: float
 
 
+def _count_cost(positives, totals, f1_floor: float, penalty: float) -> CostEvaluation:
+    """A mask's price from its predicted positives and the split's (all
+    positive) ``totals`` per (group, label), in Python scalars: the correctly
+    rounded operations of ``cell_metrics`` and ``penalized_cost``."""
+    p0, p1, p2, p3 = positives
+    t0, t1, t2, t3 = totals
+    eod = max(abs(p1 / t1 - p3 / t3), abs(p0 / t0 - p2 / t2))
+    tp = p1 + p3
+    f1 = 2.0 * tp / (2 * tp + (p0 + p2) + (t1 + t3 - tp))
+    return CostEvaluation(eod + (penalty if f1 < f1_floor else 0.0), eod, f1)
+
+
 def split_indicator(data: TabularDataset) -> tuple[np.ndarray, np.ndarray]:
     """``group_label_indicator`` of a split that masks are priced on, and
     its rows per (group, label).  Each EOD denominator is one of these
@@ -205,23 +218,30 @@ class CostEvaluator:
     walk's flips in the last layer leave them as they were.  The evaluator
     keeps those of the two most recent prefixes in float32 buffers of its
     own, and a price whose prefix is one of them runs only the output
-    layer.  A price is then one float32 GEMV of the mask's output row
-    (``MaskedForward._output_rows``) against that layer, certified as in
-    the batched pass (``MaskedForward._certified``: a mask with any logit
-    it cannot vouch for takes the exact pass), one GEMV of the predictions
-    against the indicator, which counts the mask's predicted positives per
-    (group, label), and the cost formula.  ``evaluate_many`` prices many
-    masks in one factored pass.
+    layer and builds no keep factors.  A price is then one float32 GEMV of
+    the mask's output row (the unmasked one with 0.0 assigned to each
+    dropped last-layer unit) against that layer, certified as in the
+    batched pass (``MaskedForward._certified``), one GEMV of the
+    predictions against the indicator, which counts the mask's predicted
+    positives per (group, label), and ``_count_cost`` of those counts.
+    ``evaluate_many`` prices many masks in one factored pass.
     """
 
     def __init__(self, model: MlpModel, validation_data: TabularDataset, params: CostParams):
         self.params = params
         self._indicator, self._totals = split_indicator(validation_data)
+        # the totals, F1 floor and penalty that every price reads
+        self._cost_terms = (tuple(self._totals.tolist()), params.f1_floor,
+                            params.p * params.eod_baseline)
         self._forward = forward = MaskedForward(model, validation_data.features)
         self._prefix_mask = sum(1 << bit for bit in forward.prefix_bits.tolist())
+        # each last-layer unit's output-row column, by its mask bit's value
+        self._unit_of = {1 << bit: unit for unit, bit in enumerate(forward.suffix_bits.tolist())}
+        self._suffix_mask = sum(self._unit_of)
         units = len(forward.suffix_bits)
         rows = len(self._indicator)
         self._z = np.empty((1, rows), dtype=np.float32)
+        self._row = np.empty(units + 1, dtype=np.float32)
         # (prefix, its last hidden layer as MaskedForward._batch_hidden lays it
         # out), most recent first; the batched pass's own buffers are
         # overwritten by its next call, so they are never kept
@@ -230,27 +250,36 @@ class CostEvaluator:
         self._cache: dict[int, CostEvaluation] = {}
         self.evaluations = 0
 
+    @functools.cached_property
+    def _output(self) -> np.ndarray:
+        """The unmasked output row (units + 1) of ``MaskedForward._output_rows``."""
+        return self._forward._output_rows(np.ones((1, len(self._row) - 1)))[0].copy()
+
     def price(self, state: DropoutState) -> CostEvaluation:
         """Price one mask, bypassing the memo cache."""
         forward = self._forward
-        keep = forward.keep(state)
-        rows = forward._output_rows(keep[forward.suffix_bits][None])
         z = None
-        if rows is not None:
+        if forward._slack is not None:
+            row = self._row
+            np.copyto(row, self._output)
+            dropped = state.bits & self._suffix_mask
+            while dropped:  # an assigned 0 where _output_rows has w * 0.0
+                low = dropped & -dropped
+                row[self._unit_of[low]] = 0.0
+                dropped ^= low
             z = self._z
-            np.matmul(rows[0], self._hidden(state.bits & self._prefix_mask, keep), out=z[0])
-        preds = forward._certified(z, 1, lambda _: keep)
-        m = cell_metrics(preds[0] @ self._indicator, self._totals)
-        return CostEvaluation(cost=penalized_cost(m.eod, m.f1, self.params), eod=m.eod, f1=m.f1)
+            np.matmul(row, self._hidden(state.bits & self._prefix_mask), out=z[0])
+        preds = forward._certified(z, 1, lambda _: forward.keep(state))
+        return _count_cost((preds[0] @ self._indicator).tolist(), *self._cost_terms)
 
-    def _hidden(self, prefix: int, keep: np.ndarray) -> np.ndarray:
-        """The last hidden layer (units + 1, rows) for ``prefix``, the
-        prefix of the mask with keep factors ``keep``: kept, or computed into
-        the buffer of the less recent prefix."""
+    def _hidden(self, prefix: int) -> np.ndarray:
+        """The last hidden layer (units + 1, rows) for ``prefix``: kept, or
+        computed into the buffer of the less recent prefix."""
         recent = self._recent
         if recent[0][0] != prefix:
             if recent[1][0] != prefix:
-                recent[1] = (prefix, self._forward._batch_hidden(keep[None], out=recent[1][1]))
+                keep = self._forward.keep_rows([prefix])
+                recent[1] = (prefix, self._forward._batch_hidden(keep, out=recent[1][1]))
             recent.reverse()
         return recent[0][1][0]
 
@@ -277,7 +306,7 @@ class CostEvaluator:
             grouped = [s for group in groups.values() for s in group]
             ends = np.cumsum([len(group) for group in groups.values()]).tolist()
             forward = self._forward
-            keep = np.array([forward.keep(s) for s in grouped])
+            keep = forward.keep_rows(s.bits for s in grouped)
             rows = forward._output_rows(keep[:, forward.suffix_bits])
             starts = [0, *ends[:-1]]
             positives = np.empty((len(grouped), 4))
@@ -292,9 +321,7 @@ class CostEvaluator:
                         np.matmul(rows[start:end], hidden[b], out=z[start - lo:end - lo])
                 preds = forward._certified(z, hi - lo, lambda m: keep[lo + m])
                 positives[lo:hi] = preds @ self._indicator
-            params = self.params
-            cost, eod, f1s = cell_costs(positives, self._totals, params.f1_floor,
-                                        params.p * params.eod_baseline)
+            cost, eod, f1s = cell_costs(positives, self._totals, *self._cost_terms[1:])
             priced = {s.bits: CostEvaluation(*values)
                       for s, *values in zip(grouped, cost.tolist(), eod.tolist(), f1s.tolist())}
             self._cache.update((bits, priced[bits]) for bits in fresh)

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import fairdrop as fd
+import fairdrop.oracle
+from fairdrop.model import MaskedForward
 from fairdrop.search import penalized_cost
 
 settings.register_profile(
@@ -79,6 +81,52 @@ def reference_price(model: fd.MlpModel, data: fd.TabularDataset, state, params) 
     eod = fd.fairness(preds, data.labels, data.protected).eod
     f1_s = fd.f1(fd.confusion(preds, data.labels))
     return penalized_cost(eod, f1_s, params), eod, f1_s
+
+
+class Passes(list):
+    """One entry per mask re-run through the whole exact pass; ``settled``
+    has one per mask that the row check settled instead."""
+
+    settled: list
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """How many masks ``CostEvaluator.price`` or ``evaluate_many``, or
+    ``fairdrop.oracle.price_space``, re-ran through the whole exact pass,
+    and in ``.settled`` how many the row check (``MaskedForward._settled``)
+    settled on their doubtful rows alone; the exact pass that ``predict``
+    runs is not counted."""
+    calls, running = Passes(), []
+    calls.settled = []
+    exact, settled = MaskedForward._exact, MaskedForward._settled
+
+    def counted_exact(self, keep_row, rows=None):
+        if rows is None:
+            calls.extend(running)
+        return exact(self, keep_row, rows)
+
+    def counted_settled(self, *args):
+        done = settled(self, *args)
+        if done:
+            calls.settled.extend(running)
+        return done
+
+    def counting(method):
+        def counted(*args):
+            running.append(1)
+            try:
+                return method(*args)
+            finally:
+                running.pop()
+        return counted
+    monkeypatch.setattr(MaskedForward, "_exact", counted_exact)
+    monkeypatch.setattr(MaskedForward, "_settled", counted_settled)
+    monkeypatch.setattr(fd.CostEvaluator, "price", counting(fd.CostEvaluator.price))
+    monkeypatch.setattr(fd.CostEvaluator, "evaluate_many",
+                        counting(fd.CostEvaluator.evaluate_many))
+    monkeypatch.setattr(fairdrop.oracle, "price_space", counting(fairdrop.oracle.price_space))
+    return calls
 
 
 def valid_flip_positions(state: fd.DropoutState, bounds: fd.SearchSpaceBounds) -> list[int]:

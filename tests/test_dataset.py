@@ -254,6 +254,26 @@ class TestSplit:
             fd.split(_dummy(4), 1)
 
     @given(st.integers(min_value=5, max_value=400), st.integers(min_value=0, max_value=2**32))
+    def test_equals_sorted_lists_of_the_shuffled_order(self, n, seed):
+        # the three parts as sorted() over the pinned shuffle gives them:
+        # the same ints in the index tuples, the same rows in the subsets
+        X = np.arange(2.0 * n).reshape(n, 2)
+        data = fd.TabularDataset(X, np.arange(n) % 2, np.arange(n) // 2 % 2, ("a", "b"))
+        order = list(range(n))
+        fd.XorShift64Star(seed).shuffle(order)
+        cut = (int(0.6 * n), int(0.6 * n) + int(0.2 * n))
+        want = (sorted(order[:cut[0]]), sorted(order[cut[0]:cut[1]]), sorted(order[cut[1]:]))
+        parts = fd.split(data, seed)
+        got = (parts.train_indices, parts.validation_indices, parts.test_indices)
+        assert got == tuple(map(tuple, want))
+        assert all(type(i) is int for indices in got for i in indices)
+        for subset, rows in zip((parts.train, parts.validation, parts.test), want):
+            expected = data.subset(rows)
+            for field in ("features", "labels", "protected"):
+                assert np.array_equal(getattr(subset, field), getattr(expected, field))
+                assert getattr(subset, field).dtype == getattr(expected, field).dtype
+
+    @given(st.integers(min_value=5, max_value=400), st.integers(min_value=0, max_value=2**32))
     def test_fraction_arithmetic(self, n, seed):
         parts = fd.split(_dummy(n), seed)
         assert parts.train.n_rows == int(0.6 * n)

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from fairdrop.metrics import (ConfusionCounts, accuracy, cell_costs, cell_metrics, confusion, f1,
                               fairness, group_label_indicator, prediction_metrics)
-from fairdrop.search import CostParams, penalized_cost
+from fairdrop.search import CostParams, _count_cost, penalized_cost
 
 
 class TestConfusion:
@@ -285,3 +285,51 @@ class TestCellCosts:
         assert np.array_equal(preds @ indicator, cells[:, 1::2])
         assert np.array_equal(indicator.sum(axis=0), cells[0, 0::2] + cells[0, 1::2])
 
+
+def assert_count_cost_equal_reference(positives, totals, params):
+    """``_count_cost``, the walk's scalar price, gives ``cell_metrics`` and
+    ``penalized_cost``'s (cost, EOD, F1) to the bit, from the counts as ints
+    and as the floats a float32 count GEMM gives."""
+    m = cell_metrics(positives, totals)
+    want = (penalized_cost(m.eod, m.f1, params), m.eod, m.f1)
+    for counts in (list(positives), [float(c) for c in positives]):
+        got = _count_cost(counts, tuple(totals), params.f1_floor, params.p * params.eod_baseline)
+        assert tuple(got) == want
+        assert [repr(v) for v in got] == [repr(v) for v in want]  # no int, no -0.0
+
+
+class TestCountCost:
+    @pytest.mark.parametrize("params", PARAMS)
+    def test_equals_cell_metrics_on_every_extreme_pattern(self, params):
+        # each (group, label) count none, some or all of its rows: zero
+        # positives and all positives, every single non-empty cell, and
+        # every way a rate can be 0 or 1; PARAMS[1] has p = 0 and a
+        # baseline EOD of 0
+        totals = [7, 3, 5, 9]
+        for pattern in itertools.product((0, 1, 2), repeat=4):
+            positives = [t if k == 2 else k * (t // 2) for k, t in zip(pattern, totals)]
+            assert_count_cost_equal_reference(positives, totals, params)
+
+    def test_f1_exactly_at_the_floor(self):
+        # t = 0.5 and a baseline of twice the mask's F1 put the floor on that
+        # F1 exactly, where no penalty applies; one count off falls below it
+        totals = [7, 3, 5, 9]
+        for positives in ([0, 4, 0, 0], [1, 1, 0, 1], [5, 2, 3, 1], [0, 1, 0, 0]):
+            f1_s = cell_metrics(positives, totals).f1
+            params = CostParams(p=3.0, t=0.5, eod_baseline=0.2, f1_baseline=2 * f1_s)
+            assert params.f1_floor == f1_s
+            assert_count_cost_equal_reference(positives, totals, params)
+            at = _count_cost(positives, totals, params.f1_floor, 0.6)
+            assert at.cost == at.eod
+            below = [positives[0], positives[1] - 1, *positives[2:]]
+            assert_count_cost_equal_reference(below, totals, params)
+            under = _count_cost(below, totals, params.f1_floor, 0.6)
+            assert under.f1 < f1_s and under.cost == under.eod + 0.6
+
+    @given(st.lists(st.integers(1, 6), min_size=4, max_size=4),
+           st.lists(st.lists(st.integers(0, 6), min_size=4, max_size=4),
+                    min_size=1, max_size=30),
+           st.sampled_from(PARAMS))
+    def test_equals_cell_metrics_on_drawn_counts(self, totals, positives, params):
+        for row in np.minimum(positives, totals).tolist():
+            assert_count_cost_equal_reference(row, totals, params)

@@ -273,34 +273,6 @@ def signs_dataset(X) -> fd.TabularDataset:
                              tuple(f"x{i}" for i in range(X.shape[1])))
 
 
-@pytest.fixture
-def fallbacks(monkeypatch):
-    """How many masks ``CostEvaluator.price`` or ``evaluate_many``, or
-    ``fairdrop.oracle.price_space``, re-ran through the exact pass; the
-    exact pass that ``predict`` runs is not counted."""
-    calls, running = [], []
-    exact = MaskedForward._exact
-
-    def counted_exact(self, keep_row):
-        calls.extend(running)
-        return exact(self, keep_row)
-
-    def counting(method):
-        def counted(*args):
-            running.append(1)
-            try:
-                return method(*args)
-            finally:
-                running.pop()
-        return counted
-    monkeypatch.setattr(MaskedForward, "_exact", counted_exact)
-    monkeypatch.setattr(fd.CostEvaluator, "price", counting(fd.CostEvaluator.price))
-    monkeypatch.setattr(fd.CostEvaluator, "evaluate_many",
-                        counting(fd.CostEvaluator.evaluate_many))
-    monkeypatch.setattr(fairdrop.oracle, "price_space", counting(fairdrop.oracle.price_space))
-    return calls
-
-
 def random_masks(rng, n, count):
     return [DropoutState.from_indices(n, rng.sample_indices(n, rng.randint(0, n)))
             for _ in range(count)]
@@ -323,7 +295,7 @@ class TestBatchedPass:
         data = signs_dataset(X)
         expected = [reference_price(model, data, s, PRICE_PARAMS) for s in masks]
         assert caller_prices(model, data, masks) == [expected] * 3
-        assert fallbacks == []  # every mask was certified, none re-run
+        assert fallbacks == fallbacks.settled == []  # every mask was certified, none re-run
 
     @given(st.lists(st.integers(1, 5), min_size=2, max_size=4), st.integers(1, 12),
            st.integers(1, 2 ** 32))
@@ -359,8 +331,9 @@ class TestBatchedPass:
         expected = reference_price(model, data, empty, PRICE_PARAMS)
         assert [prices[0] for prices in caller_prices(model, data, [empty])] == [expected] * 3
         # price_space also prices the mask that drops the unit: its logits
-        # are the output bias, 0
-        assert fallbacks == [1] * 4
+        # are the output bias, 0; the row check reads the same logits, which
+        # lie within its slack too
+        assert fallbacks == [1] * 4 and fallbacks.settled == []
 
     @pytest.mark.parametrize("poison", [np.nan, np.inf])
     @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
@@ -383,7 +356,7 @@ class TestBatchedPass:
             evaluator = fd.CostEvaluator(poisoned, data, PRICE_PARAMS)
             assert [tuple(evaluator.price(s)) for s in masks] == [
                 reference_price(poisoned, data, s, PRICE_PARAMS) for s in masks]
-        assert len(fallbacks) == 3 * n
+        assert len(fallbacks) == 3 * n and fallbacks.settled == []
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
     def test_nan_logits_take_the_exact_pass(self, fallbacks):
@@ -411,12 +384,39 @@ class TestBatchedPass:
         evaluator._forward._slack = kernel._slack
         assert [tuple(evaluator.price(s)) for s in masks] == [
             reference_price(poisoned, data, s, PRICE_PARAMS) for s in masks]
-        assert len(fallbacks) == 3
+        assert len(fallbacks) == 3 and fallbacks.settled == []  # no err64 to check rows by
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+    def test_nan_in_a_kept_unit_fails_the_row_check(self, fallbacks):
+        # finite slacks forced onto the model of the test above, so that the
+        # row check runs: a mask that drops the NaN unit zeroes it by
+        # assignment, so its rows come out finite and settle; one that keeps
+        # it reads NaN there and takes the whole exact pass
+        rng = XorShift64Star(15)
+        model = random_small_model(rng, (3, 4, 5, 3, 1))
+        X = 2.0 * rng.uniform_block(30 * 3).reshape(30, 3) - 1.0
+        n = model.hidden_total
+        biases = [b.copy() for b in model.biases]
+        biases[1][2] = np.nan
+        poisoned = fd.MlpModel(model.architecture, model.weights, biases)
+        data = signs_dataset(X)
+        evaluator = fd.CostEvaluator(poisoned, data, PRICE_PARAMS)
+        forward = evaluator._forward
+        forward._slack = np.full(30, _SIGMOID_HALF_WINDOW)
+        forward._errors = np.zeros((2, 30))
+        bit = model.neuron_order.index((1, 2))
+        masks = [DropoutState.from_indices(n, (bit,)), DropoutState.from_indices(n, (bit, 0)),
+                 DropoutState.from_indices(n, (0,))]
+        assert np.isnan(forward._exact(forward.keep(masks[2]), np.arange(30))).all()
+        assert [tuple(evaluator.price(s)) for s in masks] == [
+            reference_price(poisoned, data, s, PRICE_PARAMS) for s in masks]
+        assert (len(fallbacks), len(fallbacks.settled)) == (1, 2)
 
     def test_bound_holds_against_exact_logits(self):
         # Rational arithmetic from the cached first layer gives each mask's
         # real logit; the batched (float32) pass lies within err32 of it,
-        # and the exact (float64) pass within err64.
+        # and the exact (float64) pass within err64, also when it runs on a
+        # few rows only, as the row check runs it.
         rng = XorShift64Star(51)
         model = random_small_model(rng, (2, 3, 4, 3, 1))
         X = 4.0 * rng.uniform_block(6 * 2).reshape(6, 2) - 2.0
@@ -438,6 +438,9 @@ class TestBatchedPass:
             real = [row[0] for row in Z]
             for z, err in ((fast, err32), (kernel.logits(mask), err64)):
                 assert all(abs(Fraction(v) - r) <= e for v, r, e in zip(z.tolist(), real, err))
+            for rows in ([0, 2, 5], [3], [5, 1]):
+                z = kernel._exact(kernel.keep(mask), np.array(rows)).tolist()
+                assert all(abs(Fraction(v) - real[r]) <= err64[r] for v, r in zip(z, rows))
 
 
 def straddling_instance():
@@ -459,6 +462,8 @@ def straddling_instance():
 
 class TestFloat32Pass:
     def test_logit_within_float32_error_takes_the_exact_pass(self, fallbacks):
+        # float32 cannot vouch for the x = 1 rows, but the exact pass's own
+        # operations on those two rows put them far past twice err64
         model, data, eps = straddling_instance()
         kernel = MaskedForward(model, data.features)
         err64, err32 = kernel._errors
@@ -482,16 +487,17 @@ class TestFloat32Pass:
         expected = [reference_price(model, data, s, PRICE_PARAMS) for s in states]
         alone = (fast >= 0.0).astype(np.int64)  # what float32 alone would predict
         assert fd.f1(fd.confusion(alone, data.labels)) == 1.0 != expected[0][2]
+        assert (eps > 2 * err64[straddling] + _SIGMOID_HALF_WINDOW).all()
         evaluator = fd.CostEvaluator(model, data, PRICE_PARAMS)
         assert [tuple(evaluator.price(s)) for s in states] == expected
-        assert len(fallbacks) == doubtful
+        assert (len(fallbacks), len(fallbacks.settled)) == (0, doubtful)
         assert [tuple(e) for e in evaluator.evaluate_many(states)] == expected
-        assert len(fallbacks) == 2 * doubtful
+        assert (len(fallbacks), len(fallbacks.settled)) == (0, 2 * doubtful)
         space = fairdrop.oracle.price_space(model, data, fd.SearchSpaceBounds(2, 0, 2),
                                             PRICE_PARAMS)
         assert list(zip(space.keys.tolist(), space.cost.tolist(), space.eod.tolist(),
                         space.f1.tolist())) == [(s.bits, *e) for s, e in zip(states, expected)]
-        assert len(fallbacks) == 3 * doubtful
+        assert (len(fallbacks), len(fallbacks.settled)) == (0, 3 * doubtful)
 
     @pytest.mark.parametrize("case", ["activations", "weight", "output"])
     def test_model_past_float32_range_takes_the_exact_pass(self, fallbacks, case):
@@ -536,7 +542,7 @@ class TestFloat32Pass:
         priced = {bits: (c, None if e != e else e, f) for bits, c, e, f in zip(
             space.keys.tolist(), space.cost.tolist(), space.eod.tolist(), space.f1.tolist())}
         assert [priced[s.bits] for s in states] == expected
-        assert len(fallbacks) == 2 * len(states) + (1 << n)
+        assert len(fallbacks) == 2 * len(states) + (1 << n) and fallbacks.settled == []
 
     def test_batched_pass_runs_in_float32(self, small_instance, monkeypatch):
         # a float32 block times a float64 indicator would copy the block up

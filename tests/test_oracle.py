@@ -267,6 +267,27 @@ class TestFactoredPricing:
                 assert space.f1[i] == 0.0  # NaN logits predict no positives
         assert np.isfinite(space.cost).all()
 
+    def test_census_seed_8_needs_no_whole_exact_pass(self, fallbacks, monkeypatch):
+        # The oracle_census benchmark instance at CLI seed 8: one validation
+        # row's logit lies about 2.5e-6 from 0, inside its float32 slack, in
+        # 163 masks of [1,5] (the CLI's single-neuron scan adds one more).
+        # The row check settles each on that row alone, and the columns
+        # equal those of the whole exact pass.
+        data = fd.synthesize_biased(1500, 6, 0.8, seed=21)
+        parts = fd.split(data, 8)
+        model = fd.train(parts, fd.MlpArchitecture((6, 8, 8, 1)),
+                         fd.TrainConfig(learning_rate=0.3, epochs=25, batch_size=64,
+                                        train_dropout_prob=0.1, seed=8))
+        params = fd.baseline_cost_params(model, parts.validation, p=3.0, t=0.98)
+        bounds = SearchSpaceBounds(16, 1, 5)
+        space = fd.oracle.price_space(model, parts.validation, bounds, params)
+        assert (len(fallbacks), len(fallbacks.settled)) == (0, 163)
+        monkeypatch.setattr(MaskedForward, "_settled", lambda *args: False)
+        whole = fd.oracle.price_space(model, parts.validation, bounds, params)
+        assert len(fallbacks) == 163
+        for column in ("keys", "cost", "eod", "f1"):
+            assert np.array_equal(getattr(space, column), getattr(whole, column))
+
     def test_gemm_blocks_and_prefix_batches_stay_within_one_batch(self, monkeypatch):
         # 466 suffixes pair with the empty prefix, over two GEMM blocks of
         # at most _BATCH_ELEMENTS // 300 = 436 suffixes

@@ -178,8 +178,11 @@ class TestCostEvaluatorExactness:
         states = [DropoutState.from_indices(n, (69,)), DropoutState.from_indices(n, range(64, 70))]
         states += [random_state(SearchSpaceBounds(n, 0, n), rng) for _ in range(40)]
         assert n == 70 and sum(s.bits >> 64 != 0 for s in states) > 20
-        for state in states:
-            assert tuple(evaluator.price(state)) == reference_price(model, data, state, PARAMS)
+        expected = [reference_price(model, data, state, PARAMS) for state in states]
+        assert [tuple(evaluator.price(state)) for state in states] == expected
+        # one keep matrix for every state, unpacked from bytes past the eighth
+        many = CostEvaluator(model, data, PARAMS).evaluate_many(states)
+        assert [tuple(e) for e in many] == expected
 
     @pytest.mark.parametrize("group,label", [(0, 0), (0, 1), (1, 0), (1, 1)])
     def test_split_with_an_empty_group_label_cell_rejected_before_pricing(
@@ -221,11 +224,12 @@ def walk(n: int, rng: XorShift64Star, steps: int) -> list[DropoutState]:
     return states
 
 
-def assert_prices_along(model, data, params, states, clean=None):
+def assert_prices_along(model, data, params, states, clean=None, distinct=11):
     """Prices of ``states`` from one evaluator, in turn, and from one
     ``evaluate_many`` of them equal a fresh evaluator's price of each state
     and the reference's; ``clean`` is the model those two price, when not
-    ``model``."""
+    ``model``, and ``distinct`` how many different prices they must take at
+    least."""
     clean = clean or model
     walker = CostEvaluator(model, data, params)
     batched = CostEvaluator(model, data, params).evaluate_many(states)
@@ -237,7 +241,7 @@ def assert_prices_along(model, data, params, states, clean=None):
         assert many == want, state.key_hex()
         seen.add(want)
     # prices that vary along the walk, so that a stale hidden layer shows
-    assert len(seen) > 10
+    assert len(seen) >= distinct
 
 
 class TestPrefixReuse:
@@ -293,6 +297,28 @@ class TestPrefixReuse:
         # the three prefixes price apart, so a stale or shared buffer shows
         assert len({CostEvaluator(model, data, params).price(DropoutState.from_indices(16, p))
                     for p in prefixes.values()}) == 3
+
+    def test_walk_over_negative_output_weights(self, small_instance):
+        # the trained model with every output weight negative and a
+        # negative-zero output bias: a walk's output row assigns +0.0 to a
+        # dropped unit where _output_rows has w * 0.0 = -0.0, down to rows
+        # whose every term is a zero; prices must not change
+        parts, trained, _ = small_instance
+        model = fd.MlpModel(trained.architecture, [*trained.weights[:2], -abs(trained.weights[2])],
+                            [*trained.biases[:2], np.array([-0.0])])
+        data = parts.validation
+        params = fd.CostParams(p=3.0, t=0.98, eod_baseline=0.25, f1_baseline=0.5)
+        rng = XorShift64Star(79)
+        states = walk(16, rng, 200)
+        states += [DropoutState(16, 0xff00 | bits) for bits in (0, 1, 6, 0x80)]
+        assert_prices_along(model, data, params, states, distinct=5)
+        evaluator = CostEvaluator(model, data, params)
+        forward = evaluator._forward
+        evaluator.price(states[-4])  # every last-layer unit dropped
+        row, hidden = evaluator._row, evaluator._recent[0][1][0]
+        dropped = forward._output_rows(np.zeros((1, 8)))[0]
+        assert np.signbit(dropped).all() and not np.signbit(row[:-1]).any()
+        assert (dropped @ hidden == 0.0).all() and (row @ hidden == 0.0).all()
 
     def test_nan_in_a_dropped_last_layer_unit_never_reaches_the_output(self, small_instance,
                                                                        monkeypatch):
