@@ -346,11 +346,10 @@ def cmd_repair(args) -> int:
             summary[f"{kind}_{phase}_{metric}"] = mean_ci(values)
     write_json(os.path.join(out, f"repair_summary_{alg}.json"), summary)
 
-    if "repaired_validation_eod" in summary and "baseline_validation_eod" in summary:
-        b = summary["baseline_validation_eod"]
-        r = summary["repaired_validation_eod"]
-        print(f"validation EOD mean {_pct(b['mean'])} -> {_pct(r['mean'])} "
-              f"(+/- {100.0 * r['ci95']:.3f} points, {CI_FORMULA})")
+    b = summary["baseline_validation_eod"]
+    r = summary["repaired_validation_eod"]
+    print(f"validation EOD mean {_pct(b['mean'])} -> {_pct(r['mean'])} "
+          f"(+/- {100.0 * r['ci95']:.3f} points, {CI_FORMULA})")
     print(f"{summary['successes']}/{summary['runs']} runs met the F1 floor; "
           f"reports in {out}")
     return 0 if summary["successes"] == summary["runs"] else 3
@@ -371,7 +370,7 @@ def cmd_sweep(args) -> int:
             test_eod = rec["repaired"]["test"]["eod"]
             rows.append(",".join((
                 repr(p), str(seed),
-                "undefined" if val_eod == "undefined" else repr(val_eod),
+                repr(val_eod),
                 "undefined" if test_eod == "undefined" else repr(test_eod),
                 "1" if rec["success"] else "0",
             )))

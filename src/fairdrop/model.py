@@ -114,17 +114,18 @@ class MlpModel:
         self.weights = weights
         self.biases = biases
         self.neuron_order = neuron_order
+        self.hidden_total = architecture.hidden_total
 
-    @property
-    def hidden_total(self) -> int:
-        return self.architecture.hidden_total
+    def check_mask(self, mask) -> None:
+        """Raise ShapeError unless ``mask`` covers exactly the hidden neurons."""
+        if mask.n != self.hidden_total:
+            raise ShapeError(f"mask covers {mask.n} neurons, model has {self.hidden_total}")
 
     def masked_units_per_layer(self, mask) -> list[list[int]]:
         """Local unit indices to zero in each hidden layer under `mask`."""
         per_layer: list[list[int]] = [[] for _ in self.architecture.hidden_sizes]
         if mask is not None:
-            if mask.n != self.hidden_total:
-                raise ShapeError(f"mask covers {mask.n} neurons, model has {self.hidden_total}")
+            self.check_mask(mask)
             for bit in mask.indices():
                 layer, unit = self.neuron_order[bit]
                 per_layer[layer].append(unit)
@@ -163,6 +164,10 @@ _F32_RANGE = 1e30
 # float32 values in one layer's stacked outputs (masks x units x rows).
 _BATCH_ELEMENTS = 1 << 17
 
+# The keep factors of each byte value's eight bits, lowest bit first.
+_KEEP_BYTES = 1.0 - np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
+                                  bitorder="little")
+
 
 def _gamma(k: int, u: float) -> float:
     """Higham's bound on k roundings of unit roundoff u compounded."""
@@ -177,13 +182,14 @@ class MaskedForward:
     ``relu(X @ W0.T + b0)``.  Masks then run over that layer in one of two
     passes.  ``logits`` and ``predict`` run the exact pass for one mask, in
     float64: every later layer on fresh arrays, with the dropped units'
-    activations zeroed by assignment.  The batched pass runs in float32:
-    ``_batch_hidden`` takes up to ``batch_size`` masks through one matmul
-    per later hidden layer to the last one, which a mask's bits in the
-    earlier layers (``prefix_bits``) alone set, and ``_output_rows`` builds
-    the output rows for keep factors of the last layer's units
-    (``suffix_bits``); ``CostEvaluator`` and the oracle pair the two in
-    GEMMs of their own.  Their logits give the exact pass's predictions
+    activations zeroed by assignment.  The batched pass runs in float32 and
+    takes masks as their integer state keys, which only ``keep_rows``
+    unpacks to keep factors: ``_batch_hidden`` takes up to ``batch_size``
+    masks through one matmul per later hidden layer to the last one, which
+    a mask's bits in the earlier layers (``prefix_bits``) alone set, and
+    ``_output_rows`` builds the output rows from its bits in the last
+    layer (``suffix_bits``); ``CostEvaluator`` and the oracle pair the two
+    in GEMMs of their own.  Their logits give the exact pass's predictions
     behind a certified error bound (``_slack``) that covers both passes'
     rounding: ``_certified`` runs the exact pass's operations on the rows it
     cannot vouch for (the row check, ``_settled``), and sends a mask whose
@@ -212,28 +218,21 @@ class MaskedForward:
         self._capacity = 0  # masks the batched pass's buffers hold
         self._rows = np.empty((0, len(self.suffix_bits) + 1), dtype=np.float32)
 
-    def keep(self, mask) -> np.ndarray:
-        """Keep factors of ``mask``, one per mask bit: 1.0 keeps that neuron,
-        0.0 drops it; all 1.0 when ``mask`` is None."""
-        n = self.model.hidden_total
-        if mask is None:
-            return np.ones(n)
-        if mask.n != n:
-            raise ShapeError(f"mask covers {mask.n} neurons, model has {n}")
-        return self.keep_rows([mask.bits])[0]
-
     def keep_rows(self, keys) -> np.ndarray:
-        """Keep factors (masks, bits) of the masks with integer ``keys``, all
-        from one ``np.unpackbits`` over the keys' little-endian bytes."""
+        """Keep factors (masks, bits) of the masks with integer state
+        ``keys``, 1.0 keeping a neuron and 0.0 dropping it: one fancy index
+        of ``_KEEP_BYTES`` by the keys' little-endian bytes."""
         n = self.model.hidden_total
         width = (n + 7) // 8
-        dropped = np.frombuffer(b"".join(key.to_bytes(width, "little") for key in keys),
+        dropped = np.frombuffer(b"".join(int(key).to_bytes(width, "little") for key in keys),
                                 dtype=np.uint8).reshape(-1, width)
-        return 1.0 - np.unpackbits(dropped, axis=1, count=n, bitorder="little")
+        return _KEEP_BYTES[dropped].reshape(len(dropped), 8 * width)[:, :n]
 
     def logits(self, mask=None) -> np.ndarray:
         """Output-unit logits (pre-sigmoid), one per row, under ``mask``."""
-        return self._exact(self.keep(mask))
+        if mask is not None:
+            self.model.check_mask(mask)
+        return self._exact(self.keep_rows([0 if mask is None else mask.bits])[0])
 
     def _exact(self, keep: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
         """Logits of the exact pass on every row, or on ``rows``, for the mask
@@ -366,30 +365,31 @@ class MaskedForward:
     def _widest_slack(self) -> float:
         return float(self._slack.max())
 
-    def _certified(self, z: np.ndarray | None, count: int, keep_of) -> np.ndarray:
-        """Predictions (masks, rows) of ``count`` masks from their logits
-        ``z`` of a float32 batched pass in any summation order.  A row is
-        trusted only when its logit lies farther from 0 than its ``_slack``;
-        the rows of a mask within it, or NaN, take the row check
-        (``_settled``) on the keep factors ``keep_of(m)``, and a mask it does
-        not settle goes through the exact pass, as does every mask when
-        there is no slack (``z`` is then None: a caller skips the batched
-        pass).
+    def _certified(self, z: np.ndarray | None, keys) -> np.ndarray:
+        """Predictions (masks, rows) of the masks with state ``keys`` from
+        their logits ``z`` of a float32 batched pass in any summation order.
+        A row is trusted only when its logit lies farther from 0 than its
+        ``_slack``; the rows of a mask within it, or NaN, take the row check
+        (``_settled``), and a mask it does not settle goes through the exact
+        pass, as does every mask when there is no slack (``z`` is then None:
+        a caller skips the batched pass).  Only those masks' keys are
+        unpacked, in one ``keep_rows``.
         When every logit clears the widest slack, no row needs its own
         test.  ``z`` is overwritten."""
         doubtful = None
         if z is None:
-            preds = np.empty((count, self._first.shape[0]), dtype=bool)
-            unsafe = range(count)
+            preds = np.empty((len(keys), self._first.shape[0]), dtype=bool)
+            unsafe = range(len(keys))
         else:
             preds = z >= 0.0
             np.abs(z, out=z)
-            unsafe = ()
-            if not z.min() > self._widest_slack:  # also when z holds a NaN
-                doubtful = ~(z > self._slack)
-                unsafe = np.flatnonzero(doubtful.any(axis=1))
-        for m in unsafe:
-            keep = keep_of(m)
+            if z.min() > self._widest_slack:  # not when z holds a NaN
+                return preds
+            doubtful = ~(z > self._slack)
+            unsafe = np.flatnonzero(doubtful.any(axis=1))
+            if not len(unsafe):
+                return preds
+        for m, keep in zip(unsafe, self.keep_rows([keys[m] for m in unsafe])):
             if doubtful is None or not self._settled(keep, np.flatnonzero(doubtful[m]), preds[m]):
                 preds[m] = _threshold(self._exact(keep))
         return preds
@@ -409,15 +409,15 @@ class MaskedForward:
         preds[rows] = z > 0.0
         return True
 
-    def _batch_hidden(self, keep: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def _batch_hidden(self, keys, out: np.ndarray | None = None) -> np.ndarray:
         """Last hidden layer's float32 activations (masks, units + 1, rows)
-        of the batched pass for up to ``batch_size`` masks, with the last row
-        of ones that carries the output bias: in ``out`` when given (float32,
-        its last row ones), else in the pass's buffers, which the next call
-        overwrites.  Only the keep factors of the earlier hidden layers are
-        read; with one hidden layer every mask shares the cached first
-        layer."""
-        B = keep.shape[0]
+        of the batched pass for the masks with state ``keys``, up to
+        ``batch_size`` of them, with the last row of ones that carries the
+        output bias: in ``out`` when given (float32, its last row ones), else
+        in the pass's buffers, which the next call overwrites.  Only a key's
+        bits in the earlier hidden layers are read; with one hidden layer
+        every mask shares the cached first layer."""
+        B = len(keys)
         H, weight_stacks, out_stacks = self._batch_buffers(B)
         outs = [stack[:B] for stack in out_stacks]
         if out is not None:
@@ -425,6 +425,7 @@ class MaskedForward:
                 out[:] = H
                 return out
             outs[-1] = out
+        keep = self.keep_rows(keys) if outs else None
         for i, (W, Wf, A) in enumerate(zip(self.model.weights[1:-1], weight_stacks, outs)):
             Wf = Wf[:B]
             np.multiply(W, keep[:, None, self._bits[i]], out=Wf[:, :, :-1])
@@ -433,20 +434,22 @@ class MaskedForward:
             H = A
         return np.broadcast_to(H, (B, *H.shape)) if H.ndim == 2 else H
 
-    def _output_rows(self, keep: np.ndarray) -> np.ndarray | None:
-        """Float32 output rows (masks, units + 1) for rows of keep factors of
-        the last hidden layer's units in unit order: the output weights times
-        each row, the bias last to meet ``_batch_hidden``'s row of ones, in a
-        buffer the next call overwrites.  None when the batched pass does not
-        run, as the output layer may lie past float32's range."""
+    def _output_rows(self, keys) -> np.ndarray | None:
+        """Float32 output rows (masks, units + 1) of the masks with state
+        ``keys``: the output weights times the keep factors of a key's bits
+        in the last hidden layer, the bias last to meet ``_batch_hidden``'s
+        row of ones, in a buffer the next call overwrites.  None when the
+        batched pass does not run, as the output layer may lie past
+        float32's range."""
         if self._slack is None:
             return None
-        B = keep.shape[0]
+        B = len(keys)
         if len(self._rows) < B:
             self._rows = np.empty((B, self._rows.shape[1]), dtype=np.float32)
             self._rows[:, -1] = self.model.biases[-1]
         rows = self._rows[:B]
-        np.multiply(self.model.weights[-1][0], keep, out=rows[:, :-1])
+        np.multiply(self.model.weights[-1][0], self.keep_rows(keys)[:, self.suffix_bits],
+                    out=rows[:, :-1])
         return rows
 
 

@@ -169,33 +169,15 @@ def _distinct_text(column: np.ndarray) -> np.ndarray:
     return np.array(text, dtype=object)[inverse]
 
 
-def _position_bits(n: int) -> np.ndarray:
-    """``1 << i`` per bit position i out of n: uint64, or Python ints in an
-    object array when n > 64."""
-    if n > 64:
-        return np.array([1 << i for i in range(n)], dtype=object)
-    return np.uint64(1) << np.arange(n, dtype=np.uint64)
-
-
-def _set_keys(dropped: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """The state key of each set of bit positions, given as rows of a
-    boolean matrix whose columns have the ``_position_bits`` ``bits``: the
-    sum of the set's bits.  Keys of disjoint sets combine by OR."""
-    return np.where(dropped, bits, 0).sum(axis=1)
-
-
-def _subset_blocks(items: int, sizes: range, block: int) -> Iterator[np.ndarray]:
-    """Every subset of range(items) with a size in ``sizes``, by size then
-    in ``itertools.combinations`` order, as boolean rows (subsets, items),
-    at most ``block`` rows at a time."""
-    subsets = itertools.chain.from_iterable(itertools.combinations(range(items), k)
-                                            for k in sizes)
-    while chunk := list(itertools.islice(subsets, block)):
-        sizes_of = [len(subset) for subset in chunk]
-        members = np.fromiter(itertools.chain.from_iterable(chunk), np.intp, sum(sizes_of))
-        rows = np.zeros((len(chunk), items), dtype=bool)
-        rows[np.repeat(np.arange(len(chunk)), sizes_of), members] = True
-        yield rows
+def _subset_keys(positions, sizes: range, dtype, block: int) -> Iterator[np.ndarray]:
+    """The state key of every subset of the bit ``positions`` with a size in
+    ``sizes``, by size then in ``itertools.combinations`` order, at most
+    ``block`` keys at a time, as ``dtype`` (uint64, or object for Python
+    ints).  Keys of disjoint subsets combine by OR."""
+    bits = [1 << position for position in positions.tolist()]
+    keys = itertools.chain.from_iterable(map(sum, itertools.combinations(bits, k)) for k in sizes)
+    while chunk := list(itertools.islice(keys, block)):
+        yield np.array(chunk, dtype=dtype)
 
 
 def price_space(model: MlpModel, validation_data: TabularDataset, bounds: SearchSpaceBounds,
@@ -205,9 +187,10 @@ def price_space(model: MlpModel, validation_data: TabularDataset, bounds: Search
 
     A mask splits into a *prefix*, its bits in every hidden layer but the
     last, and a *suffix*, its bits in the last hidden layer (the positions
-    come from the model's ``neuron_order``).  Prefixes go by weight w; they
-    and the suffixes that pair with weight w stream from ``_subset_blocks``
-    in ``itertools.combinations`` order.  For each suffix block, its output
+    come from the model's ``neuron_order``).  Prefixes go by weight w; their
+    state keys and those of the suffixes that pair with weight w stream from
+    ``_subset_keys`` in ``itertools.combinations`` order, and a mask's key
+    is its prefix's OR its suffix's.  For each suffix block, its output
     rows (``MaskedForward._output_rows``) are built once, and each prefix of
     weight w runs through the hidden layers, many prefixes per batch of
     ``MaskedForward``'s batched pass, to its last-hidden-layer activations;
@@ -216,8 +199,9 @@ def price_space(model: MlpModel, validation_data: TabularDataset, bounds: Search
     weight fill one block, as they do on desk-scale spaces, each prefix runs
     through the hidden layers once; a wider last layer runs them once per
     block instead of holding every suffix.  Every row is certified one
-    prefix at a time (``MaskedForward._certified``): a mask with any row
-    within the slack goes through the exact pass.  A second float32
+    prefix at a time (``MaskedForward._certified``, on the masks' keys): a
+    mask with any row within the slack takes the row check, then, if that
+    does not settle it, the exact pass.  A second float32
     GEMM, of the block's 0/1 predictions against ``split_indicator``'s
     (group, label) indicator, counts each mask's predicted positives per
     (group, label) exactly.  Last, one ``argsort`` puts the counts in
@@ -238,39 +222,29 @@ def price_space(model: MlpModel, validation_data: TabularDataset, bounds: Search
         raise SearchSpaceError(f"bounds cover {n} neurons, model has {model.hidden_total}")
     indicator, totals = split_indicator(validation_data)
     kernel = MaskedForward(model, validation_data.features)
-    rows = kernel._first.shape[0]
-    bits = _position_bits(n)
+    rows = len(indicator)
+    dtype = np.uint64 if n <= 64 else object
     last, prefix_bits = kernel.suffix_bits, kernel.prefix_bits
     h = len(last)
 
     block = max(1, _BATCH_ELEMENTS // max(rows, h + 1))
     logits = np.empty((block, rows), dtype=np.float32)
-    keys = np.empty(total, dtype=bits.dtype)
+    keys = np.empty(total, dtype=dtype)
     positives = np.empty((total, 4), dtype=np.int32)
-
-    def full_keep(i):  # keep factors of the block's suffix i joined to prefix b
-        row = keep[b].copy()
-        row[last] = ~dropped[i]
-        return row
-
     f = 0
     for w in range(max(0, bounds.n_l - h), min(bounds.n_u, len(prefix_bits)) + 1):
         suffix_sizes = range(max(0, bounds.n_l - w), min(h, bounds.n_u - w) + 1)
-        for dropped in _subset_blocks(h, suffix_sizes, block):
-            m = len(dropped)
-            suffix_key = _set_keys(dropped, bits[last])
-            out_rows = kernel._output_rows(~dropped)
-            for batch in _subset_blocks(len(prefix_bits), range(w, w + 1), kernel.batch_size):
-                keep = np.ones((len(batch), n))
-                keep[:, prefix_bits] = ~batch
-                prefix_key = _set_keys(batch, bits[prefix_bits])
-                span = slice(f, f + len(batch) * m)
-                keys[span] = (prefix_key[:, None] | suffix_key).ravel()
-                hidden = None if out_rows is None else kernel._batch_hidden(keep)
-                for b in range(len(batch)):
+        for suffix_key in _subset_keys(last, suffix_sizes, dtype, block):
+            m = len(suffix_key)
+            out_rows = kernel._output_rows(suffix_key)
+            for prefix_key in _subset_keys(prefix_bits, range(w, w + 1), dtype,
+                                           kernel.batch_size):
+                keys[f:f + len(prefix_key) * m] = (prefix_key[:, None] | suffix_key).ravel()
+                hidden = None if out_rows is None else kernel._batch_hidden(prefix_key)
+                for b in range(len(prefix_key)):
                     z = None if hidden is None else np.matmul(out_rows, hidden[b], out=logits[:m])
                     # the 0/1 predictions go through the logits' buffer as floats
-                    np.copyto(logits[:m], kernel._certified(z, m, full_keep))
+                    np.copyto(logits[:m], kernel._certified(z, keys[f:f + m]))
                     positives[f:f + m] = logits[:m] @ indicator
                     f += m
     order = np.argsort(keys)

@@ -218,7 +218,8 @@ class CostEvaluator:
     walk's flips in the last layer leave them as they were.  The evaluator
     keeps those of the two most recent prefixes in float32 buffers of its
     own, and a price whose prefix is one of them runs only the output
-    layer and builds no keep factors.  A price is then one float32 GEMV of
+    layer and unpacks no keep factors (``MaskedForward`` takes masks as
+    their state keys).  A price is then one float32 GEMV of
     the mask's output row (the unmasked one with 0.0 assigned to each
     dropped last-layer unit) against that layer, certified as in the
     batched pass (``MaskedForward._certified``), one GEMV of the
@@ -253,11 +254,12 @@ class CostEvaluator:
     @functools.cached_property
     def _output(self) -> np.ndarray:
         """The unmasked output row (units + 1) of ``MaskedForward._output_rows``."""
-        return self._forward._output_rows(np.ones((1, len(self._row) - 1)))[0].copy()
+        return self._forward._output_rows([0])[0].copy()
 
     def price(self, state: DropoutState) -> CostEvaluation:
         """Price one mask, bypassing the memo cache."""
         forward = self._forward
+        forward.model.check_mask(state)
         z = None
         if forward._slack is not None:
             row = self._row
@@ -269,7 +271,7 @@ class CostEvaluator:
                 dropped ^= low
             z = self._z
             np.matmul(row, self._hidden(state.bits & self._prefix_mask), out=z[0])
-        preds = forward._certified(z, 1, lambda _: forward.keep(state))
+        preds = forward._certified(z, [state.bits])
         return _count_cost((preds[0] @ self._indicator).tolist(), *self._cost_terms)
 
     def _hidden(self, prefix: int) -> np.ndarray:
@@ -278,8 +280,7 @@ class CostEvaluator:
         recent = self._recent
         if recent[0][0] != prefix:
             if recent[1][0] != prefix:
-                keep = self._forward.keep_rows([prefix])
-                recent[1] = (prefix, self._forward._batch_hidden(keep, out=recent[1][1]))
+                recent[1] = (prefix, self._forward._batch_hidden([prefix], out=recent[1][1]))
             recent.reverse()
         return recent[0][1][0]
 
@@ -297,33 +298,33 @@ class CostEvaluator:
         label), and ``cell_costs`` prices them: the values ``price`` gives.
         """
         states = list(states)
-        fresh = {s.bits: s for s in states if s.bits not in self._cache}
+        fresh = dict.fromkeys(s.bits for s in states if s.bits not in self._cache)
         if fresh:
-            groups: dict[int, list[DropoutState]] = {}
-            for s in fresh.values():
-                groups.setdefault(s.bits & self._prefix_mask, []).append(s)
-            # the states by prefix, each group one slice of them
-            grouped = [s for group in groups.values() for s in group]
+            groups: dict[int, list[int]] = {}
+            for bits in fresh:
+                groups.setdefault(bits & self._prefix_mask, []).append(bits)
+            prefixes = list(groups)
+            # the states' keys by prefix, each group one slice of them
+            keys = [bits for group in groups.values() for bits in group]
             ends = np.cumsum([len(group) for group in groups.values()]).tolist()
             forward = self._forward
-            keep = forward.keep_rows(s.bits for s in grouped)
-            rows = forward._output_rows(keep[:, forward.suffix_bits])
+            rows = forward._output_rows(keys)
             starts = [0, *ends[:-1]]
-            positives = np.empty((len(grouped), 4))
+            positives = np.empty((len(keys), 4))
             for first in range(0, len(ends), forward.batch_size):
                 batch = slice(first, first + forward.batch_size)
                 lo, hi = starts[first], ends[batch][-1]
                 z = None
                 if rows is not None:
-                    hidden = forward._batch_hidden(keep[starts[batch]])
+                    hidden = forward._batch_hidden(prefixes[batch])
                     z = np.empty((hi - lo, len(self._indicator)), dtype=np.float32)
                     for b, (start, end) in enumerate(zip(starts[batch], ends[batch])):
                         np.matmul(rows[start:end], hidden[b], out=z[start - lo:end - lo])
-                preds = forward._certified(z, hi - lo, lambda m: keep[lo + m])
+                preds = forward._certified(z, keys[lo:hi])
                 positives[lo:hi] = preds @ self._indicator
             cost, eod, f1s = cell_costs(positives, self._totals, *self._cost_terms[1:])
-            priced = {s.bits: CostEvaluation(*values)
-                      for s, *values in zip(grouped, cost.tolist(), eod.tolist(), f1s.tolist())}
+            priced = {bits: CostEvaluation(*values)
+                      for bits, *values in zip(keys, cost.tolist(), eod.tolist(), f1s.tolist())}
             self._cache.update((bits, priced[bits]) for bits in fresh)
             self.evaluations += len(fresh)
         return [self._cache[s.bits] for s in states]

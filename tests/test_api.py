@@ -47,6 +47,10 @@ DELETED = [
     ("search", "DropoutState.empty"),
     ("metrics", "positive_cells"),
     ("metrics", "group_label_key"),
+    ("model", "MaskedForward.keep"),
+    ("oracle", "_subset_blocks"),
+    ("oracle", "_set_keys"),
+    ("oracle", "_position_bits"),
 ]
 
 # perfbench/tracer.py wraps these by name (a missing one stops a traced run

@@ -223,32 +223,45 @@ class TestMaskedForward:
         with pytest.raises(ShapeError):
             MaskedForward(hand_model(), np.zeros((3, 5)))
 
+    @pytest.mark.parametrize("n", [1, 8, 9, 64, 70])
+    def test_keep_rows_equal_unpacked_bits(self, n):
+        # the byte table against one unpackbits over the keys' bytes
+        rng = XorShift64Star(n)
+        model = random_small_model(rng, (2, n, 1))
+        kernel = MaskedForward(model, np.zeros((1, 2)))
+        keys = [0, (1 << n) - 1, 1, 1 << (n - 1)]
+        keys += [sum(1 << i for i in rng.sample_indices(n, rng.randint(0, n))) for _ in range(20)]
+        width = (n + 7) // 8
+        packed = np.frombuffer(b"".join(key.to_bytes(width, "little") for key in keys),
+                               dtype=np.uint8).reshape(-1, width)
+        expected = 1.0 - np.unpackbits(packed, axis=1, count=n, bitorder="little")
+        keep = kernel.keep_rows(keys)
+        assert keep.dtype == expected.dtype and np.array_equal(keep, expected)
+        assert keep[0].all() and not keep[1].any()
 
-def keep_rows(masks, n) -> np.ndarray:
-    """Keep factors of ``masks``: one row per mask, 0.0 on dropped bits."""
-    keep = np.ones((len(masks), n))
-    for row, mask in zip(keep, masks):
-        row[list(mask.indices())] = 0.0
-    return keep
+
+def mask_keys(masks) -> list[int]:
+    """The state key of each of ``masks``."""
+    return [mask.bits for mask in masks]
 
 
 def exact_predictions(kernel, masks) -> np.ndarray:
     return np.array([kernel.predict(mask) for mask in masks])
 
 
-def batched_logits(kernel, keep) -> np.ndarray | None:
-    """The batched pass's float32 logits (masks, rows) for rows of keep
-    factors: each mask's output row against its own last hidden layer, or
+def batched_logits(kernel, keys) -> np.ndarray | None:
+    """The batched pass's float32 logits (masks, rows) for masks with state
+    ``keys``: each mask's output row against its own last hidden layer, or
     None when the batched pass does not run."""
-    rows = kernel._output_rows(keep[:, kernel.suffix_bits])
+    rows = kernel._output_rows(keys)
     if rows is None:
         return None
-    return np.matmul(rows[:, None], kernel._batch_hidden(keep))[:, 0]
+    return np.matmul(rows[:, None], kernel._batch_hidden(keys))[:, 0]
 
 
-def batched_predictions(kernel, keep) -> np.ndarray:
+def batched_predictions(kernel, keys) -> np.ndarray:
     """The batched pass's certified predictions (masks, rows)."""
-    return kernel._certified(batched_logits(kernel, keep), len(keep), keep.__getitem__)
+    return kernel._certified(batched_logits(kernel, keys), keys)
 
 
 def caller_prices(model, data, states) -> list[list[tuple]]:
@@ -290,7 +303,7 @@ class TestBatchedPass:
         n = model.hidden_total
         for count in (1, 7, kernel.batch_size):
             masks = random_masks(rng, n, count)
-            assert np.array_equal(batched_predictions(kernel, keep_rows(masks, n)),
+            assert np.array_equal(batched_predictions(kernel, mask_keys(masks)),
                                   exact_predictions(kernel, masks))
         data = signs_dataset(X)
         expected = [reference_price(model, data, s, PRICE_PARAMS) for s in masks]
@@ -306,7 +319,7 @@ class TestBatchedPass:
         kernel = MaskedForward(model, X)
         n = model.hidden_total
         masks = random_masks(rng, n, min(kernel.batch_size, 40))
-        assert np.array_equal(batched_predictions(kernel, keep_rows(masks, n)),
+        assert np.array_equal(batched_predictions(kernel, mask_keys(masks)),
                               exact_predictions(kernel, masks))
 
     def test_batch_size_shrinks_as_rows_grow(self):
@@ -325,7 +338,7 @@ class TestBatchedPass:
         data = fd.TabularDataset(np.array([[-z], [3.0], [3.0], [3.0]]), np.array([1, 0, 1, 0]),
                                  np.array([0, 0, 1, 1]), ("x",))
         kernel = MaskedForward(model, data.features)
-        preds = batched_predictions(kernel, np.ones((1, 1)))
+        preds = batched_predictions(kernel, [0])
         assert preds.tolist() == [kernel.predict().tolist()] == [[z == -1e-17] + [False] * 3]
         empty = DropoutState(1, 0)
         expected = reference_price(model, data, empty, PRICE_PARAMS)
@@ -351,7 +364,7 @@ class TestBatchedPass:
             assert kernel._slack is None
             masks = [DropoutState.from_indices(n, (bit,)), DropoutState.from_indices(n, ()),
                      DropoutState.from_indices(n, ((bit + 1) % n,))]
-            assert np.array_equal(batched_predictions(kernel, keep_rows(masks, n)),
+            assert np.array_equal(batched_predictions(kernel, mask_keys(masks)),
                                   exact_predictions(kernel, masks))
             evaluator = fd.CostEvaluator(poisoned, data, PRICE_PARAMS)
             assert [tuple(evaluator.price(s)) for s in masks] == [
@@ -374,9 +387,9 @@ class TestBatchedPass:
         bit = model.neuron_order.index((1, 2))
         masks = [DropoutState.from_indices(n, (bit,)), DropoutState.from_indices(n, (bit, 0)),
                  DropoutState.from_indices(n, (0,))]
-        keep = keep_rows(masks, n)
-        assert np.isnan(batched_logits(kernel, keep)).any(axis=1).all()
-        preds = batched_predictions(kernel, keep)
+        keys = mask_keys(masks)
+        assert np.isnan(batched_logits(kernel, keys)).any(axis=1).all()
+        preds = batched_predictions(kernel, keys)
         assert np.array_equal(preds, exact_predictions(kernel, masks))
         assert preds[0].any()  # the dropped NaN unit does not blank the mask
         data = signs_dataset(X)
@@ -407,7 +420,8 @@ class TestBatchedPass:
         bit = model.neuron_order.index((1, 2))
         masks = [DropoutState.from_indices(n, (bit,)), DropoutState.from_indices(n, (bit, 0)),
                  DropoutState.from_indices(n, (0,))]
-        assert np.isnan(forward._exact(forward.keep(masks[2]), np.arange(30))).all()
+        keep = forward.keep_rows([masks[2].bits])[0]
+        assert np.isnan(forward._exact(keep, np.arange(30))).all()
         assert [tuple(evaluator.price(s)) for s in masks] == [
             reference_price(poisoned, data, s, PRICE_PARAMS) for s in masks]
         assert (len(fallbacks), len(fallbacks.settled)) == (1, 2)
@@ -424,7 +438,7 @@ class TestBatchedPass:
         n = model.hidden_total
         err64, err32 = ([Fraction(e) for e in err.tolist()] for err in kernel._errors)
         masks = [DropoutState(n, bits) for bits in range(0, 1 << n, 37)]
-        batched = batched_logits(kernel, keep_rows(masks, n))
+        batched = batched_logits(kernel, mask_keys(masks))
         for mask, fast in zip(masks, batched):
             dropped = model.masked_units_per_layer(mask)
             A = [[Fraction(a) * (u not in dropped[0]) for u, a in enumerate(row)]
@@ -439,7 +453,7 @@ class TestBatchedPass:
             for z, err in ((fast, err32), (kernel.logits(mask), err64)):
                 assert all(abs(Fraction(v) - r) <= e for v, r, e in zip(z.tolist(), real, err))
             for rows in ([0, 2, 5], [3], [5, 1]):
-                z = kernel._exact(kernel.keep(mask), np.array(rows)).tolist()
+                z = kernel._exact(kernel.keep_rows([mask.bits])[0], np.array(rows)).tolist()
                 assert all(abs(Fraction(v) - real[r]) <= err64[r] for v, r in zip(z, rows))
 
 
@@ -468,7 +482,7 @@ class TestFloat32Pass:
         kernel = MaskedForward(model, data.features)
         err64, err32 = kernel._errors
         straddling = [0, 2]
-        fast = batched_logits(kernel, np.ones((1, 2)))[0]
+        fast = batched_logits(kernel, [0])[0]
         assert kernel.logits()[straddling].tolist() == [-eps, -eps]
         assert (fast[straddling] > err64[straddling] + _SIGMOID_HALF_WINDOW).all()
         assert (eps > err64[straddling] + _SIGMOID_HALF_WINDOW).all()
@@ -479,7 +493,7 @@ class TestFloat32Pass:
         # state and under the one dropping both units (logit -3 * 2**-30);
         # dropping one unit moves them far out
         doubtful = 2
-        assert np.array_equal(batched_predictions(kernel, keep_rows(states, 2)),
+        assert np.array_equal(batched_predictions(kernel, mask_keys(states)),
                               exact_predictions(kernel, states))
         assert np.array_equal(exact_predictions(kernel, states),
                               [reference_predictions(model, data.features, s) == 1
@@ -527,7 +541,7 @@ class TestFloat32Pass:
         assert kernel._errors is None and kernel._slack is None
         n = model.hidden_total
         states = [DropoutState(n, bits) for bits in range(0, 1 << n, 5)]
-        preds = batched_predictions(kernel, keep_rows(states, n))
+        preds = batched_predictions(kernel, mask_keys(states))
         assert np.array_equal(preds, exact_predictions(kernel, states))
         assert np.array_equal(preds, [reference_predictions(model, X, s) == 1 for s in states])
         expected = [reference_price(model, data, s, PRICE_PARAMS) for s in states]
@@ -553,9 +567,9 @@ class TestFloat32Pass:
         certified = MaskedForward._certified
         indicator = fairdrop.search.group_label_indicator
 
-        def spy_certified(self, z, count, keep_of):
+        def spy_certified(self, z, keys):
             logits.append(z.dtype)
-            return certified(self, z, count, keep_of)
+            return certified(self, z, keys)
 
         def spy_indicator(*args):
             indicators.append(indicator(*args))

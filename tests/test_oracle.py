@@ -188,8 +188,9 @@ class TestPriceSpace:
         space = assert_columns_equal_evaluator(model, data, b, params, step=23)
         assert [row[0] for row in space.rows()] == [s.key_hex() for s in by_key(b)]
 
-    @pytest.mark.parametrize("sizes, n_l, n_u", [((3, 8, 8, 1), 1, 5), ((3, 40, 30, 1), 0, 2)],
-                             ids=["census_size", "object_keys"])
+    @pytest.mark.parametrize("sizes, n_l, n_u", [((3, 8, 8, 1), 1, 5), ((3, 34, 30, 1), 0, 2),
+                                                 ((3, 40, 30, 1), 0, 2)],
+                             ids=["census_size", "bit_63", "object_keys"])
     def test_rows_ascend_by_key_and_cover_the_space(self, sizes, n_l, n_u):
         model = random_small_model(XorShift64Star(47), sizes)
         data = tiny_data(seed=48)
@@ -297,13 +298,13 @@ class TestFactoredPricing:
         blocks, batches = [], []
         certified, hidden = MaskedForward._certified, MaskedForward._batch_hidden
 
-        def spy_certified(self, z, count, keep_of):
+        def spy_certified(self, z, keys):
             blocks.append(z.shape)
-            return certified(self, z, count, keep_of)
+            return certified(self, z, keys)
 
-        def spy_hidden(self, keep, out=None):
-            batches.append((len(keep), self.batch_size))
-            return hidden(self, keep, out)
+        def spy_hidden(self, keys, out=None):
+            batches.append((len(keys), self.batch_size))
+            return hidden(self, keys, out)
         monkeypatch.setattr(MaskedForward, "_certified", spy_certified)
         monkeypatch.setattr(MaskedForward, "_batch_hidden", spy_hidden)
         assert_columns_equal_evaluator(model, data, SearchSpaceBounds(70, 0, 2), params, step=23)

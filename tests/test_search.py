@@ -180,7 +180,7 @@ class TestCostEvaluatorExactness:
         assert n == 70 and sum(s.bits >> 64 != 0 for s in states) > 20
         expected = [reference_price(model, data, state, PARAMS) for state in states]
         assert [tuple(evaluator.price(state)) for state in states] == expected
-        # one keep matrix for every state, unpacked from bytes past the eighth
+        # keys unpacked from bytes past the eighth
         many = CostEvaluator(model, data, PARAMS).evaluate_many(states)
         assert [tuple(e) for e in many] == expected
 
@@ -280,9 +280,9 @@ class TestPrefixReuse:
         runs = []
         hidden = MaskedForward._batch_hidden
 
-        def counted(self, keep, out=None):
+        def counted(self, keys, out=None):
             runs.append(self)
-            return hidden(self, keep, out)
+            return hidden(self, keys, out)
         monkeypatch.setattr(MaskedForward, "_batch_hidden", counted)
         prefixes = {"A": (), "B": (0,), "C": (1,)}
         turns = "ABACABCA"
@@ -316,7 +316,7 @@ class TestPrefixReuse:
         forward = evaluator._forward
         evaluator.price(states[-4])  # every last-layer unit dropped
         row, hidden = evaluator._row, evaluator._recent[0][1][0]
-        dropped = forward._output_rows(np.zeros((1, 8)))[0]
+        dropped = forward._output_rows([0xff00])[0]
         assert np.signbit(dropped).all() and not np.signbit(row[:-1]).any()
         assert (dropped @ hidden == 0.0).all() and (row @ hidden == 0.0).all()
 
