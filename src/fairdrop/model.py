@@ -183,10 +183,11 @@ class MaskedForward:
     passes.  ``logits`` and ``predict`` run the exact pass for one mask, in
     float64: every later layer on fresh arrays, with the dropped units'
     activations zeroed by assignment.  The batched pass runs in float32 and
-    takes masks as their integer state keys, which only ``keep_rows``
-    unpacks to keep factors: ``_batch_hidden`` takes up to ``batch_size``
-    masks through one matmul per later hidden layer to the last one, which
-    a mask's bits in the earlier layers (``prefix_bits``) alone set, and
+    takes masks as their integer state keys: ``_batch_hidden`` takes up to
+    ``batch_size`` masks through one matmul per later hidden layer to the
+    last one, which a mask's bits in the earlier layers (``prefix_bits``)
+    alone set, its weights scaled by a batch's keep factors (``keep_rows``)
+    or, for one mask, its dropped units' columns assigned 0.0, and
     ``_output_rows`` builds the output rows from its bits in the last
     layer (``suffix_bits``); ``CostEvaluator`` and the oracle pair the two
     in GEMMs of their own.  Their logits give the exact pass's predictions
@@ -212,6 +213,7 @@ class MaskedForward:
         self._bits = [np.array([position[layer, unit] for unit in range(size)])
                       for layer, size in enumerate(model.architecture.hidden_sizes)]
         self.prefix_bits = np.concatenate([np.empty(0, np.intp), *self._bits[:-1]])
+        self._prefix_key = sum(1 << bit for bit in self.prefix_bits.tolist())
         self.suffix_bits = self._bits[-1]
         widest = max(model.architecture.layer_sizes[2:])
         self.batch_size = max(1, _BATCH_ELEMENTS // max(1, n * widest))
@@ -343,23 +345,25 @@ class MaskedForward:
         """Float32 buffers of the batched pass's hidden layers, each layer's
         input carrying a last row of ones so that its bias rides in the
         matmul as one more term: the first layer as (units + 1, rows), and
-        for each later hidden layer copies of its weights with the bias as
-        last column, and its outputs as (masks, units + 1, rows).  They hold
-        as many masks as the largest batch run so far, so a kernel that
-        prices one mask at a time holds one."""
+        for each later hidden layer copies of ``_weights32``, and its outputs
+        as (masks, units + 1, rows).  They hold as many masks as the largest
+        batch run so far, so a kernel that prices one mask at a time holds
+        one."""
         if self._capacity < B:
             n = self._first.shape[0]
             first = np.ones((self._first.shape[1] + 1, n), dtype=np.float32)
             first[:-1] = self._first.T
-            weights, outs = [], []
-            for W, b in zip(self.model.weights[1:-1], self.model.biases[1:-1]):
-                stack = np.empty((B, W.shape[0], W.shape[1] + 1), dtype=np.float32)
-                stack[:, :, -1] = b
-                weights.append(stack)
-                outs.append(np.ones((B, W.shape[0] + 1, n), dtype=np.float32))
+            weights = [np.repeat(W[None], B, axis=0) for W in self._weights32]
+            outs = [np.ones((B, len(W) + 1, n), dtype=np.float32) for W in self._weights32]
             self._buffers = first, weights, outs
             self._capacity = B
         return self._buffers
+
+    @functools.cached_property
+    def _weights32(self) -> list[np.ndarray]:
+        """Each later hidden layer's float32 weights, its bias as last column."""
+        return [np.column_stack((W, b)).astype(np.float32)
+                for W, b in zip(self.model.weights[1:-1], self.model.biases[1:-1])]
 
     @functools.cached_property
     def _widest_slack(self) -> float:
@@ -416,7 +420,11 @@ class MaskedForward:
         output bias: in ``out`` when given (float32, its last row ones), else
         in the pass's buffers, which the next call overwrites.  Only a key's
         bits in the earlier hidden layers are read; with one hidden layer
-        every mask shares the cached first layer."""
+        every mask shares the cached first layer.  A batch of masks scales
+        each layer's weights by their keep factors (``keep_rows``); a single
+        mask copies the unmasked float32 weights and assigns 0.0 to its
+        dropped units' columns, found from its key's set bits, which differs
+        only in the sign of a zero weight."""
         B = len(keys)
         H, weight_stacks, out_stacks = self._batch_buffers(B)
         outs = [stack[:B] for stack in out_stacks]
@@ -425,11 +433,23 @@ class MaskedForward:
                 out[:] = H
                 return out
             outs[-1] = out
-        keep = self.keep_rows(keys) if outs else None
-        for i, (W, Wf, A) in enumerate(zip(self.model.weights[1:-1], weight_stacks, outs)):
-            Wf = Wf[:B]
-            np.multiply(W, keep[:, None, self._bits[i]], out=Wf[:, :, :-1])
-            np.matmul(Wf, H, out=A[:, :-1])
+        if B == 1:
+            for Wf, W in zip(weight_stacks, self._weights32):
+                Wf[0] = W
+            dropped = int(keys[0]) & self._prefix_key
+            while dropped:
+                low = dropped & -dropped
+                layer, unit = self.model.neuron_order[low.bit_length() - 1]
+                weight_stacks[layer][0, :, unit] = 0.0
+                dropped ^= low
+        elif outs:
+            keep = self.keep_rows(keys)
+            for i, (W, Wf) in enumerate(zip(self.model.weights[1:-1], weight_stacks)):
+                np.multiply(W, keep[:, None, self._bits[i]], out=Wf[:B, :, :-1])
+        for Wf, A in zip(weight_stacks, outs):
+            np.matmul(Wf[:B], H, out=A[:, :-1])
+            # over the row of ones too: a ReLU over the unit rows alone
+            # strides past that row in each mask, and takes twice as long
             np.maximum(A, 0.0, out=A)
             H = A
         return np.broadcast_to(H, (B, *H.shape)) if H.ndim == 2 else H

@@ -10,9 +10,9 @@ factored (``price_space``): the hidden layers before the last run once per
 GEMM against the (group, label) indicator counts each mask's predicted
 positives per (group, label), each logit certified as in the searches'
 batched pass, so every value equals one search evaluation's.  The cost dump
-renders each distinct value once.  The single-neuron-drop baseline is the
-best state of the weight-1 window, priced by the same pass: the strongest
-repair a one-neuron method could ever reach.
+renders each distinct (cost, EOD, F1) triple once.  The single-neuron-drop
+baseline is the best state of the weight-1 window, priced by the same pass:
+the strongest repair a one-neuron method could ever reach.
 
 The columns ascend by state key, so the dump lists the states in key order
 and the optimum's tie-break (the smallest state key) is the first minimum;
@@ -152,21 +152,19 @@ class PricedSpace:
 
     def csv_text(self) -> str:
         """The per-state cost dump: ``state_key_hex,cost,eod,f1`` rows, each
-        value its ``repr``.  Each column holds few distinct values, so each
-        is rendered once."""
-        columns = (self.key_hex(), *map(_distinct_text, (self.cost, self.eod, self.f1)))
-        return "state_key_hex,cost,eod,f1\n" + "".join(map("{},{},{},{}\n".format, *columns))
+        value its ``repr``.  The states share few (cost, EOD, F1) triples, so
+        each distinct one, told apart by its bit pattern (``-0.0`` is not
+        ``0.0``), is rendered once as the tail of its rows."""
+        triples = np.stack((self.cost, self.eod, self.f1), axis=1).view(np.dtype((np.void, 24)))
+        distinct, inverse = np.unique(triples.ravel(), return_inverse=True)
+        tails = np.array([",{!r},{!r},{!r}\n".format(*triple)
+                          for triple in distinct.view(np.float64).reshape(-1, 3).tolist()],
+                         dtype=object)
+        return "state_key_hex,cost,eod,f1\n" + "".join(map(str.__add__, self.key_hex(),
+                                                          tails[inverse].tolist()))
 
 
 _HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
-
-
-def _distinct_text(column: np.ndarray) -> np.ndarray:
-    """``repr`` of each value of a float column, computed once per distinct
-    bit pattern."""
-    distinct, inverse = np.unique(column.view(np.uint64), return_inverse=True)
-    text = [repr(v) for v in distinct.view(np.float64).tolist()]
-    return np.array(text, dtype=object)[inverse]
 
 
 def _subset_keys(positions, sizes: range, dtype, block: int) -> Iterator[np.ndarray]:

@@ -218,30 +218,35 @@ class CostEvaluator:
     walk's flips in the last layer leave them as they were.  The evaluator
     keeps those of the two most recent prefixes in float32 buffers of its
     own, and a price whose prefix is one of them runs only the output
-    layer and unpacks no keep factors (``MaskedForward`` takes masks as
-    their state keys).  A price is then one float32 GEMV of
-    the mask's output row (the unmasked one with 0.0 assigned to each
-    dropped last-layer unit) against that layer, certified as in the
-    batched pass (``MaskedForward._certified``), one GEMV of the
-    predictions against the indicator, which counts the mask's predicted
-    positives per (group, label), and ``_count_cost`` of those counts.
+    layer; a new prefix runs the hidden layers for its one mask
+    (``MaskedForward._batch_hidden``), and no price unpacks keep factors.
+    A price is then one float32 GEMV of the mask's output row (the
+    unmasked one with 0.0 assigned to each dropped last-layer unit)
+    against that layer, and ``_positives``: when every logit clears the
+    widest slack, one GEMV of their signs as 0.0/1.0 against the (4, rows)
+    float32 indicator counts the mask's predicted positives per (group,
+    label), and otherwise the logits are certified as in the batched pass
+    (``MaskedForward._certified``).  ``_count_cost`` prices the counts.
     ``evaluate_many`` prices many masks in one factored pass.
     """
 
     def __init__(self, model: MlpModel, validation_data: TabularDataset, params: CostParams):
         self.params = params
-        self._indicator, self._totals = split_indicator(validation_data)
+        indicator, self._totals = split_indicator(validation_data)
+        # (4, rows): one GEMV of a float32 0/1 row against it counts a mask
+        self._indicator = np.ascontiguousarray(indicator.T)
         # the totals, F1 floor and penalty that every price reads
         self._cost_terms = (tuple(self._totals.tolist()), params.f1_floor,
                             params.p * params.eod_baseline)
         self._forward = forward = MaskedForward(model, validation_data.features)
-        self._prefix_mask = sum(1 << bit for bit in forward.prefix_bits.tolist())
+        self._prefix_mask = forward._prefix_key
         # each last-layer unit's output-row column, by its mask bit's value
         self._unit_of = {1 << bit: unit for unit, bit in enumerate(forward.suffix_bits.tolist())}
         self._suffix_mask = sum(self._unit_of)
         units = len(forward.suffix_bits)
-        rows = len(self._indicator)
-        self._z = np.empty((1, rows), dtype=np.float32)
+        rows = len(indicator)
+        # a walk price's logits, their predictions as 0.0/1.0, their sizes
+        self._z, self._preds, self._size = np.empty((3, rows), dtype=np.float32)
         self._row = np.empty(units + 1, dtype=np.float32)
         # (prefix, its last hidden layer as MaskedForward._batch_hidden lays it
         # out), most recent first; the batched pass's own buffers are
@@ -260,19 +265,35 @@ class CostEvaluator:
         """Price one mask, bypassing the memo cache."""
         forward = self._forward
         forward.model.check_mask(state)
+        bits = state.bits
         z = None
         if forward._slack is not None:
             row = self._row
             np.copyto(row, self._output)
-            dropped = state.bits & self._suffix_mask
+            dropped = bits & self._suffix_mask
             while dropped:  # an assigned 0 where _output_rows has w * 0.0
                 low = dropped & -dropped
                 row[self._unit_of[low]] = 0.0
                 dropped ^= low
             z = self._z
-            np.matmul(row, self._hidden(state.bits & self._prefix_mask), out=z[0])
-        preds = forward._certified(z, [state.bits])
-        return _count_cost((preds[0] @ self._indicator).tolist(), *self._cost_terms)
+            np.matmul(row, self._hidden(bits & self._prefix_mask), out=z)
+        return _count_cost(self._positives(z, bits), *self._cost_terms)
+
+    def _positives(self, z: np.ndarray | None, bits: int) -> list[float]:
+        """Predicted positives per (group, label) of the mask with state key
+        ``bits``, from its float32 logits ``z`` (rows), or None when the
+        batched pass does not run.  When every logit clears the widest
+        slack, its predictions are ``z >= 0`` as 0.0/1.0, and one GEMV
+        counts them; otherwise ``MaskedForward._certified`` decides them
+        from ``z`` as given, which it overwrites."""
+        if z is not None:
+            preds, size = self._preds, self._size
+            np.greater_equal(z, 0.0, out=preds)
+            np.abs(z, out=size)
+            if np.minimum.reduce(size) > self._forward._widest_slack:  # not when z holds a NaN
+                return np.matmul(self._indicator, preds).tolist()
+            z = z[None]
+        return (self._indicator @ self._forward._certified(z, [bits])[0]).tolist()
 
     def _hidden(self, prefix: int) -> np.ndarray:
         """The last hidden layer (units + 1, rows) for ``prefix``: kept, or
@@ -298,6 +319,8 @@ class CostEvaluator:
         label), and ``cell_costs`` prices them: the values ``price`` gives.
         """
         states = list(states)
+        for state in states:
+            self._forward.model.check_mask(state)
         fresh = dict.fromkeys(s.bits for s in states if s.bits not in self._cache)
         if fresh:
             groups: dict[int, list[int]] = {}
@@ -317,11 +340,11 @@ class CostEvaluator:
                 z = None
                 if rows is not None:
                     hidden = forward._batch_hidden(prefixes[batch])
-                    z = np.empty((hi - lo, len(self._indicator)), dtype=np.float32)
+                    z = np.empty((hi - lo, self._indicator.shape[1]), dtype=np.float32)
                     for b, (start, end) in enumerate(zip(starts[batch], ends[batch])):
                         np.matmul(rows[start:end], hidden[b], out=z[start - lo:end - lo])
                 preds = forward._certified(z, keys[lo:hi])
-                positives[lo:hi] = preds @ self._indicator
+                positives[lo:hi] = preds @ self._indicator.T
             cost, eod, f1s = cell_costs(positives, self._totals, *self._cost_terms[1:])
             priced = {bits: CostEvaluation(*values)
                       for bits, *values in zip(keys, cost.tolist(), eod.tolist(), f1s.tolist())}
@@ -332,6 +355,7 @@ class CostEvaluator:
     def evaluate(self, state: DropoutState) -> CostEvaluation:
         hit = self._cache.get(state.bits)
         if hit is not None:
+            self._forward.model.check_mask(state)
             return hit
         result = self.price(state)
         self._cache[state.bits] = result
@@ -539,15 +563,16 @@ class SearchConfig:
                              f"got {self.t0_sample_size!r}")
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """One search iteration: the candidate evaluated, whether it was accepted,
     and the running best cost after the update.
 
     ``hamming_weight`` and ``state_key_hex`` describe the candidate.
     ``elapsed_ms`` is wall-clock from the start of the run (before T0
     estimation) when a time limit governs the run and 0.0 otherwise, so
-    iteration-bounded runs trace identically across executions.
+    iteration-bounded runs trace identically across executions.  A named
+    tuple, its fields in ``TRACE_COLUMNS`` order: the walk builds one per
+    iteration, at a fraction of a frozen dataclass's cost.
     """
 
     iteration: int
@@ -612,6 +637,7 @@ def run_search(model: MlpModel, validation_data: TabularDataset,
     schedule = TemperatureSchedule(t0)
 
     trace: list[TraceRecord] = []
+    key_format = key_hex_format(bounds.n_total)
     m = 0
     while True:
         if config.max_iterations is not None and m >= config.max_iterations:
@@ -635,16 +661,10 @@ def run_search(model: MlpModel, validation_data: TabularDataset,
             best = candidate
             best_cost = candidate_cost
 
-        trace.append(TraceRecord(
-            iteration=m,
-            elapsed_ms=elapsed * 1000.0 if timed else 0.0,
-            temperature=temperature,
-            candidate_cost=candidate_cost,
-            accepted=accepted,
-            best_cost=best_cost,
-            hamming_weight=candidate.weight,
-            state_key_hex=candidate.key_hex(),
-        ))
+        # positional: keywords double a record's cost
+        trace.append(TraceRecord(m, elapsed * 1000.0 if timed else 0.0, temperature,
+                                 candidate_cost, accepted, best_cost, candidate.weight,
+                                 format(candidate.bits, key_format)))
         m += 1
 
     best_eval = evaluator.evaluate(best)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -455,6 +456,62 @@ class TestBatchedPass:
             for rows in ([0, 2, 5], [3], [5, 1]):
                 z = kernel._exact(kernel.keep_rows([mask.bits])[0], np.array(rows)).tolist()
                 assert all(abs(Fraction(v) - real[r]) <= err64[r] for v, r in zip(z, rows))
+
+
+class TestSingleMaskPass:
+    """One mask's hidden pass, which assigns 0.0 to its dropped units' weight
+    columns, against a batch's keep-factor multiply (``w * 0.0``, a signed
+    zero where ``w`` is negative)."""
+
+    @pytest.mark.parametrize("sizes", [(3, 4, 5, 1), (3, 5, 4, 1), (3, 4, 5, 3, 1)])
+    def test_equals_the_keep_factor_multiply(self, sizes):
+        rng = XorShift64Star(sum(sizes))
+        base = random_small_model(rng, sizes)  # weights in [-1, 1]
+        order = list(base.neuron_order)
+        rng.shuffle(order)
+        model = fd.MlpModel(base.architecture, base.weights, base.biases, neuron_order=order)
+        assert model.neuron_order != base.neuron_order
+        assert any((W < 0).any() for W in model.weights[1:-1])
+        X = 2.0 * rng.uniform_block(40 * 3).reshape(40, 3) - 1.0
+        kernel = MaskedForward(model, X)
+        n = model.hidden_total
+        keys = [0, (1 << n) - 1]
+        for _ in range(30):  # a bit in every hidden layer, and some more
+            keys.append(sum(1 << int(bits[rng.randrange(len(bits))]) for bits in kernel._bits)
+                        | sum(1 << i for i in rng.sample_indices(n, rng.randint(0, n))))
+        signed_zeros = 0
+        for key in keys:
+            single = kernel._batch_hidden([key])[0].copy()
+            single_w = [W[0].copy() for W in kernel._buffers[1]]
+            batch = kernel._batch_hidden([key, 0])[0]
+            for a, b in zip(single_w, (W[0] for W in kernel._buffers[1])):
+                assert np.array_equal(a, b)
+                signed_zeros += int((np.signbit(a) != np.signbit(b)).sum())
+            # equal, and bit for bit unless both are zeros
+            assert np.array_equal(single, batch)
+            assert ((single.view(np.uint32) == batch.view(np.uint32)) | (single == 0)).all()
+            single_z, batch_z = batched_logits(kernel, [key]), batched_logits(kernel, [key, 0])
+            assert np.array_equal(single_z[0], batch_z[0])
+            mask = DropoutState(n, key)
+            assert np.array_equal(batched_predictions(kernel, [key])[0], kernel.predict(mask))
+            assert np.array_equal(batched_predictions(kernel, [key, 0])[0], kernel.predict(mask))
+        assert signed_zeros > 0  # the weights differ, in the sign of zeros only
+
+    def test_numpy_keys_need_no_python_int(self):
+        # key & -key on an np.uint64 overflows: keys are converted first
+        rng = XorShift64Star(8)
+        model = random_small_model(rng, (3, 6, 5, 4, 1))
+        X = 2.0 * rng.uniform_block(20 * 3).reshape(20, 3) - 1.0
+        kernel = MaskedForward(model, X)
+        n = model.hidden_total
+        keys = [(1 << n) - 1] + [sum(1 << i for i in rng.sample_indices(n, rng.randint(1, n)))
+                                 for _ in range(10)]
+        for key in keys:
+            expected = kernel._batch_hidden([key])[0].copy()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = kernel._batch_hidden(np.array([key], dtype=np.uint64))[0]
+            assert np.array_equal(got, expected)
 
 
 def straddling_instance():

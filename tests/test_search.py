@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import time
@@ -8,14 +9,15 @@ import numpy as np
 import pytest
 
 import fairdrop as fd
-from fairdrop.model import _SIGMOID_HALF_WINDOW, MaskedForward
+from fairdrop.model import _SIGMOID_HALF_WINDOW, MaskedForward, ShapeError
 from fairdrop.oracle import enumerate_best, iter_states
 from fairdrop.prng import XorShift64Star
 from fairdrop.search import (CostEvaluator, CostParams, DropoutState, SearchConfig,
                              SearchSpaceBounds, SearchSpaceError, TemperatureSchedule,
-                             _estimate_t0, _fit_temperature, _mean_acceptance,
-                             _sample_positive_transitions, generate_neighbor, penalized_cost,
-                             random_state, trace_csv_text, worst_case_t0)
+                             TRACE_COLUMNS, TraceRecord, _estimate_t0, _fit_temperature,
+                             _mean_acceptance, _sample_positive_transitions, generate_neighbor,
+                             penalized_cost, random_state, split_indicator, trace_csv_text,
+                             worst_case_t0)
 
 from conftest import random_small_model, reference_price, valid_flip_positions
 
@@ -183,6 +185,54 @@ class TestCostEvaluatorExactness:
         # keys unpacked from bytes past the eighth
         many = CostEvaluator(model, data, PARAMS).evaluate_many(states)
         assert [tuple(e) for e in many] == expected
+
+    @pytest.mark.parametrize("kind", ["positive", "negative", "mixed", "nan", "inside_slack"])
+    def test_fused_count_equals_the_certified_count(self, small_instance, monkeypatch, kind):
+        parts, model, params = small_instance
+        evaluator = CostEvaluator(model, parts.validation, params)
+        forward = evaluator._forward
+        certified, calls = MaskedForward._certified, []
+
+        def spy(self, z, keys):
+            calls.append(len(keys))
+            return certified(self, z, keys)
+        monkeypatch.setattr(MaskedForward, "_certified", spy)
+        rows = len(parts.validation.labels)
+        size = forward._widest_slack * (2.0 + XorShift64Star(5).uniform_block(rows))
+        sign = {"positive": 1.0, "negative": -1.0}.get(kind, (-1.0) ** np.arange(rows))
+        z = (sign * size).astype(np.float32)
+        if kind == "nan":
+            z[7] = np.nan
+        elif kind == "inside_slack":
+            z[7] = forward._slack[7] / 2
+        key = DropoutState.from_indices(model.hidden_total, (1, 12)).bits
+        indicator = split_indicator(parts.validation)[0]
+        want = (certified(forward, z[None].copy(), [key])[0] @ indicator).tolist()
+        assert evaluator._positives(z.copy(), key) == want
+        assert calls == ([1] if kind in ("nan", "inside_slack") else [])
+        if not calls:
+            assert want == ((z >= 0) @ indicator).tolist()
+
+    @pytest.mark.parametrize("n,bits", [(5, 0), (9, 256), (1, 1)])
+    def test_every_path_checks_the_mask_width(self, n, bits):
+        model = fd.MlpModel(fd.MlpArchitecture((2, 2, 1)), [np.eye(2), np.ones((1, 2))],
+                            [np.zeros(2), np.zeros(1)])
+        rows = np.arange(8)
+        data = fd.TabularDataset(np.stack([rows % 3, rows % 5], axis=1) - 1.5, rows % 2,
+                                 rows // 2 % 2, ("a", "b"))
+        evaluator = CostEvaluator(model, data, PARAMS)
+        wrong = DropoutState(n, bits)
+        for price in (evaluator.price, evaluator.evaluate, evaluator.evaluate_many):
+            with pytest.raises(ShapeError, match="model has 2"):
+                price([wrong] if price == evaluator.evaluate_many else wrong)
+        assert evaluator.evaluations == 0 and evaluator._cache == {}
+        # a memo hit on a key of another width, and a batch with one bad state
+        evaluator.evaluate(DropoutState(2, bits & 3))
+        with pytest.raises(ShapeError):
+            evaluator.evaluate(DropoutState(n, bits & 3))
+        with pytest.raises(ShapeError):
+            evaluator.evaluate_many([DropoutState(2, 1), wrong])
+        assert list(evaluator._cache) == [bits & 3]
 
     @pytest.mark.parametrize("group,label", [(0, 0), (0, 1), (1, 0), (1, 1)])
     def test_split_with_an_empty_group_label_cell_rejected_before_pricing(
@@ -821,6 +871,19 @@ class TestConfigRejectsWhatTheCliRejects:
 
 
 class TestTraceCsv:
+    def test_records_keep_their_fields_and_bytes(self, small_instance):
+        # the CSV of seed 11's runs as the trace records were first written
+        parts, model, params = small_instance
+        assert TraceRecord._fields == TRACE_COLUMNS
+        digests = {
+            "sa": "1a8c09c7c3d92960e075735ef12ca7420847a97308064ace330be96bb4f912ac",
+            "rw": "29e275a9370e580ed45099ab31216500a2837b093ad504a9a7b3a47c903febe9",
+        }
+        for alg, digest in digests.items():
+            res = run(model, parts.validation, params, alg, 11, 400, n_u=6)
+            assert all(type(r) is TraceRecord for r in res.trace)
+            assert hashlib.sha256(trace_csv_text(res.trace).encode()).hexdigest() == digest
+
     def test_exact_header_and_row_shape(self, small_instance):
         parts, model, params = small_instance
         res = run(model, parts.validation, params, "sa", 5, 3)
