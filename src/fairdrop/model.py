@@ -186,15 +186,16 @@ class MaskedForward:
     takes masks as their integer state keys: ``_batch_hidden`` takes up to
     ``batch_size`` masks through one matmul per later hidden layer to the
     last one, which a mask's bits in the earlier layers (``prefix_bits``)
-    alone set, its weights scaled by a batch's keep factors (``keep_rows``)
-    or, for one mask, its dropped units' columns assigned 0.0, and
-    ``_output_rows`` builds the output rows from its bits in the last
-    layer (``suffix_bits``); ``CostEvaluator`` and the oracle pair the two
-    in GEMMs of their own.  Their logits give the exact pass's predictions
-    behind a certified error bound (``_slack``) that covers both passes'
-    rounding: ``_certified`` runs the exact pass's operations on the rows it
-    cannot vouch for (the row check, ``_settled``), and sends a mask whose
-    rows that does not settle through the whole exact pass.
+    alone set, and ``_output_rows`` builds the output rows from its bits
+    in the last layer (``suffix_bits``); both scale a batch's weights by
+    its keep factors (``keep_rows``) and assign 0.0 to one mask's dropped
+    units.  ``CostEvaluator`` and the oracle pair the two in GEMMs of their
+    own, and their logits give the exact pass's predictions behind a
+    certified error bound (``_slack``) that covers both passes' rounding:
+    ``_certified`` writes them as 0.0/1.0 into the caller's float32 buffer,
+    runs the exact pass's operations on the rows it cannot vouch for (the
+    row check, ``_settled``), and sends a mask whose rows that does not
+    settle through the whole exact pass.
     """
 
     def __init__(self, model: MlpModel, features: np.ndarray):
@@ -369,25 +370,25 @@ class MaskedForward:
     def _widest_slack(self) -> float:
         return float(self._slack.max())
 
-    def _certified(self, z: np.ndarray | None, keys) -> np.ndarray:
-        """Predictions (masks, rows) of the masks with state ``keys`` from
-        their logits ``z`` of a float32 batched pass in any summation order.
-        A row is trusted only when its logit lies farther from 0 than its
+    def _certified(self, z: np.ndarray | None, keys, preds: np.ndarray) -> np.ndarray:
+        """Predictions of the masks with state ``keys`` as 0.0/1.0 in
+        ``preds`` (masks, rows; float32, the caller's), from their logits
+        ``z`` of a float32 batched pass in any summation order, so that one
+        GEMM against the (group, label) indicator counts them.  When every
+        logit clears the widest slack, no row needs its own test.  Otherwise
+        a row is trusted only when its logit lies farther from 0 than its
         ``_slack``; the rows of a mask within it, or NaN, take the row check
         (``_settled``), and a mask it does not settle goes through the exact
         pass, as does every mask when there is no slack (``z`` is then None:
         a caller skips the batched pass).  Only those masks' keys are
-        unpacked, in one ``keep_rows``.
-        When every logit clears the widest slack, no row needs its own
-        test.  ``z`` is overwritten."""
+        unpacked, in one ``keep_rows``.  ``z`` is overwritten."""
         doubtful = None
         if z is None:
-            preds = np.empty((len(keys), self._first.shape[0]), dtype=bool)
             unsafe = range(len(keys))
         else:
-            preds = z >= 0.0
+            np.greater_equal(z, 0.0, out=preds)
             np.abs(z, out=z)
-            if z.min() > self._widest_slack:  # not when z holds a NaN
+            if np.minimum.reduce(z, axis=None) > self._widest_slack:  # not when z holds a NaN
                 return preds
             doubtful = ~(z > self._slack)
             unsafe = np.flatnonzero(doubtful.any(axis=1))
@@ -456,11 +457,13 @@ class MaskedForward:
 
     def _output_rows(self, keys) -> np.ndarray | None:
         """Float32 output rows (masks, units + 1) of the masks with state
-        ``keys``: the output weights times the keep factors of a key's bits
-        in the last hidden layer, the bias last to meet ``_batch_hidden``'s
-        row of ones, in a buffer the next call overwrites.  None when the
-        batched pass does not run, as the output layer may lie past
-        float32's range."""
+        ``keys``, the bias last to meet ``_batch_hidden``'s row of ones, in
+        a buffer the next call overwrites: for a batch, the output weights
+        times the keep factors of a key's bits in the last hidden layer;
+        for one mask, the output weights with 0.0 assigned to its dropped
+        units, found from its key's set bits, which differs only in the
+        sign of a zero weight.  None when the batched pass does not run, as
+        the output layer may lie past float32's range."""
         if self._slack is None:
             return None
         B = len(keys)
@@ -468,8 +471,16 @@ class MaskedForward:
             self._rows = np.empty((B, self._rows.shape[1]), dtype=np.float32)
             self._rows[:, -1] = self.model.biases[-1]
         rows = self._rows[:B]
-        np.multiply(self.model.weights[-1][0], self.keep_rows(keys)[:, self.suffix_bits],
-                    out=rows[:, :-1])
+        if B == 1:
+            rows[:, :-1] = self.model.weights[-1]
+            dropped = int(keys[0]) & ~self._prefix_key
+            while dropped:
+                low = dropped & -dropped
+                rows[0, self.model.neuron_order[low.bit_length() - 1][1]] = 0.0
+                dropped ^= low
+        else:
+            np.multiply(self.model.weights[-1][0], self.keep_rows(keys)[:, self.suffix_bits],
+                        out=rows[:, :-1])
         return rows
 
 

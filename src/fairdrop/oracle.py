@@ -197,21 +197,21 @@ def price_space(model: MlpModel, validation_data: TabularDataset, bounds: Search
     weight fill one block, as they do on desk-scale spaces, each prefix runs
     through the hidden layers once; a wider last layer runs them once per
     block instead of holding every suffix.  Every row is certified one
-    prefix at a time (``MaskedForward._certified``, on the masks' keys): a
-    mask with any row within the slack takes the row check, then, if that
-    does not settle it, the exact pass.  A second float32
-    GEMM, of the block's 0/1 predictions against ``split_indicator``'s
-    (group, label) indicator, counts each mask's predicted positives per
-    (group, label) exactly.  Last, one ``argsort`` puts the counts in
-    ascending key order, and ``cell_costs`` prices them against the split's
-    totals.  A split with an empty (group, label) cell is rejected before
-    any pricing.
+    prefix at a time (``MaskedForward._certified``, on the masks' keys), its
+    prediction written as 0.0/1.0 into a float32 block: a mask with any row
+    within the slack takes the row check, then, if that does not settle it,
+    the exact pass.  A second float32 GEMM, of that block against
+    ``split_indicator``'s (group, label) indicator, counts each mask's
+    predicted positives per (group, label) exactly.  Last, one ``argsort``
+    puts the counts in ascending key order, and ``cell_costs`` prices them
+    against the split's totals.  A split with an empty (group, label) cell
+    is rejected before any pricing.
 
     Memory: beside the per-state columns (the keys, four int32 counts and
-    the permutation), a suffix block's logits (which then carry its 0/1
-    predictions) and a prefix batch's layer outputs each come to about
-    ``_BATCH_ELEMENTS`` values (float32), and all that ``cell_costs`` holds
-    for one chunk of states to about a quarter of that.
+    the permutation), a suffix block's logits, its 0/1 predictions and a
+    prefix batch's layer outputs each come to about ``_BATCH_ELEMENTS``
+    values (float32), and all that ``cell_costs`` holds for one chunk of
+    states to about a quarter of that.
     Nothing of it is a setting.
     """
     total = _check_budget(bounds, budget)
@@ -226,7 +226,7 @@ def price_space(model: MlpModel, validation_data: TabularDataset, bounds: Search
     h = len(last)
 
     block = max(1, _BATCH_ELEMENTS // max(rows, h + 1))
-    logits = np.empty((block, rows), dtype=np.float32)
+    logits, preds = np.empty((2, block, rows), dtype=np.float32)
     keys = np.empty(total, dtype=dtype)
     positives = np.empty((total, 4), dtype=np.int32)
     f = 0
@@ -235,15 +235,15 @@ def price_space(model: MlpModel, validation_data: TabularDataset, bounds: Search
         for suffix_key in _subset_keys(last, suffix_sizes, dtype, block):
             m = len(suffix_key)
             out_rows = kernel._output_rows(suffix_key)
+            z_block, preds_block = logits[:m], preds[:m]
             for prefix_key in _subset_keys(prefix_bits, range(w, w + 1), dtype,
                                            kernel.batch_size):
                 keys[f:f + len(prefix_key) * m] = (prefix_key[:, None] | suffix_key).ravel()
                 hidden = None if out_rows is None else kernel._batch_hidden(prefix_key)
                 for b in range(len(prefix_key)):
-                    z = None if hidden is None else np.matmul(out_rows, hidden[b], out=logits[:m])
-                    # the 0/1 predictions go through the logits' buffer as floats
-                    np.copyto(logits[:m], kernel._certified(z, keys[f:f + m]))
-                    positives[f:f + m] = logits[:m] @ indicator
+                    z = None if hidden is None else np.matmul(out_rows, hidden[b], out=z_block)
+                    kernel._certified(z, keys[f:f + m], preds_block)
+                    positives[f:f + m] = preds_block @ indicator
                     f += m
     order = np.argsort(keys)
     penalty = params.p * params.eod_baseline

@@ -21,8 +21,8 @@ given explicitly.
 
 from __future__ import annotations
 
-import functools
 import math
+import operator
 import time
 import warnings
 from dataclasses import dataclass
@@ -101,8 +101,10 @@ class DropoutState:
 
     @classmethod
     def from_indices(cls, n: int, indices) -> "DropoutState":
+        """The state that drops the neurons at ``indices``, each any integer
+        (numpy's too, taken as a Python int)."""
         bits = 0
-        for i in indices:
+        for i in map(operator.index, indices):
             if not 0 <= i < n:
                 raise ValueError(f"neuron index {i} out of range({n})")
             if bits >> i & 1:
@@ -219,15 +221,13 @@ class CostEvaluator:
     keeps those of the two most recent prefixes in float32 buffers of its
     own, and a price whose prefix is one of them runs only the output
     layer; a new prefix runs the hidden layers for its one mask
-    (``MaskedForward._batch_hidden``), and no price unpacks keep factors.
-    A price is then one float32 GEMV of the mask's output row (the
-    unmasked one with 0.0 assigned to each dropped last-layer unit)
-    against that layer, and ``_positives``: when every logit clears the
-    widest slack, one GEMV of their signs as 0.0/1.0 against the (4, rows)
-    float32 indicator counts the mask's predicted positives per (group,
-    label), and otherwise the logits are certified as in the batched pass
-    (``MaskedForward._certified``).  ``_count_cost`` prices the counts.
-    ``evaluate_many`` prices many masks in one factored pass.
+    (``MaskedForward._batch_hidden``).  A price is then the batched pass's
+    own steps for one mask: one float32 GEMV of its output row
+    (``MaskedForward._output_rows``) against that layer, its predictions
+    certified as 0.0/1.0 (``MaskedForward._certified``), and one GEMV of
+    them against the (4, rows) float32 indicator, which counts the mask's
+    predicted positives per (group, label); ``_count_cost`` prices the
+    counts.  ``evaluate_many`` prices many masks in one factored pass.
     """
 
     def __init__(self, model: MlpModel, validation_data: TabularDataset, params: CostParams):
@@ -240,14 +240,10 @@ class CostEvaluator:
                             params.p * params.eod_baseline)
         self._forward = forward = MaskedForward(model, validation_data.features)
         self._prefix_mask = forward._prefix_key
-        # each last-layer unit's output-row column, by its mask bit's value
-        self._unit_of = {1 << bit: unit for unit, bit in enumerate(forward.suffix_bits.tolist())}
-        self._suffix_mask = sum(self._unit_of)
         units = len(forward.suffix_bits)
         rows = len(indicator)
-        # a walk price's logits, their predictions as 0.0/1.0, their sizes
-        self._z, self._preds, self._size = np.empty((3, rows), dtype=np.float32)
-        self._row = np.empty(units + 1, dtype=np.float32)
+        # a walk price's logits and its predictions as 0.0/1.0, one mask each
+        self._z, self._preds = np.empty((2, 1, rows), dtype=np.float32)
         # (prefix, its last hidden layer as MaskedForward._batch_hidden lays it
         # out), most recent first; the batched pass's own buffers are
         # overwritten by its next call, so they are never kept
@@ -256,44 +252,18 @@ class CostEvaluator:
         self._cache: dict[int, CostEvaluation] = {}
         self.evaluations = 0
 
-    @functools.cached_property
-    def _output(self) -> np.ndarray:
-        """The unmasked output row (units + 1) of ``MaskedForward._output_rows``."""
-        return self._forward._output_rows([0])[0].copy()
-
     def price(self, state: DropoutState) -> CostEvaluation:
         """Price one mask, bypassing the memo cache."""
         forward = self._forward
         forward.model.check_mask(state)
-        bits = state.bits
+        keys = (state.bits,)
         z = None
-        if forward._slack is not None:
-            row = self._row
-            np.copyto(row, self._output)
-            dropped = bits & self._suffix_mask
-            while dropped:  # an assigned 0 where _output_rows has w * 0.0
-                low = dropped & -dropped
-                row[self._unit_of[low]] = 0.0
-                dropped ^= low
+        row = forward._output_rows(keys)
+        if row is not None:
             z = self._z
-            np.matmul(row, self._hidden(bits & self._prefix_mask), out=z)
-        return _count_cost(self._positives(z, bits), *self._cost_terms)
-
-    def _positives(self, z: np.ndarray | None, bits: int) -> list[float]:
-        """Predicted positives per (group, label) of the mask with state key
-        ``bits``, from its float32 logits ``z`` (rows), or None when the
-        batched pass does not run.  When every logit clears the widest
-        slack, its predictions are ``z >= 0`` as 0.0/1.0, and one GEMV
-        counts them; otherwise ``MaskedForward._certified`` decides them
-        from ``z`` as given, which it overwrites."""
-        if z is not None:
-            preds, size = self._preds, self._size
-            np.greater_equal(z, 0.0, out=preds)
-            np.abs(z, out=size)
-            if np.minimum.reduce(size) > self._forward._widest_slack:  # not when z holds a NaN
-                return np.matmul(self._indicator, preds).tolist()
-            z = z[None]
-        return (self._indicator @ self._forward._certified(z, [bits])[0]).tolist()
+            np.matmul(row, self._hidden(state.bits & self._prefix_mask), out=z)
+        preds = forward._certified(z, keys, self._preds)
+        return _count_cost(np.matmul(self._indicator, preds[0]).tolist(), *self._cost_terms)
 
     def _hidden(self, prefix: int) -> np.ndarray:
         """The last hidden layer (units + 1, rows) for ``prefix``: kept, or
@@ -314,9 +284,10 @@ class CostEvaluator:
         the hidden layers once, many prefixes per batch of the batched
         pass, and one float32 GEMM of its members' output rows against its
         last hidden layer gives the group's logits, certified a whole batch
-        of prefixes at once as in ``price``.  One more GEMM against
-        the indicator counts each state's predicted positives per (group,
-        label), and ``cell_costs`` prices them: the values ``price`` gives.
+        of prefixes at once as in ``price``.  One more GEMM of their 0.0/1.0
+        predictions against the indicator counts each state's predicted
+        positives per (group, label), and ``cell_costs`` prices them: the
+        values ``price`` gives.
         """
         states = list(states)
         for state in states:
@@ -338,12 +309,13 @@ class CostEvaluator:
                 batch = slice(first, first + forward.batch_size)
                 lo, hi = starts[first], ends[batch][-1]
                 z = None
+                preds = np.empty((hi - lo, self._indicator.shape[1]), dtype=np.float32)
                 if rows is not None:
                     hidden = forward._batch_hidden(prefixes[batch])
-                    z = np.empty((hi - lo, self._indicator.shape[1]), dtype=np.float32)
+                    z = np.empty_like(preds)
                     for b, (start, end) in enumerate(zip(starts[batch], ends[batch])):
                         np.matmul(rows[start:end], hidden[b], out=z[start - lo:end - lo])
-                preds = forward._certified(z, keys[lo:hi])
+                forward._certified(z, keys[lo:hi], preds)
                 positives[lo:hi] = preds @ self._indicator.T
             cost, eod, f1s = cell_costs(positives, self._totals, *self._cost_terms[1:])
             priced = {bits: CostEvaluation(*values)

@@ -51,6 +51,8 @@ DELETED = [
     ("oracle", "_subset_blocks"),
     ("oracle", "_set_keys"),
     ("oracle", "_position_bits"),
+    ("search", "CostEvaluator._positives"),
+    ("search", "CostEvaluator._output"),
 ]
 
 # perfbench/tracer.py wraps these by name (a missing one stops a traced run

@@ -261,8 +261,9 @@ def batched_logits(kernel, keys) -> np.ndarray | None:
 
 
 def batched_predictions(kernel, keys) -> np.ndarray:
-    """The batched pass's certified predictions (masks, rows)."""
-    return kernel._certified(batched_logits(kernel, keys), keys)
+    """The batched pass's certified predictions (masks, rows) as 0.0/1.0."""
+    preds = np.empty((len(keys), kernel._first.shape[0]), dtype=np.float32)
+    return kernel._certified(batched_logits(kernel, keys), keys, preds)
 
 
 def caller_prices(model, data, states) -> list[list[tuple]]:
@@ -624,9 +625,9 @@ class TestFloat32Pass:
         certified = MaskedForward._certified
         indicator = fairdrop.search.group_label_indicator
 
-        def spy_certified(self, z, keys):
-            logits.append(z.dtype)
-            return certified(self, z, keys)
+        def spy_certified(self, z, keys, preds):
+            logits.append((z.dtype, preds.dtype))
+            return certified(self, z, keys, preds)
 
         def spy_indicator(*args):
             indicators.append(indicator(*args))
@@ -641,9 +642,9 @@ class TestFloat32Pass:
         first, weight_stacks, out_stacks = evaluator._forward._buffers
         kept = [hidden for _, hidden in evaluator._recent]
         for array in (first, *weight_stacks, *out_stacks, *kept, evaluator._forward._rows,
-                      evaluator._z, evaluator._indicator, *indicators):
+                      evaluator._z, evaluator._preds, evaluator._indicator, *indicators):
             assert array.dtype == np.float32
-        assert len(logits) >= 3 and set(logits) == {np.dtype(np.float32)}
+        assert len(logits) >= 3 and set(logits) == {(np.dtype(np.float32),) * 2}
 
 
 def separable_split(n=600, seed=9):

@@ -298,9 +298,10 @@ class TestFactoredPricing:
         blocks, batches = [], []
         certified, hidden = MaskedForward._certified, MaskedForward._batch_hidden
 
-        def spy_certified(self, z, keys):
+        def spy_certified(self, z, keys, preds):
             blocks.append(z.shape)
-            return certified(self, z, keys)
+            assert preds.shape == z.shape
+            return certified(self, z, keys, preds)
 
         def spy_hidden(self, keys, out=None):
             batches.append((len(keys), self.batch_size))

@@ -1,23 +1,24 @@
 import hashlib
 import math
 import re
-import time
 import warnings
 from collections import Counter, deque
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import fairdrop as fd
+import fairdrop.search
 from fairdrop.model import _SIGMOID_HALF_WINDOW, MaskedForward, ShapeError
 from fairdrop.oracle import enumerate_best, iter_states
 from fairdrop.prng import XorShift64Star
 from fairdrop.search import (CostEvaluator, CostParams, DropoutState, SearchConfig,
                              SearchSpaceBounds, SearchSpaceError, TemperatureSchedule,
-                             TRACE_COLUMNS, TraceRecord, _estimate_t0, _fit_temperature,
-                             _mean_acceptance, _sample_positive_transitions, generate_neighbor,
-                             penalized_cost, random_state, split_indicator, trace_csv_text,
-                             worst_case_t0)
+                             TRACE_COLUMNS, TraceRecord, _count_cost, _estimate_t0,
+                             _fit_temperature, _mean_acceptance, _sample_positive_transitions,
+                             generate_neighbor, penalized_cost, random_state, split_indicator,
+                             trace_csv_text, worst_case_t0)
 
 from conftest import random_small_model, reference_price, valid_flip_positions
 
@@ -69,6 +70,16 @@ class TestDropoutState:
     def test_duplicate_index_rejected(self):
         with pytest.raises(ValueError):
             DropoutState.from_indices(4, (1, 1))
+
+    def test_from_numpy_indices(self):
+        # numpy integers shift within 64 bits: each index is taken as an int
+        wide = DropoutState.from_indices(70, np.array([3, 64]))
+        assert wide.bits == 1 << 64 | 1 << 3 and wide.key_hex() == "010000000000000008"
+        assert DropoutState.from_indices(70, np.array([3, 63])).bits == 1 << 63 | 1 << 3
+        narrow = DropoutState.from_indices(16, np.array([3, 5]))
+        assert type(narrow.bits) is int and narrow == DropoutState.from_indices(16, (3, 5))
+        with pytest.raises(TypeError):
+            DropoutState.from_indices(8, np.array([1.0]))
 
     def test_key_hex_width(self):
         assert DropoutState.from_indices(16, (0,)).key_hex() == "0001"
@@ -188,15 +199,10 @@ class TestCostEvaluatorExactness:
 
     @pytest.mark.parametrize("kind", ["positive", "negative", "mixed", "nan", "inside_slack"])
     def test_fused_count_equals_the_certified_count(self, small_instance, monkeypatch, kind):
+        # a price's logits set to z: an output row of one 1.0 against z
         parts, model, params = small_instance
         evaluator = CostEvaluator(model, parts.validation, params)
         forward = evaluator._forward
-        certified, calls = MaskedForward._certified, []
-
-        def spy(self, z, keys):
-            calls.append(len(keys))
-            return certified(self, z, keys)
-        monkeypatch.setattr(MaskedForward, "_certified", spy)
         rows = len(parts.validation.labels)
         size = forward._widest_slack * (2.0 + XorShift64Star(5).uniform_block(rows))
         sign = {"positive": 1.0, "negative": -1.0}.get(kind, (-1.0) ** np.arange(rows))
@@ -207,10 +213,21 @@ class TestCostEvaluatorExactness:
             z[7] = forward._slack[7] / 2
         key = DropoutState.from_indices(model.hidden_total, (1, 12)).bits
         indicator = split_indicator(parts.validation)[0]
-        want = (certified(forward, z[None].copy(), [key])[0] @ indicator).tolist()
-        assert evaluator._positives(z.copy(), key) == want
-        assert calls == ([1] if kind in ("nan", "inside_slack") else [])
-        if not calls:
+        buffer = np.empty((1, rows), dtype=np.float32)
+        want = (forward._certified(z[None].copy(), [key], buffer)[0] @ indicator).tolist()
+        # the per-row doubt test reads each row's slack; the widest is kept
+        slack, doubts = forward._slack, []
+        monkeypatch.setattr(MaskedForward, "_slack",
+                            property(lambda self: doubts.append(1) or slack))
+        monkeypatch.setattr(MaskedForward, "_output_rows",
+                            lambda self, keys: np.ones((1, 1), dtype=np.float32))
+        monkeypatch.setattr(evaluator, "_hidden", lambda prefix: z[None].copy())
+        assert evaluator.price(DropoutState(model.hidden_total, key)) == \
+            _count_cost(want, *evaluator._cost_terms)
+        preds = forward._certified(z[None].copy(), [key], buffer)
+        assert (preds[0] @ indicator).tolist() == want
+        assert doubts == ([1, 1] if kind in ("nan", "inside_slack") else [])
+        if not doubts:
             assert want == ((z >= 0) @ indicator).tolist()
 
     @pytest.mark.parametrize("n,bits", [(5, 0), (9, 256), (1, 1)])
@@ -350,8 +367,8 @@ class TestPrefixReuse:
 
     def test_walk_over_negative_output_weights(self, small_instance):
         # the trained model with every output weight negative and a
-        # negative-zero output bias: a walk's output row assigns +0.0 to a
-        # dropped unit where _output_rows has w * 0.0 = -0.0, down to rows
+        # negative-zero output bias: one mask's output row assigns +0.0 to a
+        # dropped unit where a batch's has w * 0.0 = -0.0, down to rows
         # whose every term is a zero; prices must not change
         parts, trained, _ = small_instance
         model = fd.MlpModel(trained.architecture, [*trained.weights[:2], -abs(trained.weights[2])],
@@ -365,10 +382,12 @@ class TestPrefixReuse:
         evaluator = CostEvaluator(model, data, params)
         forward = evaluator._forward
         evaluator.price(states[-4])  # every last-layer unit dropped
-        row, hidden = evaluator._row, evaluator._recent[0][1][0]
-        dropped = forward._output_rows([0xff00])[0]
-        assert np.signbit(dropped).all() and not np.signbit(row[:-1]).any()
-        assert (dropped @ hidden == 0.0).all() and (row @ hidden == 0.0).all()
+        hidden = evaluator._recent[0][1][0]
+        one = forward._output_rows((0xff00,))[0].copy()
+        batch = forward._output_rows([0xff00, 0])[0]
+        assert np.array_equal(one, batch)
+        assert np.signbit(batch).all() and not np.signbit(one[:-1]).any()
+        assert (batch @ hidden == 0.0).all() and (one @ hidden == 0.0).all()
 
     def test_nan_in_a_dropped_last_layer_unit_never_reaches_the_output(self, small_instance,
                                                                        monkeypatch):
@@ -779,17 +798,20 @@ class TestRunSearch:
         assert res.trace[-1].elapsed_ms <= 2_000  # generous: loop exits after limit
 
     def test_time_limit_covers_temperature_estimation(self, small_instance, monkeypatch):
+        # the search reads a clock that each priced mask moves 2 ms on
         parts, model, params = small_instance
         price, evaluate_many = CostEvaluator.price, CostEvaluator.evaluate_many
+        now = [1000.0]
+        monkeypatch.setattr(fairdrop.search, "time", SimpleNamespace(perf_counter=lambda: now[0]))
 
         def slow_price(self, state):
-            time.sleep(0.002)
+            now[0] += 0.002
             return price(self, state)
 
         def slow_evaluate_many(self, states):  # the path T0 fitting prices its chunks by
             before = self.evaluations
             evaluations = evaluate_many(self, states)
-            time.sleep(0.002 * (self.evaluations - before))
+            now[0] += 0.002 * (self.evaluations - before)
             return evaluations
         monkeypatch.setattr(CostEvaluator, "price", slow_price)
         monkeypatch.setattr(CostEvaluator, "evaluate_many", slow_evaluate_many)
@@ -797,9 +819,9 @@ class TestRunSearch:
         limit = 0.3
         config = SearchConfig(alg_type="sa", bounds=SearchSpaceBounds(model.hidden_total, 2, 5),
                               cost_params=params, seed=2, time_limit_s=limit)
-        start = time.perf_counter()
+        start = now[0]
         res = fd.run_search(model, parts.validation, config)
-        assert time.perf_counter() - start < limit + 0.25
+        assert now[0] - start < limit + 0.25
         assert all(r.elapsed_ms <= limit * 1000.0 for r in res.trace)
         assert math.isfinite(res.best_cost)
 
