@@ -294,7 +294,7 @@ def _repair_one(cfg: dict, seed: int, parts: SplitDataset, model: MlpModel,
         result = run_search(model, parts.validation, config)
     for warning in caught:
         print(f"seed {seed}: {warning.message}", file=sys.stderr)
-    dropped = model.masked_units_per_layer(result.best_state)
+    dropped = model.masked_units_per_layer(result.best_state.bits)
     return result, {
         "seed": seed,
         "alg_type": config.alg_type,

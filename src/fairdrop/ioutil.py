@@ -9,13 +9,16 @@ import tempfile
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write `text` to `path` via a sibling temp file and rename."""
+    """Write `text` to `path` via a sibling temp file and rename, in open()'s mode."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+        umask = os.umask(0)  # no call reads it without setting it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

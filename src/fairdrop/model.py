@@ -121,14 +121,15 @@ class MlpModel:
         if mask.n != self.hidden_total:
             raise ShapeError(f"mask covers {mask.n} neurons, model has {self.hidden_total}")
 
-    def masked_units_per_layer(self, mask) -> list[list[int]]:
-        """Local unit indices to zero in each hidden layer under `mask`."""
+    def masked_units_per_layer(self, key: int) -> list[list[int]]:
+        """Local unit indices to zero in each hidden layer under state ``key``."""
         per_layer: list[list[int]] = [[] for _ in self.architecture.hidden_sizes]
-        if mask is not None:
-            self.check_mask(mask)
-            for bit in mask.indices():
-                layer, unit = self.neuron_order[bit]
-                per_layer[layer].append(unit)
+        dropped = int(key)
+        while dropped:
+            low = dropped & -dropped
+            layer, unit = self.neuron_order[low.bit_length() - 1]
+            per_layer[layer].append(unit)
+            dropped ^= low
         return per_layer
 
 
@@ -235,22 +236,21 @@ class MaskedForward:
         """Output-unit logits (pre-sigmoid), one per row, under ``mask``."""
         if mask is not None:
             self.model.check_mask(mask)
-        return self._exact(self.keep_rows([0 if mask is None else mask.bits])[0])
+        return self._exact(0 if mask is None else mask.bits)
 
-    def _exact(self, keep: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    def _exact(self, key: int, rows: np.ndarray | None = None) -> np.ndarray:
         """Logits of the exact pass on every row, or on ``rows``, for the mask
-        given as one row of keep factors: a dropped unit is zeroed by
-        assignment, so it never reaches the output, even if NaN or infinite."""
+        with state ``key``: a dropped unit is zeroed by assignment, so it never
+        reaches the output, even if NaN or infinite."""
         model = self.model
         A = self._first if rows is None else self._first[rows]
         last = len(model.weights) - 2
-        for i, (W, b) in enumerate(zip(model.weights[1:], model.biases[1:])):
-            dropped = keep[self._bits[i]] == 0.0
-            if dropped.any():
+        for i, units in enumerate(model.masked_units_per_layer(key)):
+            if units:
                 if A is self._first:
                     A = A.copy()
-                A[:, dropped] = 0.0
-            A = A @ W.T + b
+                A[:, units] = 0.0
+            A = A @ model.weights[i + 1].T + model.biases[i + 1]
             if i < last:
                 A = np.maximum(A, 0.0)
         return A.reshape(-1)
@@ -380,8 +380,7 @@ class MaskedForward:
         ``_slack``; the rows of a mask within it, or NaN, take the row check
         (``_settled``), and a mask it does not settle goes through the exact
         pass, as does every mask when there is no slack (``z`` is then None:
-        a caller skips the batched pass).  Only those masks' keys are
-        unpacked, in one ``keep_rows``.  ``z`` is overwritten."""
+        a caller skips the batched pass).  ``z`` is overwritten."""
         doubtful = None
         if z is None:
             unsafe = range(len(keys))
@@ -394,21 +393,22 @@ class MaskedForward:
             unsafe = np.flatnonzero(doubtful.any(axis=1))
             if not len(unsafe):
                 return preds
-        for m, keep in zip(unsafe, self.keep_rows([keys[m] for m in unsafe])):
-            if doubtful is None or not self._settled(keep, np.flatnonzero(doubtful[m]), preds[m]):
-                preds[m] = _threshold(self._exact(keep))
+        for m in unsafe:
+            key = keys[m]
+            if doubtful is None or not self._settled(key, np.flatnonzero(doubtful[m]), preds[m]):
+                preds[m] = _threshold(self._exact(key))
         return preds
 
-    def _settled(self, keep: np.ndarray, rows: np.ndarray, preds: np.ndarray) -> bool:
+    def _settled(self, key: int, rows: np.ndarray, preds: np.ndarray) -> bool:
         """Whether the exact pass's operations on ``rows`` alone settle those
-        rows of the mask with keep factors ``keep``; if so, their predictions
+        rows of the mask with state ``key``; if so, their predictions
         go into ``preds``.  ``err64`` bounds these operations too, in any
         summation order, so a row logit farther from 0 than twice it plus
         the sigmoid window has the whole exact pass's logit on its side of 0
         and outside the window, where ``_threshold`` predicts by its sign."""
         if self._errors is None:
             return False
-        z = self._exact(keep, rows)
+        z = self._exact(key, rows)
         if not (np.abs(z) > 2.0 * self._errors[0][rows] + _SIGMOID_HALF_WINDOW).all():  # or NaN
             return False
         preds[rows] = z > 0.0

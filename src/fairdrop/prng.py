@@ -1,11 +1,13 @@
 """Deterministic 64-bit pseudo-random generator used for every random choice.
 
-The generator is xorshift64* : the state is advanced with the shift triple
-(12, 25, 27) and the output is the state multiplied by 0x2545F4914F6CDD1D,
-truncated to 64 bits.  Integer seeds are scrambled through one round of the
-splitmix64 finalizer so that small consecutive seeds give unrelated streams;
-a scrambled value of zero (illegal for xorshift) is replaced with the
-golden-ratio constant 0x9E3779B97F4A7C15.
+The generator is xorshift64* (S. Vigna, "An experimental exploration of
+Marsaglia's xorshift generators, scrambled", ACM TOMS 42(4), 2016):
+Marsaglia's xorshift (G. Marsaglia, "Xorshift RNGs", J. Stat. Softw. 8(14),
+2003) with the shift triple (12, 25, 27), its output the state times
+0x2545F4914F6CDD1D mod 2**64.  Integer seeds are scrambled by one round of the
+splitmix64 finalizer so that small consecutive seeds give unrelated streams; a
+scrambled zero (illegal for xorshift) becomes the golden-ratio constant
+0x9E3779B97F4A7C15.
 
 Derived draws are pinned too, so any faithful reimplementation of this file
 reproduces shuffles, splits, weight initializations and search traces bit

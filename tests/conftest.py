@@ -63,7 +63,7 @@ def reference_logits(model: fd.MlpModel, features, mask=None) -> np.ndarray:
     """Logits from a plain forward pass: fresh arrays per layer and the
     dropped units zeroed by assignment."""
     A = np.asarray(features, dtype=np.float64)
-    for i, units in enumerate(model.masked_units_per_layer(mask)):
+    for i, units in enumerate(model.masked_units_per_layer(0 if mask is None else mask.bits)):
         A = np.maximum(A @ model.weights[i].T + model.biases[i], 0.0)
         A[:, units] = 0.0
     return (A @ model.weights[-1].T + model.biases[-1]).ravel()
@@ -101,10 +101,10 @@ def fallbacks(monkeypatch):
     calls.settled = []
     exact, settled = MaskedForward._exact, MaskedForward._settled
 
-    def counted_exact(self, keep_row, rows=None):
+    def counted_exact(self, key, rows=None):
         if rows is None:
             calls.extend(running)
-        return exact(self, keep_row, rows)
+        return exact(self, key, rows)
 
     def counted_settled(self, *args):
         done = settled(self, *args)

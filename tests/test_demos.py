@@ -1,6 +1,7 @@
 """Each script in demos/ and the README's library quickstart run to
 completion as the docs say to run them."""
 
+import importlib
 import os
 import re
 import subprocess
@@ -38,3 +39,16 @@ def test_readme_quickstart_runs(tmp_path):
     proc = run_python(["-c", block], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_readme_pointers_resolve():
+    # the README points to docstrings for how things work: each backticked
+    # fairdrop.<module>[.<Name>] must exist and hold a docstring
+    names = set(re.findall(r"`(fairdrop(?:\.\w+)+)`", (ROOT / "README.md").read_text()))
+    assert names
+    for name in sorted(names):
+        _, module, *attrs = name.split(".")
+        obj = importlib.import_module(f"fairdrop.{module}")
+        for attr in attrs:
+            obj = getattr(obj, attr)
+        assert (obj.__doc__ or "").strip(), name

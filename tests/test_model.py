@@ -108,7 +108,7 @@ class TestForward:
             k = rng.randint(0, n)
             mask = DropoutState.from_indices(n, rng.sample_indices(n, k))
             weights = [w.copy() for w in model.weights]
-            for layer, units in enumerate(model.masked_units_per_layer(mask)):
+            for layer, units in enumerate(model.masked_units_per_layer(mask.bits)):
                 for u in units:
                     weights[layer + 1][:, u] = 0.0
             surgically = fd.MlpModel(model.architecture, weights, model.biases)
@@ -116,6 +116,23 @@ class TestForward:
             masked_out = proba(model, X, mask)
             surgery_out = proba(surgically, X)
             assert np.array_equal(masked_out, surgery_out)
+
+    def test_masked_units_follow_the_neuron_order(self):
+        # the decoder from a state key to each hidden layer's dropped units
+        rng = XorShift64Star(9)
+        model = random_small_model(rng, (3, 4, 3, 2, 1))
+        order = list(model.neuron_order)
+        rng.shuffle(order)
+        model = fd.MlpModel(model.architecture, model.weights, model.biases, order)
+        n = model.hidden_total
+        assert model.masked_units_per_layer(0) == [[], [], []]
+        for _ in range(30):
+            indices = rng.sample_indices(n, rng.randint(0, n))
+            want = [[], [], []]
+            for bit in indices:
+                layer, unit = order[bit]
+                want[layer].append(unit)
+            assert model.masked_units_per_layer(DropoutState.from_indices(n, indices).bits) == want
 
     def test_masked_neuron_never_consulted(self):
         # poison the masked neuron's incoming weights and bias with NaN
@@ -422,8 +439,7 @@ class TestBatchedPass:
         bit = model.neuron_order.index((1, 2))
         masks = [DropoutState.from_indices(n, (bit,)), DropoutState.from_indices(n, (bit, 0)),
                  DropoutState.from_indices(n, (0,))]
-        keep = forward.keep_rows([masks[2].bits])[0]
-        assert np.isnan(forward._exact(keep, np.arange(30))).all()
+        assert np.isnan(forward._exact(masks[2].bits, np.arange(30))).all()
         assert [tuple(evaluator.price(s)) for s in masks] == [
             reference_price(poisoned, data, s, PRICE_PARAMS) for s in masks]
         assert (len(fallbacks), len(fallbacks.settled)) == (1, 2)
@@ -442,7 +458,7 @@ class TestBatchedPass:
         masks = [DropoutState(n, bits) for bits in range(0, 1 << n, 37)]
         batched = batched_logits(kernel, mask_keys(masks))
         for mask, fast in zip(masks, batched):
-            dropped = model.masked_units_per_layer(mask)
+            dropped = model.masked_units_per_layer(mask.bits)
             A = [[Fraction(a) * (u not in dropped[0]) for u, a in enumerate(row)]
                  for row in kernel._first.tolist()]
             for i, (W, b) in enumerate(zip(model.weights[1:], model.biases[1:])):
@@ -455,7 +471,7 @@ class TestBatchedPass:
             for z, err in ((fast, err32), (kernel.logits(mask), err64)):
                 assert all(abs(Fraction(v) - r) <= e for v, r, e in zip(z.tolist(), real, err))
             for rows in ([0, 2, 5], [3], [5, 1]):
-                z = kernel._exact(kernel.keep_rows([mask.bits])[0], np.array(rows)).tolist()
+                z = kernel._exact(mask.bits, np.array(rows)).tolist()
                 assert all(abs(Fraction(v) - real[r]) <= err64[r] for v, r in zip(z, rows))
 
 
@@ -512,7 +528,11 @@ class TestSingleMaskPass:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 got = kernel._batch_hidden(np.array([key], dtype=np.uint64))[0]
+                units = model.masked_units_per_layer(np.uint64(key))
+                exact = kernel._exact(np.uint64(key))
             assert np.array_equal(got, expected)
+            assert units == model.masked_units_per_layer(key)
+            assert np.array_equal(exact, kernel._exact(key))
 
 
 def straddling_instance():
