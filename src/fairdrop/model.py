@@ -557,7 +557,6 @@ def train(data: SplitDataset, arch: MlpArchitecture, cfg: TrainConfig) -> MlpMod
     model = initialize_model(arch, rng)
     weights = [w.copy() for w in model.weights]
     biases = [b.copy() for b in model.biases]
-    n_hidden_layers = len(arch.hidden_sizes)
     X_all = data.train.features
     y_all = data.train.labels.astype(np.float64)
     n = X_all.shape[0]
@@ -576,53 +575,39 @@ def train(data: SplitDataset, arch: MlpArchitecture, cfg: TrainConfig) -> MlpMod
             used = 0
             for start in range(0, n, cfg.batch_size):
                 batch = order[start:start + cfg.batch_size]
-                X = X_all[batch]
-                y = y_all[batch]
-                B = len(batch)
-
-                acts = [X]
-                pre = []
-                keeps = []
-                A = X
-                for i in range(n_hidden_layers):
-                    Z = A @ weights[i].T + biases[i]
+                acts = [X_all[batch]]
+                gates = []
+                for W, b in zip(weights[:-1], biases[:-1]):
+                    Z = acts[-1] @ W.T + b
                     A = np.maximum(Z, 0.0)
+                    keep = None
                     if drop > 0.0:
                         u = uniforms[used:used + A.size].reshape(A.shape)
                         used += A.size
                         keep = (u >= drop).astype(np.float64) / (1.0 - drop)
                         A = A * keep
-                        keeps.append(keep)
-                    else:
-                        keeps.append(None)
-                    pre.append(Z)
                     acts.append(A)
-                z = (A @ weights[-1].T + biases[-1]).ravel()
+                    gates.append((keep, Z > 0.0))
+                z = (acts[-1] @ weights[-1].T + biases[-1]).ravel()
 
                 # a non-finite logit is what makes the cross-entropy non-finite
                 if not np.isfinite(z).all():
                     raise TrainingError(f"non-finite loss at epoch {_epoch}; "
                                         "lower the learning rate")
 
-                dz = (_sigmoid(z) - y) / B
-                dW_out = dz[None, :] @ acts[-1]
-                db_out = np.array([dz.sum()])
-                dA = np.outer(dz, weights[-1].ravel())
-                grads_w = [dW_out]
-                grads_b = [db_out]
-                for i in range(n_hidden_layers - 1, -1, -1):
-                    if keeps[i] is not None:
-                        dA = dA * keeps[i]
-                    dZ = dA * (pre[i] > 0.0)
-                    grads_w.append(dZ.T @ acts[i])
-                    grads_b.append(dZ.sum(axis=0))
+                # output layer first; each passes dZ down through its weights, then updates them
+                dZ = ((_sigmoid(z) - y_all[batch]) / len(batch))[:, None]
+                for i in range(len(weights) - 1, -1, -1):
+                    dW = dZ.T @ acts[i]
+                    db = dZ.sum(axis=0)
                     if i > 0:
+                        keep, active = gates[i - 1]
                         dA = dZ @ weights[i]
-                grads_w.reverse()
-                grads_b.reverse()
-                for i in range(len(weights)):
-                    weights[i] -= cfg.learning_rate * grads_w[i]
-                    biases[i] -= cfg.learning_rate * grads_b[i]
+                        if keep is not None:
+                            dA = dA * keep
+                        dZ = dA * active
+                    weights[i] -= cfg.learning_rate * dW
+                    biases[i] -= cfg.learning_rate * db
 
             snapshot = MlpModel(arch, [w.copy() for w in weights], [b.copy() for b in biases])
             preds = predict_batch(snapshot, data.validation)

@@ -246,12 +246,11 @@ def price_space(model: MlpModel, validation_data: TabularDataset, bounds: Search
                     positives[f:f + m] = preds_block @ indicator
                     f += m
     order = np.argsort(keys)
-    penalty = params.p * params.eod_baseline
     cost, eod, f1s = np.empty((3, total))
     chunk = _BATCH_ELEMENTS // 64  # cell_costs holds some sixteen arrays of chunk values
     for s in range(0, total, chunk):
         cost[s:s + chunk], eod[s:s + chunk], f1s[s:s + chunk] = cell_costs(
-            positives[order[s:s + chunk]], totals, params.f1_floor, penalty)
+            positives[order[s:s + chunk]], totals, params.f1_floor, params.penalty)
     return PricedSpace(n, params.f1_floor, keys[order], cost, eod, f1s)
 
 

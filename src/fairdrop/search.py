@@ -36,9 +36,6 @@ from .metrics import cell_costs, cell_metrics, group_label_indicator
 from .model import MaskedForward, MlpModel, predict_batch
 from .prng import XorShift64Star
 
-TRACE_COLUMNS = ("iteration", "elapsed_ms", "temperature", "candidate_cost",
-                 "accepted", "best_cost", "hamming_weight", "state_key_hex")
-
 ALG_TYPES = ("sa", "rw")
 T0_MODES = ("ben_ameur", "worst_case", "explicit")
 
@@ -147,6 +144,11 @@ class CostParams:
     def f1_floor(self) -> float:
         return self.t * self.f1_baseline
 
+    @property
+    def penalty(self) -> float:
+        """What a mask pays when its F1 falls below ``f1_floor``."""
+        return self.p * self.eod_baseline
+
 
 @dataclass(frozen=True)
 class TemperatureSchedule:
@@ -168,8 +170,7 @@ def penalized_cost(eod_s: float | None, f1_s: float, params: CostParams) -> floa
     """EOD plus the F1-floor penalty; undefined EOD prices as +inf."""
     if eod_s is None:
         return math.inf
-    penalty = params.p * params.eod_baseline if f1_s < params.t * params.f1_baseline else 0.0
-    return eod_s + penalty
+    return eod_s + (params.penalty if f1_s < params.f1_floor else 0.0)
 
 
 class CostEvaluation(NamedTuple):
@@ -236,8 +237,7 @@ class CostEvaluator:
         # (4, rows): one GEMV of a float32 0/1 row against it counts a mask
         self._indicator = np.ascontiguousarray(indicator.T)
         # the totals, F1 floor and penalty that every price reads
-        self._cost_terms = (tuple(self._totals.tolist()), params.f1_floor,
-                            params.p * params.eod_baseline)
+        self._cost_terms = (tuple(self._totals.tolist()), params.f1_floor, params.penalty)
         self._forward = forward = MaskedForward(model, validation_data.features)
         self._prefix_mask = forward._prefix_key
         units = len(forward.suffix_bits)
@@ -388,7 +388,7 @@ def worst_case_t0(params: CostParams, bounds: SearchSpaceBounds) -> float:
     """
     if bounds.n_u <= bounds.n_l:
         raise SearchSpaceError("worst-case t0 needs n_u > n_l")
-    return (1.0 + params.p * params.eod_baseline) * (bounds.n_u - bounds.n_l)
+    return (1.0 + params.penalty) * (bounds.n_u - bounds.n_l)
 
 
 def _mean_acceptance(deltas: list[float], t: float) -> float:
@@ -543,7 +543,7 @@ class TraceRecord(NamedTuple):
     ``elapsed_ms`` is wall-clock from the start of the run (before T0
     estimation) when a time limit governs the run and 0.0 otherwise, so
     iteration-bounded runs trace identically across executions.  A named
-    tuple, its fields in ``TRACE_COLUMNS`` order: the walk builds one per
+    tuple whose fields are the trace file's columns: the walk builds one per
     iteration, at a fraction of a frozen dataclass's cost.
     """
 
@@ -555,6 +555,9 @@ class TraceRecord(NamedTuple):
     best_cost: float
     hamming_weight: int
     state_key_hex: str
+
+
+TRACE_COLUMNS = TraceRecord._fields
 
 
 @dataclass(frozen=True)
@@ -654,19 +657,9 @@ def run_search(model: MlpModel, validation_data: TabularDataset,
 
 def trace_csv_text(trace) -> str:
     """Render trace records in the fixed trace-file column order."""
-    lines = [",".join(TRACE_COLUMNS)]
-    for r in trace:
-        lines.append(",".join((
-            str(r.iteration),
-            repr(r.elapsed_ms),
-            repr(r.temperature),
-            repr(r.candidate_cost),
-            "1" if r.accepted else "0",
-            repr(r.best_cost),
-            str(r.hamming_weight),
-            r.state_key_hex,
-        )))
-    return "\n".join(lines) + "\n"
+    # %d writes a bool as 1 or 0, and %r a float as its repr
+    return ",".join(TRACE_COLUMNS) + "\n" + "".join(
+        "%d,%r,%r,%r,%d,%r,%d,%s\n" % r for r in trace)
 
 
 def write_trace_csv(path, trace) -> None:

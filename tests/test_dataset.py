@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -280,6 +281,12 @@ class TestSplit:
         assert parts.validation.n_rows == int(0.2 * n)
         assert parts.test.n_rows == n - int(0.6 * n) - int(0.2 * n)
 
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, "1"])
+    def test_rejects_a_seed_a_config_rejects(self, seed):
+        # split(data, True) used to split with seed 1
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            fd.split(_dummy(10), seed)
+
 
 class TestSynthesizeBiased:
     def test_zero_bias_small_gap(self):
@@ -314,6 +321,20 @@ class TestSynthesizeBiased:
             fd.synthesize_biased(100, 1, 0.5, seed=1)
         with pytest.raises(ValueError):
             fd.synthesize_biased(100, 4, 1.5, seed=1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_rows", 150.0), ("n_rows", True), ("n_rows", "150"),
+        ("n_features", 4.0), ("n_features", True),
+        ("bias_strength", True), ("bias_strength", math.nan), ("bias_strength", "0.5"),
+        ("seed", 1.5), ("seed", 1.0), ("seed", True),
+    ])
+    def test_rejects_what_a_config_rejects(self, field, value):
+        # Before these checks a bias of True built a dataset at strength 1.0,
+        # a float row count failed inside numpy and a fractional seed in the
+        # generator's bit arithmetic.
+        args = dict(n_rows=150, n_features=4, bias_strength=0.5, seed=1)
+        with pytest.raises(ValueError, match=f"^{field} must be (an integer|a finite number), "):
+            fd.synthesize_biased(**{**args, field: value})
 
     def test_both_groups_and_labels_present(self):
         data = fd.synthesize_biased(1_000, 4, 0.8, seed=2)

@@ -717,11 +717,22 @@ class TestTrain:
          fd.TrainConfig(learning_rate=0.3, epochs=30, batch_size=128, train_dropout_prob=0.1,
                         seed=1),
          "8c8dd9d6fd211968325f8f51b3de4bf5d0d89c01f54d000fcae762e5973945e0"),
-    ], ids=["census", "three-hidden-layers", "benchmark"])
+        ((6, 8, 8, 1), 1500, 21, 5,
+         fd.TrainConfig(learning_rate=0.3, epochs=25, batch_size=64, train_dropout_prob=0.0,
+                        seed=4),
+         "baad9b76024472100f4661170567da7fe4b7fbe45062feefe1d0717db7927021"),
+        ((6, 8, 1), 1500, 21, 5,
+         fd.TrainConfig(learning_rate=0.3, epochs=25, batch_size=64, train_dropout_prob=0.1,
+                        seed=4),
+         "8d63fa5ee8d47d94267ae2b9584be6865cf0c129a25d3e68aca710cdd1587866"),
+    ], ids=["census", "three-hidden-layers", "benchmark", "census-no-dropout",
+            "one-hidden-layer"])
     def test_dropout_training_is_pinned(self, sizes, rows, data_seed, split_seed, cfg, digest):
         # SHA-256 of the weights and biases, pinned when every batch drew its
         # own dropout uniforms: one draw per epoch must give the same stream.
         # The training splits (900, 360 and 6,000 rows) end in a short batch.
+        # The last two cases take the trainer's no-dropout branch and its
+        # one-hidden-layer loop.
         # The benchmark instance's epochs draw 192,000 uniforms, many blocks
         # of the generator's lane layout; the census epochs fit in one.
         data = fd.synthesize_biased(rows, sizes[0], 0.8, seed=data_seed)
